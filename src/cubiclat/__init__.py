@@ -26,7 +26,6 @@ from .core import (
     NotAHassettDiscriminant,
     UnknownLattice,
     basic_invariants,
-    smith_normal_form,
     discriminant_group,
     discriminant_form,
     discriminant_bilinear_form,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import exact
 from .core import (
     IntegralLattice,
     UnknownLattice,

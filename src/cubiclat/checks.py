@@ -6,22 +6,19 @@ classify, the discriminant sweep in hassett, the cubic-surface table in
 delpezzo).  The catalog-level facts certified here are thin: Gram
 determinants, discriminant groups, glue indices, and root counts.
 
-``run_checks`` executes any selection on a thread pool; reports come back
-sorted by check id regardless of worker count.
+``run_checks`` runs any selection one check at a time, in check-id order.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import gcd
+from itertools import combinations
 from typing import Callable
 
 from . import catalog, delpezzo, exact, geomchecks, hassett
-from .classify import (phi2_no_associated_k3, phi3_k3_exists,
-                       two_elementary_exists, two_elementary_invariants,
-                       unimodular_complement_profile)
+from .classify import (_torsion_q_multiset, phi2_no_associated_k3,
+                       phi3_k3_exists, two_elementary_exists,
+                       two_elementary_invariants, unimodular_complement_profile)
 from .core import (NoRepresentation, basic_invariants, direct_sum,
                    discriminant_form, discriminant_group, rescale)
 from .glue import glue_group, glue_subgroup, overlattice_from_glue
@@ -245,19 +242,6 @@ def e8_roots_certificate() -> CheckReport:
         "commonly quoted 85)", body)
 
 
-def _torsion_value_multiset(form, m: int) -> dict:
-    """Multiset of q over the subgroup of elements killed by m."""
-    choices = []
-    for d in form.group.factors:
-        g = gcd(m, d)
-        choices.append([k * (d // g) for k in range(g)])
-    counts: dict = {}
-    for e in product(*choices):
-        v = form.q(e)
-        counts[v] = counts.get(v, 0) + 1
-    return counts
-
-
 def t_invariants_certificate() -> CheckReport:
     def body():
         t = catalog.transcendental_T()
@@ -271,7 +255,7 @@ def t_invariants_certificate() -> CheckReport:
         for e in q_t.group.elements():
             v = q_t.q(e)
             t_multiset[v] = t_multiset.get(v, 0) + 1
-        two_part = _torsion_value_multiset(profile.form, 2)
+        two_part = _torsion_q_multiset(profile.form, 2)
         details = {"invariants": flat, "exists": exists,
                    "det": exact.bareiss_det(t.gram),
                    "profile_signature": tuple(profile.signature),
@@ -369,14 +353,10 @@ def check_ids() -> list[str]:
     return [spec.check_id for spec in MANIFEST]
 
 
-def run_checks(names=None, threads: int | None = None) -> list[CheckReport]:
+def run_checks(names=None) -> list[CheckReport]:
     """Run the named checks (default: all) and return reports sorted by id."""
     ids = check_ids() if names is None else list(names)
     unknown = [name for name in ids if name not in REGISTRY]
     if unknown:
         raise UnknownCheck(unknown[0], check_ids())
-    ids = sorted(set(ids))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {check_id: pool.submit(REGISTRY[check_id].run)
-                   for check_id in ids}
-        return [futures[check_id].result() for check_id in ids]
+    return [REGISTRY[check_id].run() for check_id in sorted(set(ids))]

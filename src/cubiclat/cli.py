@@ -59,16 +59,12 @@ def _emit_reports(reports: list[CheckReport], as_json: bool) -> int:
               help="Run one check id (repeatable).")
 @click.option("--json", "as_json", is_flag=True,
               help="One JSON report per line, ordered by check id.")
-@click.option("--threads", type=int, default=None, metavar="N",
-              help="Worker cap (default: machine parallelism).")
-def checks_run(run_all: bool, names: tuple[str, ...], as_json: bool,
-               threads: int | None):
+def checks_run(run_all: bool, names: tuple[str, ...], as_json: bool):
     """Run selected certificates and exit 0 only if all pass."""
     if run_all == bool(names):
         raise click.UsageError("select checks with either --all or --name <id>")
     try:
-        reports = checks.run_checks(None if run_all else list(names),
-                                    threads=threads)
+        reports = checks.run_checks(None if run_all else list(names))
     except checks.UnknownCheck as exc:
         raise click.UsageError(str(exc))
     sys.exit(_emit_reports(reports, as_json))

@@ -250,48 +250,19 @@ class Sublattice(NamedTuple):
 
 
 def signature_of_gram(gram) -> Signature:
-    """Exact signature via symmetric congruence diagonalization over Q."""
+    """Exact signature by fraction-free congruence elimination: the k-th
+    pivot of the diagonalization is D_k / D_{k-1} for the Bareiss pivots D."""
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    pos = neg = 0
-    for i in range(n):
-        if a[i][i] == 0:
-            j = next((k for k in range(i + 1, n) if a[k][k] != 0), None)
-            if j is not None:
-                a[i], a[j] = a[j], a[i]
-                for row in a:
-                    row[i], row[j] = row[j], row[i]
-            else:
-                j = next((k for k in range(i + 1, n) if a[i][k] != 0), None)
-                if j is None:
-                    raise DegenerateLattice("degenerate block in signature computation")
-                # a[j][j] = 0 too, so adding row+column j doubles the cross term
-                for k in range(n):
-                    a[i][k] += a[j][k]
-                for k in range(n):
-                    a[k][i] += a[k][j]
-        p = a[i][i]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        for j in range(i + 1, n):
-            f = a[j][i] / p
-            if f:
-                for k in range(n):
-                    a[j][k] -= f * a[i][k]
-                for k in range(n):
-                    a[k][j] -= f * a[k][i]
-    return Signature(pos, neg)
+    m, pivots, _ = exact.bareiss(gram, symmetric=True)
+    if len(pivots) < n:
+        raise DegenerateLattice("degenerate block in signature computation")
+    minors = [1] + [m[k][k] for k in range(n)]
+    pos = sum(1 for k in range(n) if minors[k] * minors[k + 1] > 0)
+    return Signature(pos, n - pos)
 
 
 def basic_invariants(L: IntegralLattice) -> Invariants:
     return Invariants(L.det, L.signature, L.parity)
-
-
-def smith_normal_form(a):
-    """Smith normal form with transforms: returns (D, U, V) with U A V = D."""
-    return exact.smith_normal_form(a)
 
 
 @dataclass(frozen=True)

@@ -34,112 +34,136 @@ def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def vec_mat(v, a):
-    return [sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0]))]
-
-
 def column(a, j):
     return [row[j] for row in a]
 
 
-def is_zero_matrix(a) -> bool:
-    return all(x == 0 for row in a for x in row)
+def bareiss(a, ncols: int | None = None, jordan: bool = False,
+            symmetric: bool = False) -> tuple[IntMatrix, list[int], int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix.
+
+    Returns (m, pivots, sign): the k-th pivot sits in row k of the reduced
+    matrix m at column pivots[k], and sign is (-1)^(row swaps).  Every entry
+    of m is an integer minor of the (permuted) input, so each division by the
+    previous pivot is exact.  Pivot k is the minor on the first k+1 rows and
+    the columns pivots[:k+1]; for a nonsingular square input sign * (last
+    pivot) is the determinant.
+    Pivots are sought in the first ``ncols`` columns (default: all).
+
+    ``jordan`` also clears above each pivot (Gauss-Jordan).  Only columns to
+    the right of each pivot are updated, so for a full-rank leading n x n
+    block the columns past it end as (last pivot) * block^-1 * rest.
+
+    ``symmetric`` pivots a symmetric matrix by congruence on the diagonal: a
+    zero diagonal entry is swapped with a later nonzero one, or else row and
+    column k gain a later j with m[k][j] != 0.  The result is the elimination
+    of P^T a P for a unimodular P, and it stops at the first zero row of the
+    trailing block.
+    """
+    m = copy_matrix(a)
+    rows = len(m)
+    width = len(m[0]) if rows else 0
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    for c in range(width if ncols is None else ncols):
+        r = len(pivots)
+        if r == rows:
+            break
+        if symmetric:
+            if not _congruence_pivot(m, r):
+                break
+        else:
+            p = next((i for i in range(r, rows) if m[i][c]), None)
+            if p is None:
+                continue
+            if p != r:
+                m[r], m[p] = m[p], m[r]
+                sign = -sign
+        prow = m[r]
+        pv = prow[c]
+        tail = prow[c + 1:]
+        for i in range(0 if jordan else r + 1, rows):
+            if i != r:
+                row = m[i]
+                f = row[c]
+                row[c:] = [0, *[(x * pv - f * y) // prev
+                                for x, y in zip(row[c + 1:], tail)]]
+        pivots.append(c)
+        prev = pv
+    return m, pivots, sign
+
+
+def _congruence_pivot(m: IntMatrix, k: int) -> bool:
+    """Make m[k][k] nonzero by a congruence on indices >= k; False when row
+    k is zero from the diagonal on."""
+    if m[k][k]:
+        return True
+    n = len(m)
+    j = next((j for j in range(k + 1, n) if m[j][j]), None)
+    if j is not None:
+        m[k], m[j] = m[j], m[k]
+        for row in m:
+            row[k], row[j] = row[j], row[k]
+        return True
+    j = next((j for j in range(k + 1, n) if m[k][j]), None)
+    if j is None:
+        return False
+    # m[j][j] = 0 too, so the new diagonal entry is 2 m[k][j]
+    m[k] = [x + y for x, y in zip(m[k], m[j])]
+    for row in m:
+        row[k] += row[j]
+    return True
+
+
+def _integer_rows(a) -> IntMatrix:
+    """A rational matrix with each row scaled by its denominators' lcm."""
+    out = []
+    for row in a:
+        den = lcm_list(x.denominator for x in row)
+        out.append([int(x * den) for x in row])
+    return out
 
 
 def bareiss_det(a: IntMatrix) -> int:
     """Integer determinant by fraction-free (Bareiss) elimination."""
     n = len(a)
-    if n == 0:
-        return 1
-    m = copy_matrix(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    m, pivots, sign = bareiss(a)
+    if len(pivots) < n:
+        return 0
+    return sign * m[n - 1][n - 1] if n else 1
 
 
-def frac_det(a) -> Fraction:
-    """Rational determinant by Gaussian elimination."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] * inv
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
-    return det
+def _jordan(rows, n: int) -> tuple[IntMatrix, int]:
+    """(p * a^-1 * rhs, p) for the rows [a | rhs] of an n x n block a, where
+    p is the last pivot (+-det of a with its rows cleared of denominators);
+    ZeroDivisionError when a is singular."""
+    m, pivots, _ = bareiss(_integer_rows(rows), ncols=n, jordan=True)
+    if len(pivots) < n:
+        raise ZeroDivisionError("matrix is singular")
+    return [row[n:] for row in m], m[n - 1][n - 1] if n else 1
 
 
 def frac_inverse(a) -> FracMatrix:
-    """Inverse of a square matrix over the rationals (Gauss-Jordan)."""
+    """Inverse of a square matrix over the rationals: fraction-free
+    Gauss-Jordan on [a | I] leaves an integer multiple of a^-1."""
     n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        m[k], m[pivot] = m[pivot], m[k]
-        inv = 1 / m[k][k]
-        m[k] = [x * inv for x in m[k]]
-        for i in range(n):
-            if i != k and m[i][k] != 0:
-                f = m[i][k]
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return [row[n:] for row in m]
+    adj, det = _jordan([list(row) + [int(i == j) for j in range(n)]
+                        for i, row in enumerate(a)], n)
+    return [[Fraction(x, det) for x in row] for row in adj]
 
 
 def rational_rank(a) -> int:
     """Rank over Q of a rational matrix."""
-    if not a:
-        return 0
-    m = [[Fraction(x) for x in row] for row in a]
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][c]
-        for i in range(rank + 1, rows):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                for j in range(c, cols):
-                    m[i][j] -= f * m[rank][j]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return len(bareiss(_integer_rows(a))[1])
 
 
 def solve_exact(a, b):
-    """Solve a x = b over Q for square nonsingular a; returns list of Fractions."""
-    inv = frac_inverse(a)
-    return [sum(Fraction(r[j]) * Fraction(b[j]) for j in range(len(b))) for r in inv]
+    """Solve a x = b over Q for square nonsingular a; returns list of Fractions.
+
+    Fraction-free Gauss-Jordan on [a | b]; no inverse is formed."""
+    x, det = _jordan([list(row) + [y] for row, y in zip(a, b)], len(a))
+    return [Fraction(row[0], det) for row in x]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -240,11 +264,6 @@ def smith_normal_form(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             d[i][i] = -d[i][i]
             u[i] = [-x for x in u[i]]
     return d, u, v
-
-
-def snf_diagonal(a) -> list[int]:
-    d, _, _ = smith_normal_form(a)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
 def integer_kernel(a) -> IntMatrix:

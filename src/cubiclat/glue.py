@@ -4,7 +4,7 @@ finite-index extensions they generate.
 An even overlattice of L corresponds to an isotropic subgroup H of (A_L, q_L);
 for odd ambients the same construction runs against the bilinear form b_L and
 the resulting overlattice is judged downstream.  det(overlattice) * |H|^2 =
-det(L) holds for every construction and is asserted here.
+det(L) holds for every construction and is checked here.
 """
 from __future__ import annotations
 
@@ -19,10 +19,10 @@ from .core import (
     FiniteBilinearForm,
     FiniteQuadraticForm,
     IntegralLattice,
+    NotIntegral,
     NotIsotropic,
     ParityError,
     Sublattice,
-    discriminant_bilinear_form,
     discriminant_form,
     discriminant_group,
 )
@@ -158,7 +158,8 @@ def overlattice_from_glue(L: IntegralLattice, H: GlueSubgroup) -> Overlattice:
         cols.append([int(den * f) for f in lift])
     stacked = [[col[i] for col in cols] for i in range(n)]
     hbasis = exact.hermite_column_basis(stacked)
-    assert len(hbasis) == n
+    if len(hbasis) != n:
+        raise BadSplitting(f"glued basis has rank {len(hbasis)}, expected {n}")
     basis = tuple(tuple(Fraction(x, den) for x in col) for col in hbasis)
     # den-scaled basis vectors are integral, so the Gram is an integer
     # product divided by den^2
@@ -178,7 +179,9 @@ def overlattice_from_glue(L: IntegralLattice, H: GlueSubgroup) -> Overlattice:
     out = IntegralLattice(gram, labels=[f"b{i+1}" for i in range(n)])
     if L.is_even and not out.is_even:
         raise NotIsotropic("even ambient glued by a non-isotropic class came out odd")
-    assert L.det == out.det * H.order ** 2, (L.det, out.det, H.order)
+    if L.det != out.det * H.order ** 2:
+        raise BadSplitting(f"det {L.det} != {out.det} * {H.order}^2 for the "
+                           "overlattice of the glue subgroup")
     return Overlattice(lattice=out, ambient=L, basis=basis, index=H.order)
 
 
@@ -225,7 +228,9 @@ def glue_group(L: IntegralLattice, s1, s2) -> GlueDecomposition:
             continue
         factors.append(di)
         w = [uinv[k][i] for k in range(L.rank)]
-        assert all(x.denominator == 1 for x in w)
+        if any(x.denominator != 1 for x in w):
+            raise NotIntegral("inverse of the unimodular Smith transform is "
+                              "not integral")
         c = exact.mat_vec(binv, w)
         c1, c2 = c[:len(b1)], c[len(b1):]
         e1 = g1.class_of_rational(c1) if g1 else ()

@@ -17,11 +17,9 @@ from .core import NoRepresentation, NotAHassettDiscriminant, saturation
 from .report import CheckReport, run_certificate
 
 
-def four_squares(n: int) -> tuple[int, int, int, int]:
-    """A representation n = x^2+y^2+z^2+u^2 with x >= y >= z >= u, largest
-    leading square first."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+def _four_square_reps(n: int):
+    """Every n = x^2+y^2+z^2+u^2 with x >= y >= z >= u >= 0, in descending
+    lexicographic order."""
     for x in range(isqrt(n), -1, -1):
         r1 = n - x * x
         for y in range(min(x, isqrt(r1)), -1, -1):
@@ -30,8 +28,15 @@ def four_squares(n: int) -> tuple[int, int, int, int]:
                 r3 = r2 - z * z
                 u = isqrt(r3)
                 if u * u == r3 and u <= z:
-                    return (x, y, z, u)
-    raise AssertionError(f"no four-square representation found for {n}")
+                    yield (x, y, z, u)
+
+
+def four_squares(n: int) -> tuple[int, int, int, int]:
+    """A representation n = x^2+y^2+z^2+u^2 with x >= y >= z >= u, largest
+    leading square first (one exists for every n >= 0, by Lagrange)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return next(_four_square_reps(n))
 
 
 def ramanujan_rep(n: int) -> tuple[int, int, int, int]:
@@ -90,16 +95,7 @@ def _four_squares_even(m: int) -> tuple[int, int, int, int]:
     One always exists: a zero coordinate counts, m = 4^a(8b+7) has one via
     m - 4 (three squares), and multiples of 4 via doubling a representation
     of m/4."""
-    for x in range(isqrt(m), -1, -1):
-        r1 = m - x * x
-        for y in range(min(x, isqrt(r1)), -1, -1):
-            r2 = r1 - y * y
-            for z in range(min(y, isqrt(r2)), -1, -1):
-                r3 = r2 - z * z
-                u = isqrt(r3)
-                if u * u == r3 and u <= z and any(c % 2 == 0 for c in (x, y, z, u)):
-                    return (x, y, z, u)
-    raise AssertionError(f"no even-coordinate four-square representation for {m}")
+    return next(r for r in _four_square_reps(m) if any(c % 2 == 0 for c in r))
 
 
 def _witness_rank0(k: int) -> tuple[int, int, int, int, int]:
@@ -158,18 +154,15 @@ def labeling_for_d(d: int) -> Labeling:
 
     vv, ev = n.norm(v), n.pair(eta, v)
     disc = 3 * vv - ev * ev
-    assert disc == d, (d, disc, witness)
+    if disc != d:
+        raise NoRepresentation(f"witness {witness} gives discriminant {disc}, "
+                               f"not {d}")
     sat = saturation(n, [eta, v])
-    assert sat.lattice.rank == 2
-    assert sat.lattice.det == d, (d, sat.lattice.det)
+    if sat.lattice.rank != 2 or sat.lattice.det != d:
+        raise NoRepresentation(
+            f"witness {witness} saturates to rank {sat.lattice.rank} and det "
+            f"{sat.lattice.det}, not a primitive labeling of {d}")
     return Labeling(d=d, v=v, witness=witness)
-
-
-def sweep_rows(d_max: int):
-    """Yield the verified labeling for every admissible d <= d_max."""
-    for d in range(7, d_max + 1):
-        if is_admissible(d):
-            yield labeling_for_d(d)
 
 
 def hassett_sweep(d_max: int) -> CheckReport:

@@ -1,8 +1,9 @@
 """Bounded-norm vector enumeration in definite lattices.
 
 Branch-and-bound on the exact rational ``L D L^T`` decomposition of the Gram
-matrix (Fincke-Pohst).  Interval endpoints at each level are computed with
-``math.isqrt`` on cleared denominators, so the search stays exact end to end.
+matrix (Fincke-Pohst), read off its fraction-free elimination.  Interval
+endpoints at each level are computed with ``math.isqrt`` on cleared
+denominators, so the search stays exact end to end.
 Negative definite inputs are auto-negated; indefinite inputs are rejected.
 """
 from __future__ import annotations
@@ -27,20 +28,17 @@ def _ldl(gram) -> list[list[Fraction]]:
     """Fincke-Pohst working array: q[i][i] pivots, q[i][j] (j>i) coefficients.
 
     After this, norm(x) = sum_i q[i][i] * (x_i + sum_{j>i} q[i][j] x_j)^2.
+    With U the fraction-free elimination and D_i its pivots (D_0 = 1),
+    q[i][i] = D_{i+1} / D_i and q[i][j] = U[i][j] / U[i][i].
     Raises IndefiniteLattice when a pivot fails to be positive.
     """
     n = len(gram)
-    q = [[Fraction(x) for x in row] for row in gram]
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise IndefiniteLattice("Gram matrix is not positive definite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] -= q[k][i] * q[i][l]
-    return q
+    u, pivots, _ = exact.bareiss(gram, symmetric=True)
+    if len(pivots) < n or any(u[i][i] <= 0 for i in range(n)):
+        raise IndefiniteLattice("Gram matrix is not positive definite")
+    minors = [1] + [u[i][i] for i in range(n)]
+    return [[0] * i + [Fraction(minors[i + 1], minors[i])]
+            + [Fraction(x, u[i][i]) for x in u[i][i + 1:]] for i in range(n)]
 
 
 def _enumerate(gram, max_norm: Fraction, center: tuple[Fraction, ...]):

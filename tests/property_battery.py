@@ -16,7 +16,7 @@ from cubiclat.core import (
     discriminant_form,
     rescale,
 )
-from cubiclat.exact import bareiss_det, snf_diagonal
+from cubiclat.exact import bareiss_det, smith_normal_form
 from cubiclat.glue import enumerate_even_overlattices
 from cubiclat.shortvec import enumerate_by_norm
 
@@ -92,8 +92,9 @@ def shortvec_trials(rng: random.Random, trials: int, bound: int = 4,
         L = random_positive_definite(rng)
         gram = [list(row) for row in L.gram]
         assert_prod = 1
-        for d in snf_diagonal(gram):
-            assert_prod *= d
+        snf, _, _ = smith_normal_form(gram)
+        for i in range(L.rank):
+            assert_prod *= snf[i][i]
         assert assert_prod == abs(bareiss_det(gram))
 
         ginv = L.inverse_gram

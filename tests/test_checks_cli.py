@@ -1,6 +1,10 @@
 """Tests for the check manifest, the runner, and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -12,6 +16,8 @@ from cubiclat.core import lattice_to_json
 from cubiclat.report import run_certificate
 
 FAST = ["K.d9", "M.gram", "N.gram"]
+REPO = Path(__file__).resolve().parents[1]
+GOLDEN = REPO / "bench" / "reference" / "suite.jsonl"
 
 
 def test_manifest_shape():
@@ -41,11 +47,22 @@ def test_run_checks_unknown_id():
     assert "N.gram" in exc.value.valid
 
 
-def test_run_checks_thread_count_does_not_change_results():
-    serial = run_checks(FAST, threads=1)
-    parallel = run_checks(FAST, threads=3)
-    assert [(r.check_id, r.ok) for r in serial] == \
-        [(r.check_id, r.ok) for r in parallel]
+def _without_elapsed(payloads) -> str:
+    """JSON report lines as `checks run --json` prints them, minus elapsed_ms."""
+    lines = []
+    for payload in payloads:
+        payload.pop("elapsed_ms")
+        lines.append(json.dumps(payload, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+def test_run_checks_is_deterministic_and_sorted():
+    first = run_checks(FAST)
+    again = run_checks(list(reversed(FAST)) + FAST[:1])
+    assert [r.check_id for r in first] == sorted(FAST)
+    assert [r.check_id for r in again] == sorted(FAST)
+    assert _without_elapsed(r.to_json() for r in first) == \
+        _without_elapsed(r.to_json() for r in again)
 
 
 def test_cli_checks_list():
@@ -192,3 +209,25 @@ def test_cli_delpezzo_verify():
     result = CliRunner().invoke(main, ["delpezzo", "verify"])
     assert result.exit_code == 0
     assert "lines: 27  sixers: 72  double sixes: 36" in result.output
+
+
+def _golden_lines(output: str) -> str:
+    return _without_elapsed(json.loads(line) for line in output.splitlines())
+
+
+def test_cli_checks_run_all_matches_golden_reports():
+    result = CliRunner().invoke(main, ["checks", "run", "--all", "--json"])
+    assert result.exit_code == 0
+    assert _golden_lines(result.output) == GOLDEN.read_text()
+
+
+def test_cli_checks_run_all_matches_golden_reports_under_optimize():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from cubiclat.cli import main; "
+         "main(['checks', 'run', '--all', '--json'])"],
+        capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert _golden_lines(proc.stdout) == GOLDEN.read_text()

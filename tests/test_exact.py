@@ -27,9 +27,7 @@ def test_bareiss_needs_no_row_swap_luck():
     assert exact.bareiss_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
 
 
-def test_frac_det_and_inverse():
-    a = [[Fraction(1, 2), 0], [0, Fraction(1, 3)]]
-    assert exact.frac_det(a) == Fraction(1, 6)
+def test_frac_inverse():
     inv = exact.frac_inverse([[2, 1], [1, 1]])
     assert exact.mat_mul(inv, [[2, 1], [1, 1]]) == exact.identity(2)
     with pytest.raises(ZeroDivisionError):
@@ -64,10 +62,15 @@ def test_smith_normal_form_factorization():
     assert diag[0] * diag[1] * diag[2] == abs(exact.bareiss_det(a))
 
 
+def _snf_diagonal(a):
+    d, _, _ = exact.smith_normal_form(a)
+    return [d[i][i] for i in range(min(len(d), len(d[0])))]
+
+
 def test_snf_diagonal_known_values():
-    assert exact.snf_diagonal([[2, 0], [0, 6]]) == [2, 6]
-    assert exact.snf_diagonal([[6, 0], [0, 4]]) == [2, 12]
-    assert exact.snf_diagonal([[1, 2], [2, 4]]) == [1, 0]
+    assert _snf_diagonal([[2, 0], [0, 6]]) == [2, 6]
+    assert _snf_diagonal([[6, 0], [0, 4]]) == [2, 12]
+    assert _snf_diagonal([[1, 2], [2, 4]]) == [1, 0]
 
 
 def test_integer_kernel():
@@ -108,11 +111,8 @@ def test_matrix_helpers():
     a = [[1, 2], [3, 4]]
     assert exact.transpose(a) == [[1, 3], [2, 4]]
     assert exact.mat_vec(a, [1, 1]) == [3, 7]
-    assert exact.vec_mat([1, 1], a) == [4, 6]
     assert exact.column(a, 1) == [2, 4]
     assert exact.mat_mul(a, exact.identity(2)) == a
-    assert not exact.is_zero_matrix(a)
-    assert exact.is_zero_matrix([[0, 0]])
 
 
 def test_gcd_lcm_lists():

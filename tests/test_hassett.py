@@ -1,6 +1,11 @@
 """Tests for the discriminant-labeling machinery: quadratic-form
 representations and the rank-2 sublattice sweep."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from cubiclat import catalog
@@ -12,7 +17,6 @@ from cubiclat.hassett import (
     is_admissible,
     labeling_for_d,
     ramanujan_rep,
-    sweep_rows,
 )
 
 
@@ -107,8 +111,8 @@ def test_labeling_rejects_inadmissible():
             labeling_for_d(d)
 
 
-def test_sweep_rows():
-    ds = [lab.d for lab in sweep_rows(30)]
+def test_admissible_ds_label_in_order():
+    ds = [labeling_for_d(d).d for d in range(7, 31) if is_admissible(d)]
     assert ds == [8, 12, 14, 18, 20, 24, 26, 30]
 
 
@@ -118,3 +122,21 @@ def test_hassett_sweep_report():
     assert rep.check_id == "hassett.sweep"
     assert rep.details["failures"] == []
     assert rep.details["labeled"] == rep.details["admissible"] == 31
+
+
+def test_sweep_fails_on_wrong_saturation_under_optimize():
+    # the labeling checks must not be asserts, which python -O strips
+    script = (
+        "from cubiclat import catalog, hassett\n"
+        "from cubiclat.core import saturation\n"
+        "n = catalog.plane_lattice_N()\n"
+        "wrong = saturation(n, [(1,) + (0,) * 10, catalog.p_in_N()])\n"
+        "hassett.saturation = lambda L, vectors: wrong\n"
+        "print(hassett.hassett_sweep(50).status)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["fail"]

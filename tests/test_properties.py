@@ -18,8 +18,19 @@ from cubiclat.core import (
     discriminant_form,
     discriminant_group,
     rescale,
+    signature_of_gram,
 )
-from cubiclat.exact import bareiss_det, snf_diagonal, transpose
+from cubiclat.exact import (
+    bareiss_det,
+    frac_inverse,
+    identity,
+    mat_mul,
+    mat_vec,
+    rational_rank,
+    smith_normal_form,
+    solve_exact,
+    transpose,
+)
 from cubiclat.hassett import four_squares, ramanujan_rep
 from property_battery import (
     disc_lift_trials,
@@ -46,7 +57,8 @@ def test_determinant_invariant_under_transpose(m):
 @given(square_int_matrices(max_rank=3, bound=4))
 def test_snf_diagonal_chain_and_determinant(m):
     assume(bareiss_det(m) != 0)
-    diag = snf_diagonal(m)
+    d, _, _ = smith_normal_form(m)
+    diag = [d[i][i] for i in range(len(m))]
     prod = 1
     for a, b in zip(diag, diag[1:]):
         assert b % a == 0
@@ -54,6 +66,58 @@ def test_snf_diagonal_chain_and_determinant(m):
         assert d > 0
         prod *= d
     assert prod == abs(bareiss_det(m))
+
+
+# blocks of U, U(2) and <+-k> with their signatures; U and U(2) have a zero
+# diagonal, so eliminating them needs the congruence fallback
+BLOCKS = [([[0, 1], [1, 0]], (1, 1)), ([[0, 2], [2, 0]], (1, 1))] + [
+    ([[s * k]], (1, 0) if s > 0 else (0, 1)) for k in (1, 2, 3) for s in (1, -1)]
+
+
+@st.composite
+def congruent_grams(draw):
+    """(B, P^T B P, signature of B) for a block sum B and a unimodular P."""
+    blocks = draw(st.lists(st.sampled_from(BLOCKS), min_size=1, max_size=4))
+    n = sum(len(b) for b, _ in blocks)
+    gram = [[0] * n for _ in range(n)]
+    at = 0
+    for b, _ in blocks:
+        for i, row in enumerate(b):
+            gram[at + i][at:at + len(b)] = row
+        at += len(b)
+    p = identity(n)
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            p[i] = [-x for x in p[i]]
+        else:
+            c = draw(st.integers(-2, 2))
+            p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+    g = mat_mul(mat_mul(transpose(p), gram), p)
+    signature = tuple(map(sum, zip(*(s for _, s in blocks))))
+    return gram, g, signature
+
+
+@settings(deadline=None)
+@given(congruent_grams(), st.data())
+def test_elimination_kernel_on_congruent_grams(case, data):
+    gram, g, signature = case
+    n = len(g)
+    assert tuple(signature_of_gram(g)) == tuple(signature_of_gram(gram)) \
+        == signature
+    assert bareiss_det(g) == bareiss_det(gram)
+    assert mat_mul(frac_inverse(g), g) == identity(n)
+    b = [Fraction(data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 4)))
+         for _ in range(n)]
+    assert mat_vec(g, solve_exact(g, b)) == b
+    # k independent rows of g and integer combinations of them span rank k
+    k = data.draw(st.integers(1, n))
+    combos = [[data.draw(st.integers(-3, 3)) for _ in range(k)]
+              for _ in range(data.draw(st.integers(0, 3)))]
+    product = g[:k] + mat_mul(combos, g[:k]) if combos else g[:k]
+    assert rational_rank(product) == k
+    assert rational_rank(transpose(product)) == k
+    assert rational_rank([[Fraction(x, 3) for x in row] for row in product]) == k
 
 
 @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
