@@ -105,10 +105,10 @@ def _eta_vector(L: IntegralLattice) -> tuple[int, ...]:
 @click.argument("target")
 @click.option("--invariants", is_flag=True, help="Determinant, signature, parity.")
 @click.option("--disc", is_flag=True, help="Discriminant group and bilinear form.")
-@click.option("--roots", type=int, default=None, metavar="N",
+@click.option("--roots", type=click.IntRange(min=0), default=None, metavar="N",
               help="Count vectors of norm N.")
-@click.option("--vectors", type=int, default=None, metavar="N",
-              help="List all vectors of norm up to N.")
+@click.option("--vectors", type=click.IntRange(min=0), default=None,
+              metavar="N", help="List all vectors of norm up to N.")
 @click.option("--planes", is_flag=True, help="Enumerate norm-3 degree-1 classes.")
 def lat_show(target: str, invariants: bool, disc: bool, roots: int | None,
              vectors: int | None, planes: bool):

@@ -108,6 +108,13 @@ def _coords(v) -> tuple[int, ...]:
     return tuple(int(x) for x in v)
 
 
+def _numerators(v) -> tuple[list[int], int]:
+    """(integer numerators, common denominator) of a vector of ints and
+    Fractions."""
+    den = exact.lcm_list(x.denominator for x in v)
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
 class IntegralLattice:
     """A finite-rank lattice given by a symmetric nondegenerate integer Gram."""
 
@@ -163,9 +170,13 @@ class IntegralLattice:
         return self.pair(v, v)
 
     def pair_rational(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        g = self.gram
-        return sum(Fraction(u[i]) * g[i][j] * Fraction(v[j])
-                   for i in range(self.rank) for j in range(self.rank))
+        """u^T gram v for rational coordinate vectors, as one integer Gram
+        product over the two vectors' cleared denominators."""
+        un, uden = _numerators(u)
+        vn, vden = _numerators(v)
+        total = sum(a * sum(x * b for x, b in zip(row, vn))
+                    for a, row in zip(un, self.gram) if a)
+        return Fraction(total, uden * vden)
 
     def dual_pairings(self, v) -> tuple[int, ...]:
         """The pairings of v with each basis vector, i.e. gram times v."""
@@ -509,4 +520,12 @@ def lattice_from_json(text: str) -> IntegralLattice:
             or any(not isinstance(x, int) or isinstance(x, bool)
                    for row in gram for x in row)):
         raise ValueError("gram must be a matrix of integers")
-    return IntegralLattice(gram, labels=data["labels"], name=data.get("name") or None)
+    if not gram:
+        raise ValueError("gram must have at least one row (rank 0 is not a lattice)")
+    labels = data["labels"]
+    if not isinstance(labels, list) or any(not isinstance(s, str) for s in labels):
+        raise ValueError("labels must be a list of strings")
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ValueError("name must be a string")
+    return IntegralLattice(gram, labels=labels, name=name or None)

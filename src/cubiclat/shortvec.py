@@ -24,35 +24,48 @@ class NormSlice:
     negated: bool = False
 
 
-def _ldl(gram) -> list[list[Fraction]]:
-    """Fincke-Pohst working array: q[i][i] pivots, q[i][j] (j>i) coefficients.
+def _ldl(gram) -> tuple[list[list[Fraction]], bool]:
+    """Fincke-Pohst working array of a definite Gram, and whether it was
+    negated: q[i][i] pivots, q[i][j] (j>i) coefficients.
 
-    After this, norm(x) = sum_i q[i][i] * (x_i + sum_{j>i} q[i][j] x_j)^2.
-    With U the fraction-free elimination and D_i its pivots (D_0 = 1),
-    q[i][i] = D_{i+1} / D_i and q[i][j] = U[i][j] / U[i][i].
-    Raises IndefiniteLattice when a pivot fails to be positive.
+    After this, norm(x) = sum_i q[i][i] * (x_i + sum_{j>i} q[i][j] x_j)^2 for
+    the Gram itself, or for its negation when that is the definite one.
+    With U the fraction-free elimination and D_i its pivots (D_0 = 1, D_i the
+    leading i x i minor), q[i][i] = D_{i+1} / D_i and q[i][j] = U[i][j] /
+    U[i][i].  The Gram is positive definite when every D_i is positive and
+    negative definite when D_i has sign (-1)^i (Sylvester); negating it flips
+    the sign of every q[i][i] and leaves every q[i][j].  Any other pattern
+    raises IndefiniteLattice.
     """
     n = len(gram)
     u, pivots, _ = exact.bareiss(gram, symmetric=True)
-    if len(pivots) < n or any(u[i][i] <= 0 for i in range(n)):
-        raise IndefiniteLattice("Gram matrix is not positive definite")
-    minors = [1] + [u[i][i] for i in range(n)]
-    return [[0] * i + [Fraction(minors[i + 1], minors[i])]
-            + [Fraction(x, u[i][i]) for x in u[i][i + 1:]] for i in range(n)]
+    minors = [1] + [u[i][i] for i in range(len(pivots))]
+    if len(pivots) == n and all(d > 0 for d in minors):
+        negated = False
+    elif len(pivots) == n and all((d > 0) == (i % 2 == 0)
+                                  for i, d in enumerate(minors)):
+        negated = True
+    else:
+        raise IndefiniteLattice(
+            "Gram matrix is neither positive definite nor negative definite")
+    sign = -1 if negated else 1
+    return [[0] * i + [Fraction(sign * minors[i + 1], minors[i])]
+            + [Fraction(x, u[i][i]) for x in u[i][i + 1:]]
+            for i in range(n)], negated
 
 
-def _enumerate(gram, max_norm: Fraction, center: tuple[Fraction, ...]):
-    """Yield (x, norm) for all x in Z^n with (x+center)^T gram (x+center)
-    <= max_norm.
+def _enumerate(q, max_norm: Fraction, center: tuple[Fraction, ...]):
+    """Yield (x, norm) for all x in Z^n whose shifted norm
+    sum_i q[i][i] * (y_i + sum_{j>i} q[i][j] y_j)^2, y = x + center, is at
+    most max_norm, for the working array q of ``_ldl``.
 
     All recursion-level quantities are pre-scaled to integers (one global
     scale clears every pivot and coefficient denominator), so the tree walk
     runs on exact integer arithmetic.
     """
-    n = len(gram)
+    n = len(q)
     if n == 0:
         return
-    q = _ldl(gram)
 
     w_den = exact.lcm_list([c.denominator for c in center] or [1])
     c_scaled = [int(c * w_den) for c in center]
@@ -105,15 +118,11 @@ def enumerate_by_norm(L: IntegralLattice, max_norm,
     For a negative definite lattice the enumeration runs on the negated Gram
     and each slice carries negated=True (norms refer to the negated form).
     """
-    gram = [list(row) for row in L.gram]
-    negated = False
-    if L.rank and L.is_negative_definite():
-        gram = [[-x for x in row] for row in gram]
-        negated = True
+    q, negated = _ldl(L.gram)
     c = tuple(Fraction(t) for t in center) if center is not None else \
         tuple(Fraction(0) for _ in range(L.rank))
     slices: dict[Fraction, list] = {}
-    for v, norm in _enumerate(gram, Fraction(max_norm), c):
+    for v, norm in _enumerate(q, Fraction(max_norm), c):
         if center is None and all(t == 0 for t in v):
             continue
         slices.setdefault(norm, []).append(v)

@@ -183,6 +183,34 @@ def test_cli_lat_show_file_bad_gram(tmp_path):
     assert "not symmetric" in result.output
 
 
+def _assert_usage_error(result, message):
+    """Exit 2 with a one-line error message (an uncaught exception would
+    exit 1)."""
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines()
+              if line.startswith("Error:")]
+    assert len(errors) == 1 and message in errors[0]
+
+
+@pytest.mark.parametrize("option, value", [("--roots", "-4"),
+                                           ("--vectors", "-1")])
+def test_cli_lat_show_rejects_negative_norm(option, value):
+    result = CliRunner().invoke(main, ["lat", "show", "E8", option, value])
+    _assert_usage_error(result, option)
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"gram": [[2]], "labels": 5}, "labels must be a list of strings"),
+    ({"gram": [[2]], "labels": ["a"], "name": 7}, "name must be a string"),
+    ({"gram": [], "labels": []}, "rank 0"),
+])
+def test_cli_lat_show_file_rejects_malformed_lattice(tmp_path, payload, message):
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(payload))
+    result = CliRunner().invoke(main, ["lat", "show", str(path), "--invariants"])
+    _assert_usage_error(result, message)
+
+
 def test_cli_lat_show_unknown_target():
     result = CliRunner().invoke(main, ["lat", "show", "Zorro"])
     assert result.exit_code == 2

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,19 @@ def test_pairing_and_norm():
     assert A2.pair_rational((Fraction(1, 3), Fraction(2, 3)),
                             (Fraction(1, 3), Fraction(2, 3))) == Fraction(2, 3)
     assert A2.dual_pairings((1, 0)) == (2, -1)
+
+
+def test_pair_rational_matches_fraction_sum():
+    rng = random.Random(7)
+    L = IntegralLattice([[4, -1, 2], [-1, 3, 0], [2, 0, -5]])
+    for _ in range(50):
+        u = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(3)]
+        v = [rng.choice([Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                         rng.randint(-9, 9)]) for _ in range(3)]
+        want = sum(u[i] * L.gram[i][j] * Fraction(v[j])
+                   for i in range(3) for j in range(3))
+        got = L.pair_rational(u, v)
+        assert isinstance(got, Fraction) and got == want
 
 
 def test_parity_and_signature():
@@ -176,6 +190,10 @@ def test_json_round_trip():
     ('{"gram": [[1]]}', "labels"),
     ('{"labels": ["a"], "gram": [[1.5]]}', "integers"),
     ('{"labels": ["a"], "gram": [[true]]}', "integers"),
+    ('{"labels": 5, "gram": [[1]]}', "labels must be a list of strings"),
+    ('{"labels": [1], "gram": [[1]]}', "labels must be a list of strings"),
+    ('{"labels": ["a"], "gram": [[1]], "name": 7}', "name must be a string"),
+    ('{"labels": [], "gram": []}', "rank 0"),
 ])
 def test_json_rejects_bad_payloads(payload, message):
     with pytest.raises(ValueError, match=message):

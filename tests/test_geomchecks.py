@@ -1,14 +1,19 @@
 """Tests for plane enumeration, the admissibility rules, and the geometric
 parity certificates."""
 
+from fractions import Fraction
+
 import pytest
 
-from cubiclat import catalog
-from cubiclat.core import IntegralLattice
+from cubiclat import catalog, geomchecks
+from cubiclat.core import (IntegralLattice, LatticeError,
+                           discriminant_bilinear_form)
 from cubiclat.geomchecks import (
     RULES,
     Violation,
+    _labeling_det,
     admissibility_scan,
+    coset_rule,
     enumerate_planes,
     no_plane_order3_certificate,
     oadp_certificate,
@@ -17,6 +22,8 @@ from cubiclat.geomchecks import (
     scroll_screen,
     trivial_rationality_certificate,
 )
+from cubiclat.glue import glue_subgroup, overlattice_from_glue
+from cubiclat.shortvec import enumerate_by_norm
 
 ETA = (1,) + (0,) * 10
 
@@ -98,6 +105,101 @@ def test_saturation_certificate():
     }
     assert d["scan_rules"] == {"R1": 240, "R2": 271}
     assert sum(d["families"].values()) == 511
+
+
+def _overlattice_rule(L, eta, lift):
+    """Oracle for coset_rule: build the index-2 overlattice and scan it."""
+    ext = overlattice_from_glue(
+        L, glue_subgroup(discriminant_bilinear_form(L), [lift]))
+    hit = admissibility_scan(ext.lattice, ext.from_ambient(eta), norm_bound=3)
+    return hit and hit.rule
+
+
+# one class per support family of A_N: symbol 0 is eta*, symbol i is F_i*
+FAMILY_REPRESENTATIVES = {
+    "2F": (1, 2), "4F": (1, 2, 3, 4), "6F": (1, 2, 3, 4, 5, 6),
+    "8F": (1, 2, 3, 4, 5, 6, 7, 8), "eta+1F": (0, 1), "eta+3F": (0, 1, 2, 3),
+    "eta+5F": (0, 1, 2, 3, 4, 5), "eta+7F": (0, 1, 2, 3, 4, 5, 6, 7),
+    "eta+9F": tuple(range(10)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_REPRESENTATIVES))
+def test_coset_rule_matches_overlattice_scan(family):
+    n = catalog.plane_lattice_N()
+    ginv = n.inverse_gram
+    symbols = FAMILY_REPRESENTATIVES[family]
+    lift = tuple(sum(ginv[i][1 + s if s else 0] for s in symbols)
+                 for i in range(n.rank))
+    assert n.pair_rational(lift, lift).denominator == 1
+    rule = coset_rule(n, ETA, lift)
+    assert rule in ("R1", "R2")
+    assert rule == _overlattice_rule(n, ETA, lift)
+
+
+def test_coset_rule_r4_branch(monkeypatch):
+    # L passes the bound-3 scan; the class lam = (0, 1/2) has norm 1
+    L = IntegralLattice([[3, 2], [2, 4]])
+    eta, lam = (1, 0), (Fraction(0), Fraction(1, 2))
+    assert admissibility_scan(L, eta, norm_bound=3) is None
+    # the full coset holds eta - lam of norm 2, so R2 comes first
+    assert coset_rule(L, eta, lam) == "R2" == _overlattice_rule(L, eta, lam)
+    # hand-built coset: its norm-1 slice alone, w = +-lam with eta.w = +-1;
+    # the saturation of <eta, w> in the extension has determinant 2
+    norm_one = [sl for sl in enumerate_by_norm(L, 3, center=lam) if sl.norm == 1]
+    assert norm_one[0].vectors == [(0, -1), (0, 0)]
+    monkeypatch.setattr(geomchecks, "enumerate_by_norm",
+                        lambda *args, **kwargs: norm_one)
+    assert coset_rule(L, eta, lam) == "R4"
+
+
+def test_coset_rule_rejects_a_class_not_of_order_two():
+    with pytest.raises(ValueError, match="order 2"):
+        coset_rule(IntegralLattice([[3, 2], [2, 4]]), (1, 0), (0, 0))
+
+
+def test_labeling_det_raises_on_inconsistent_span():
+    # eta of norm 2 breaks the 3 u.u - (eta.u)^2 span formula
+    with pytest.raises(LatticeError, match="not divisible"):
+        _labeling_det(IntegralLattice([[1, 0], [0, 1]]), (1, 1), (1, -1))
+
+
+def test_saturation_certificate_fails_without_coset_vectors(monkeypatch):
+    monkeypatch.setattr(geomchecks, "enumerate_by_norm",
+                        lambda *args, **kwargs: [])
+    rep = saturation_certificate()
+    assert not rep.ok
+    assert rep.status == "fail"
+    assert rep.details["scan_rules"] == {}
+    assert len(rep.details["problems"]) == 511
+    assert {p["error"] for p in rep.details["problems"]} == {"scan passed"}
+
+
+def test_saturation_certificate_checks_its_premise(monkeypatch):
+    flagged = Violation("R2", (0,) * 11, {"norm": 2})
+    monkeypatch.setattr(geomchecks, "admissibility_scan",
+                        lambda *args, **kwargs: flagged)
+    # no coset vectors either, which keeps the run short
+    monkeypatch.setattr(geomchecks, "enumerate_by_norm",
+                        lambda *args, **kwargs: [])
+    rep = saturation_certificate()
+    assert rep.status == "fail"
+    assert rep.details["problems"][0] == {"class": (),
+                                          "error": "scan flagged N itself"}
+
+
+def test_saturation_certificate_fails_on_witness_outside(monkeypatch):
+    # shifting each family witness by eta/2 moves it off N and off lam + N
+    family_witness = geomchecks._family_witness
+
+    def shifted(*args):
+        w, rule, data = family_witness(*args)
+        return (w[0] + Fraction(1, 2),) + w[1:], rule, data
+
+    monkeypatch.setattr(geomchecks, "_family_witness", shifted)
+    rep = saturation_certificate()
+    assert rep.status == "fail"
+    assert {p["error"] for p in rep.details["problems"]} == {"witness outside"}
 
 
 def test_scroll_screen():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubiclat import catalog
+from cubiclat import catalog, core, exact
 from cubiclat.core import (IndefiniteLattice, IntegralLattice,
                            NotRootGenerated, direct_sum, rescale)
 from cubiclat.shortvec import (ade_root_number, enumerate_by_norm,
@@ -48,6 +48,29 @@ def test_negative_definite_enumeration():
     slices = enumerate_by_norm(rescale(A2, -1), 2)
     assert slices[0].negated
     assert len(slices[0].vectors) == 6
+
+
+def test_enumeration_eliminates_once(monkeypatch):
+    # definiteness is read off the LDL pivots: no separate signature probe
+    lattices = [rescale(A2, -1), catalog.standard("E8"),
+                rescale(catalog.standard("D4"), -1)]
+    calls = []
+    bareiss = exact.bareiss
+    monkeypatch.setattr(exact, "bareiss",
+                        lambda *a, **k: calls.append(1) or bareiss(*a, **k))
+    monkeypatch.setattr(core, "signature_of_gram", None)
+    results = [enumerate_by_norm(L, 2)[0] for L in lattices]
+    assert len(calls) == len(lattices)
+    assert [(sl.negated, len(sl.vectors)) for sl in results] == [
+        (True, 6), (False, 240), (True, 24)]
+
+
+def test_enumeration_rejects_indefinite_pivot_signs():
+    # leading minors 1, -1 and -2, 3, 3 fit neither definite sign pattern
+    with pytest.raises(IndefiniteLattice, match="positive definite"):
+        enumerate_by_norm(IntegralLattice([[1, 0], [0, -1]]), 2)
+    with pytest.raises(IndefiniteLattice):
+        enumerate_by_norm(IntegralLattice([[-2, 1, 0], [1, -2, 0], [0, 0, 1]]), 2)
 
 
 def test_root_counts_match_ade_formula():
