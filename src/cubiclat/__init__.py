@@ -19,6 +19,8 @@ from .core import (
     NotRootGenerated,
     NotIsotropic,
     TooLarge,
+    TooManyVectors,
+    CrossCheckFailed,
     BadSplitting,
     Not2Elementary,
     DoesNotFit,

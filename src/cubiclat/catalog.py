@@ -14,7 +14,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .core import (
+    CrossCheckFailed,
     IntegralLattice,
+    NotIntegral,
     UnknownLattice,
     basic_invariants,
     direct_sum,
@@ -119,7 +121,8 @@ def plane_lattice_N() -> IntegralLattice:
         for b in range(11):
             val = sum(basis[a][i] * s[i][j] * basis[b][j]
                       for i in range(11) for j in range(11))
-            assert val.denominator == 1
+            if val.denominator != 1:
+                raise NotIntegral(f"N has the non-integral pairing {val}")
             row.append(int(val))
         gram.append(row)
     labels = ["eta", "y"] + [f"F{i}" for i in range(1, 10)]
@@ -149,7 +152,8 @@ def delta_in_M() -> tuple[int, ...]:
     rhs = [n.pair(delta_in_N(), v) for v in basis]
     ginv = prim_lattice_M().inverse_gram
     coords = [sum(ginv[i][j] * rhs[j] for j in range(10)) for i in range(10)]
-    assert all(c.denominator == 1 for c in coords)
+    if any(c.denominator != 1 for c in coords):
+        raise NotIntegral("eta - 3P does not lie in M")
     return tuple(int(c) for c in coords)
 
 
@@ -174,7 +178,8 @@ def m_basis_in_N() -> list[tuple[int, ...]]:
     alphas.append(a9)
     two_x = [alphas[0][k] + alphas[2][k] + alphas[4][k] + alphas[6][k]
              + f(9)[k] - p[k] for k in range(11)]
-    assert all(c % 2 == 0 for c in two_x)
+    if any(c % 2 for c in two_x):
+        raise NotIntegral("2x is not divisible by 2 in N")
     x = [c // 2 for c in two_x]
     return [tuple(x)] + [tuple(a) for a in alphas]
 
@@ -235,19 +240,25 @@ def prim_lattice_M() -> IntegralLattice:
     n = plane_lattice_N()
     basis = m_basis_in_N()
     eta = (1,) + (0,) * 10
-    for v in basis:
-        assert n.pair(v, eta) == 0
+    if any(n.pair(v, eta) for v in basis):
+        raise CrossCheckFailed("the M-basis is not orthogonal to eta in N")
     regram = [[n.pair(v, w) for w in basis] for v in basis]
-    assert regram == _GM, "basis change into N does not reproduce the Gram matrix"
+    if regram != _GM:
+        raise CrossCheckFailed(
+            "basis change into N does not reproduce the Gram matrix")
     comp = orthogonal_complement(n, [eta])
-    assert basic_invariants(comp.lattice) == basic_invariants(lat)
+    if basic_invariants(comp.lattice) != basic_invariants(lat):
+        raise CrossCheckFailed("eta-perp in N has other invariants than M")
 
     kt = kappa_tilde()
     sub = glue_subgroup(discriminant_form(kt), [kappa_glue_lift()])
-    assert sub.order == 4
+    if sub.order != 4:
+        raise CrossCheckFailed(f"the kappa glue class has order {sub.order}, not 4")
     glued = overlattice_from_glue(kt, sub)
-    assert glued.index == 4
-    assert basic_invariants(glued.lattice) == basic_invariants(lat)
+    if glued.index != 4:
+        raise CrossCheckFailed(f"the kappa overlattice has index {glued.index}, not 4")
+    if basic_invariants(glued.lattice) != basic_invariants(lat):
+        raise CrossCheckFailed("the kappa overlattice has other invariants than M")
     return lat
 
 

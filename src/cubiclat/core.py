@@ -67,6 +67,14 @@ class TooLarge(LatticeError):
     pass
 
 
+class TooManyVectors(TooLarge):
+    pass
+
+
+class CrossCheckFailed(LatticeError):
+    pass
+
+
 class BadSplitting(LatticeError):
     pass
 
@@ -198,8 +206,14 @@ class IntegralLattice:
         return "even" if self.is_even else "odd"
 
     @cached_property
+    def elimination(self) -> tuple[list[list[int]], list[int], int]:
+        """``exact.bareiss(gram, symmetric=True)``, computed once per lattice
+        and read by ``signature`` and by short-vector enumeration."""
+        return exact.bareiss(self.gram, symmetric=True)
+
+    @cached_property
     def signature(self) -> Signature:
-        return signature_of_gram(self.gram)
+        return signature_of_gram(self.gram, self.elimination)
 
     @cached_property
     def inverse_gram(self) -> list[list[Fraction]]:
@@ -260,11 +274,13 @@ class Sublattice(NamedTuple):
                      for i in range(n))
 
 
-def signature_of_gram(gram) -> Signature:
+def signature_of_gram(gram, elimination=None) -> Signature:
     """Exact signature by fraction-free congruence elimination: the k-th
-    pivot of the diagonalization is D_k / D_{k-1} for the Bareiss pivots D."""
+    pivot of the diagonalization is D_k / D_{k-1} for the Bareiss pivots D.
+    ``elimination`` is ``exact.bareiss(gram, symmetric=True)`` when the
+    caller already holds it."""
     n = len(gram)
-    m, pivots, _ = exact.bareiss(gram, symmetric=True)
+    m, pivots, _ = elimination or exact.bareiss(gram, symmetric=True)
     if len(pivots) < n:
         raise DegenerateLattice("degenerate block in signature computation")
     minors = [1] + [m[k][k] for k in range(n)]

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import product
 
 from . import exact
-from .core import IntegralLattice, rescale
+from .core import IntegralLattice, NotIntegral, rescale
 from .report import CheckReport, run_certificate
 from .shortvec import identify_root_lattice
 
@@ -99,7 +99,9 @@ def _sixers() -> tuple[Sixer, ...]:
         members = [lines[i] for i in clique]
         total = [sum(v[k] for v in members) for k in range(7)]
         numer = [t - c for t, c in zip(total, pic.canonical)]
-        assert all(x % 3 == 0 for x in numer)
+        if any(x % 3 for x in numer):
+            raise NotIntegral(
+                f"sixer {clique}: sum of lines minus K is not divisible by 3")
         cubic = tuple(x // 3 for x in numer)
         root = tuple(2 * c - t for c, t in zip(cubic, total))
         out.append(Sixer(tuple(members), cubic, root))

@@ -1,18 +1,28 @@
 """Bounded-norm vector enumeration in definite lattices.
 
-Branch-and-bound on the exact rational ``L D L^T`` decomposition of the Gram
-matrix (Fincke-Pohst), read off its fraction-free elimination.  Interval
-endpoints at each level are computed with ``math.isqrt`` on cleared
-denominators, so the search stays exact end to end.
-Negative definite inputs are auto-negated; indefinite inputs are rejected.
+Branch-and-bound on the ``L D L^T`` decomposition of the Gram matrix
+(Fincke-Pohst), read off the lattice's cached fraction-free elimination
+``IntegralLattice.elimination``: the pivots and row coefficients come out of
+the Bareiss minors as integers, so a lattice is eliminated once however many
+plain or centred walks it gets, and only the scaling that depends on the
+centre and the bound is redone per call.  The walk is one loop over an
+explicit level index on integers; interval endpoints come from
+``math.isqrt``, so the search stays exact end to end, and the leaves are
+grouped by their integer scaled norm, one ``Fraction`` per norm slice.
+Negative definite inputs are auto-negated; indefinite inputs are rejected,
+and a walk that would visit more than ``ENUMERATION_GUARD`` leaves raises
+TooManyVectors.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from operator import mul
 
-from .core import IndefiniteLattice, IntegralLattice, NotRootGenerated
+from .core import (ENUMERATION_GUARD, IndefiniteLattice, IntegralLattice,
+                   NotRootGenerated, TooManyVectors, _numerators)
 from . import exact
 
 
@@ -24,21 +34,24 @@ class NormSlice:
     negated: bool = False
 
 
-def _ldl(gram) -> tuple[list[list[Fraction]], bool]:
-    """Fincke-Pohst working array of a definite Gram, and whether it was
-    negated: q[i][i] pivots, q[i][j] (j>i) coefficients.
+def _levels(L: IntegralLattice):
+    """The Fincke-Pohst levels of a definite lattice as integers, and whether
+    its Gram was negated.
 
-    After this, norm(x) = sum_i q[i][i] * (x_i + sum_{j>i} q[i][j] x_j)^2 for
-    the Gram itself, or for its negation when that is the definite one.
     With U the fraction-free elimination and D_i its pivots (D_0 = 1, D_i the
-    leading i x i minor), q[i][i] = D_{i+1} / D_i and q[i][j] = U[i][j] /
-    U[i][i].  The Gram is positive definite when every D_i is positive and
-    negative definite when D_i has sign (-1)^i (Sylvester); negating it flips
-    the sign of every q[i][i] and leaves every q[i][j].  Any other pattern
-    raises IndefiniteLattice.
+    leading i x i minor), norm(x) = sum_i p_i (x_i + sum_{j>i} U[i][j] x_j /
+    U[i][i])^2 with p_i = D_{i+1} / D_i, for the Gram itself or for its
+    negation when that is the definite one.  The Gram is positive definite
+    when every D_i is positive and negative definite when D_i has sign
+    (-1)^i (Sylvester); negating it flips the sign of every p_i and leaves
+    the coefficients.  Any other pattern raises IndefiniteLattice.
+
+    Level i is returned as (p_num, p_den, r, a): p_i = p_num / p_den in
+    lowest terms with both positive, and the coefficients U[i][j] / U[i][i]
+    over the least common denominator r > 0 as the integers a (j > i).
     """
-    n = len(gram)
-    u, pivots, _ = exact.bareiss(gram, symmetric=True)
+    n = L.rank
+    u, pivots, _ = L.elimination
     minors = [1] + [u[i][i] for i in range(len(pivots))]
     if len(pivots) == n and all(d > 0 for d in minors):
         negated = False
@@ -48,64 +61,78 @@ def _ldl(gram) -> tuple[list[list[Fraction]], bool]:
     else:
         raise IndefiniteLattice(
             "Gram matrix is neither positive definite nor negative definite")
-    sign = -1 if negated else 1
-    return [[0] * i + [Fraction(sign * minors[i + 1], minors[i])]
-            + [Fraction(x, u[i][i]) for x in u[i][i + 1:]]
-            for i in range(n)], negated
+    levels = []
+    for i in range(n):
+        pivot, row = minors[i + 1], u[i][i + 1:]
+        g = gcd(minors[i], pivot)
+        h = gcd(pivot, *row) if pivot > 0 else -gcd(pivot, *row)
+        levels.append((abs(pivot) // g, abs(minors[i]) // g, pivot // h,
+                       [x // h for x in row]))
+    return levels, negated
 
 
-def _enumerate(q, max_norm: Fraction, center: tuple[Fraction, ...]):
-    """Yield (x, norm) for all x in Z^n whose shifted norm
-    sum_i q[i][i] * (y_i + sum_{j>i} q[i][j] y_j)^2, y = x + center, is at
-    most max_norm, for the working array q of ``_ldl``.
+def _walk(k, dens, bases, rows, c, w_den, total):
+    """Leaves of the Fincke-Pohst tree, as {scaled norm: [x, ...]}.
 
-    All recursion-level quantities are pre-scaled to integers (one global
-    scale clears every pivot and coefficient denominator), so the tree walk
-    runs on exact integer arithmetic.
+    x runs over Z^n with sum_i k[i] * s_i^2 <= total, where s_i = dens[i] *
+    x_i + bases[i] + sum_{j>i} rows[i][j-i-1] * w_j and w_j = w_den * x_j +
+    c[j]; the key of x is that sum.  Level n-1 is the outermost.  Each open
+    level i keeps x[i], its upper end hi[i] and the budget rem[i + 1] left by
+    the levels above it; ni[i] is the centre term of s_i, set in full when
+    level i + 1 opens and moved by one row entry per step of x_{i+1}.  Level
+    0 runs as a plain range.  More than ENUMERATION_GUARD leaves raise
+    TooManyVectors.
     """
-    n = len(q)
-    if n == 0:
-        return
-
-    w_den = exact.lcm_list([c.denominator for c in center] or [1])
-    c_scaled = [int(c * w_den) for c in center]
-    row_den = []
-    row_num = []
-    for i in range(n):
-        r = exact.lcm_list([q[i][j].denominator for j in range(i + 1, n)] or [1])
-        row_den.append(r)
-        row_num.append([int(q[i][j] * r) for j in range(i + 1, n)])
-    level_den = [row_den[i] * w_den for i in range(n)]
-
-    scale = Fraction(max_norm).denominator
-    for i in range(n):
-        scale = scale * (q[i][i].denominator * level_den[i] ** 2) // gcd(
-            scale, q[i][i].denominator * level_den[i] ** 2)
-    k = [int(q[i][i] * scale) // level_den[i] ** 2 for i in range(n)]
-    total = int(Fraction(max_norm) * scale)
-
+    n = len(k)
     x = [0] * n
-    w_int = list(c_scaled)
-
-    def rec(i: int, rem: int):
-        if i < 0:
-            yield tuple(x), Fraction(total - rem, scale)
-            return
-        ni = c_scaled[i] * row_den[i] + sum(
-            a * w_int[i + 1 + jo] for jo, a in enumerate(row_num[i]))
-        t = isqrt(rem // k[i])
-        di = level_den[i]
-        lo = -((ni + t) // di)
-        hi = (t - ni) // di
-        for xi in range(lo, hi + 1):
-            x[i] = xi
-            w_int[i] = xi * w_den + c_scaled[i]
-            s = di * xi + ni
-            yield from rec(i - 1, rem - k[i] * s * s)
-        x[i] = 0
-        w_int[i] = c_scaled[i]
-
-    yield from rec(n - 1, total)
+    w = list(c)
+    hi = [0] * n
+    ni = [0] * (n - 1) + [bases[n - 1]]
+    rem = [0] * n + [total]
+    steps = [row[0] * w_den if row else 0 for row in rows]
+    out = defaultdict(list)
+    count = 0
+    i = n - 1
+    while True:
+        # open level i: the x_i that fit the budget rem[i + 1]
+        nc = ni[i]
+        budget = rem[i + 1]
+        ki, d = k[i], dens[i]
+        t = isqrt(budget // ki)
+        lo = -((nc + t) // d)
+        top = (t - nc) // d
+        if not i:
+            count += top - lo + 1
+            if count > ENUMERATION_GUARD:
+                raise TooManyVectors(
+                    f"enumeration visits more than {ENUMERATION_GUARD} vectors")
+            tail = tuple(x[1:])
+            used = total - budget
+            for x0 in range(lo, top + 1):
+                s = d * x0 + nc
+                out[used + ki * s * s].append((x0, *tail))
+            i = 1
+        elif lo <= top:
+            hi[i] = top
+            x[i] = lo - 1
+            w[i] = x[i] * w_den + c[i]
+            ni[i - 1] = bases[i - 1] + sum(map(mul, rows[i - 1], w[i:]))
+        else:
+            i += 1
+        # step the lowest open level that has room, closing exhausted ones
+        while i < n:
+            xi = x[i] + 1
+            if xi <= hi[i]:
+                break
+            i += 1
+        else:
+            return out
+        x[i] = xi
+        w[i] += w_den
+        ni[i - 1] += steps[i - 1]
+        s = dens[i] * xi + ni[i]
+        rem[i] = rem[i + 1] - k[i] * s * s
+        i -= 1
 
 
 def enumerate_by_norm(L: IntegralLattice, max_norm,
@@ -118,19 +145,29 @@ def enumerate_by_norm(L: IntegralLattice, max_norm,
     For a negative definite lattice the enumeration runs on the negated Gram
     and each slice carries negated=True (norms refer to the negated form).
     """
-    q, negated = _ldl(L.gram)
-    c = tuple(Fraction(t) for t in center) if center is not None else \
-        tuple(Fraction(0) for _ in range(L.rank))
-    slices: dict[Fraction, list] = {}
-    for v, norm in _enumerate(q, Fraction(max_norm), c):
-        if center is None and all(t == 0 for t in v):
-            continue
-        slices.setdefault(norm, []).append(v)
+    levels, negated = _levels(L)
+    if not levels:
+        return []
+    bound = Fraction(max_norm)
+    c, w_den = ([0] * L.rank, 1) if center is None else _numerators(center)
+    # level i carries s_i = (y_i + sum_{j>i} a_ij y_j / r_i) * r_i * w_den
+    # with y = x + center; one scale clears each p_i / (r_i * w_den)^2 and
+    # the bound
+    p_num, p_den, r, rows = zip(*levels)
+    dens = [ri * w_den for ri in r]
+    scale = lcm(bound.denominator, *(pd * d * d for pd, d in zip(p_den, dens)))
+    k = [pn * (scale // (pd * d * d)) for pn, pd, d in zip(p_num, p_den, dens)]
+    bases = [ri * ci for ri, ci in zip(r, c)]
+    slices = _walk(k, dens, bases, rows, c, w_den,
+                   bound.numerator * (scale // bound.denominator))
+    if center is None:
+        del slices[0]  # a definite form vanishes only at x = 0
     out = []
-    for norm in sorted(slices):
-        vecs = sorted(slices[norm])
+    for key in sorted(slices):
+        norm = Fraction(key, scale)
         val = int(norm) if norm.denominator == 1 else norm
-        out.append(NormSlice(norm=val, vectors=vecs, negated=negated))
+        out.append(NormSlice(norm=val, vectors=sorted(slices[key]),
+                             negated=negated))
     return out
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from cubiclat import catalog
 from cubiclat.core import (
+    CrossCheckFailed,
     DegenerateLattice,
     UnknownLattice,
     basic_invariants,
@@ -95,6 +96,20 @@ def test_m_basis_spans_complement_of_eta():
     comp = orthogonal_complement(n, [eta])
     assert basic_invariants(comp.lattice) == basic_invariants(
         catalog.prim_lattice_M())
+
+
+def test_m_cross_check_raises_on_a_wrong_gram(monkeypatch):
+    wrong = [list(row) for row in catalog._GM]
+    wrong[0][0] = 8
+    monkeypatch.setattr(catalog, "_GM", wrong)
+    catalog.prim_lattice_M.cache_clear()
+    try:
+        with pytest.raises(CrossCheckFailed, match="does not reproduce"):
+            catalog.prim_lattice_M()
+    finally:
+        monkeypatch.undo()
+        catalog.prim_lattice_M.cache_clear()
+    assert catalog.prim_lattice_M().gram == tuple(map(tuple, catalog._GM))
 
 
 def test_kappa_tilde_and_glue_lift():

@@ -199,6 +199,12 @@ def test_cli_lat_show_rejects_negative_norm(option, value):
     _assert_usage_error(result, option)
 
 
+def test_cli_lat_show_guards_vector_listing():
+    # E8 has about 3.7 million vectors of norm <= 30
+    result = CliRunner().invoke(main, ["lat", "show", "E8", "--vectors", "30"])
+    _assert_usage_error(result, "more than 1048576 vectors")
+
+
 @pytest.mark.parametrize("payload, message", [
     ({"gram": [[2]], "labels": 5}, "labels must be a list of strings"),
     ({"gram": [[2]], "labels": ["a"], "name": 7}, "name must be a string"),

@@ -1,6 +1,11 @@
 """Tests for the cubic-surface Picard lattice: lines, sixers, double sixes,
 and the twisted-cubic intersection table."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from cubiclat.delpezzo import (
     double_sixes,
     intersection_lemma_verify,
@@ -93,3 +98,27 @@ def test_intersection_table_certificate():
     assert d["syzygetic_pairings"] == [0]
     assert d["root_span"] == ["E6"]
     assert d["problems"] == []
+
+
+def test_sixer_divisibility_raises_under_optimize():
+    # with K replaced by (-2, 1, ..., 1) the six e_i stay lines, but their
+    # sum minus K is not divisible by 3; python -O would strip an assert
+    script = (
+        "from cubiclat import delpezzo\n"
+        "from cubiclat.core import NotIntegral\n"
+        "real = delpezzo.picard_basis()\n"
+        "delpezzo.picard_basis = lambda: delpezzo.PicardBasis(\n"
+        "    real.lattice, (-2, 1, 1, 1, 1, 1, 1))\n"
+        "try:\n"
+        "    delpezzo.sixers()\n"
+        "except NotIntegral as exc:\n"
+        "    print('raised', exc)\n"
+        "else:\n"
+        "    print('passed')\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised sixer"), proc.stdout

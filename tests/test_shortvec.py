@@ -1,10 +1,15 @@
+import itertools
 from fractions import Fraction
+from math import ceil, floor, isqrt, prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cubiclat import catalog, core, exact
+from cubiclat import catalog, core, exact, shortvec
 from cubiclat.core import (IndefiniteLattice, IntegralLattice,
-                           NotRootGenerated, direct_sum, rescale)
+                           NotRootGenerated, TooManyVectors, direct_sum,
+                           rescale)
 from cubiclat.shortvec import (ade_root_number, enumerate_by_norm,
                                identify_root_lattice, root_count,
                                vectors_of_norm)
@@ -63,6 +68,84 @@ def test_enumeration_eliminates_once(monkeypatch):
     assert len(calls) == len(lattices)
     assert [(sl.negated, len(sl.vectors)) for sl in results] == [
         (True, 6), (False, 240), (True, 24)]
+
+
+def test_one_elimination_serves_every_walk_and_the_signature(monkeypatch):
+    L = catalog.standard("D4")
+    calls = []
+    bareiss = exact.bareiss
+    monkeypatch.setattr(exact, "bareiss",
+                        lambda *a, **k: calls.append(1) or bareiss(*a, **k))
+    plain = enumerate_by_norm(L, 2)
+    centred = enumerate_by_norm(L, 1, center=(Fraction(1, 2), 0, 0, 0))
+    assert L.signature == (4, 0)
+    assert len(calls) == 1
+    assert [len(sl.vectors) for sl in plain] == [24]
+    assert [sl.norm for sl in centred] == [Fraction(1, 2)]
+
+
+def test_enumeration_guard_counts_leaves(monkeypatch):
+    # E8 up to norm 2 visits 241 leaves: its 240 roots and the zero vector
+    e8 = catalog.standard("E8")
+    monkeypatch.setattr(shortvec, "ENUMERATION_GUARD", 241)
+    assert len(enumerate_by_norm(e8, 2)[0].vectors) == 240
+    monkeypatch.setattr(shortvec, "ENUMERATION_GUARD", 240)
+    with pytest.raises(TooManyVectors, match="more than 240 vectors"):
+        enumerate_by_norm(e8, 2)
+
+
+@st.composite
+def definite_queries(draw):
+    """A definite Gram (B^T B or its negation, rank 1-4), a bound, and
+    either no center or a rational one."""
+    n = draw(st.integers(1, 4))
+    b = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    assume(exact.bareiss_det(b) != 0)
+    sign = draw(st.sampled_from([1, -1]))
+    gram = [[sign * sum(b[k][i] * b[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+    bound = draw(st.integers(0, 6) | st.fractions(0, 6, max_denominator=4))
+    center = draw(st.none() | st.tuples(
+        *[st.fractions(-2, 2, max_denominator=6) for _ in range(n)]))
+    return gram, sign, bound, center
+
+
+def _box_search(gram, sign, bound, center):
+    """Every norm slice by brute force over a box that holds all solutions,
+    |y_i| <= sqrt(bound * inv(G)_ii) for y = x + center, as (norm, sorted
+    vectors) with an integral norm as an int."""
+    n = len(gram)
+    g = [[sign * x for x in row] for row in gram]
+    inv = exact.frac_inverse(g)
+    c = center or (0,) * n
+    ranges = []
+    for i in range(n):
+        reach = isqrt(ceil(bound * inv[i][i])) + 1
+        ranges.append(range(floor(-c[i] - reach), ceil(-c[i] + reach) + 1))
+    assume(prod(len(r) for r in ranges) <= 5000)
+    found = {}
+    for x in itertools.product(*ranges):
+        if center is None and not any(x):
+            continue
+        y = [a + b for a, b in zip(x, c)]
+        norm = sum(y[i] * g[i][j] * y[j] for i in range(n) for j in range(n))
+        if norm <= bound:
+            found.setdefault(Fraction(norm), []).append(x)
+    return [(int(norm) if norm.denominator == 1 else norm, sorted(found[norm]))
+            for norm in sorted(found)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(definite_queries())
+def test_enumeration_matches_box_search(query):
+    # slice by slice: the norm value and its type, the vectors, and negated
+    gram, sign, bound, center = query
+    expected = [(type(norm), norm, vectors, sign < 0)
+                for norm, vectors in _box_search(gram, sign, bound, center)]
+    got = enumerate_by_norm(IntegralLattice(gram), bound, center=center)
+    assert [(type(sl.norm), sl.norm, sl.vectors, sl.negated)
+            for sl in got] == expected
 
 
 def test_enumeration_rejects_indefinite_pivot_signs():
