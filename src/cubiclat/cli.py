@@ -81,6 +81,8 @@ def _resolve_target(target: str) -> IntegralLattice:
     except UnknownLattice as exc:
         if not os.path.exists(target):
             raise click.UsageError(str(exc))
+    except LatticeError as exc:
+        raise click.UsageError(f"{target}: {exc}")
     try:
         with open(target, encoding="utf-8") as fh:
             return lattice_from_json(fh.read())
@@ -90,6 +92,10 @@ def _resolve_target(target: str) -> IntegralLattice:
             f"{exc.msg}")
     except (ValueError, LatticeError) as exc:
         raise click.UsageError(f"{target}: {exc}")
+    except OSError as exc:
+        raise click.UsageError(f"{target}: cannot read: {exc.strerror}")
+    except RecursionError:
+        raise click.UsageError(f"{target}: JSON nested too deeply")
 
 
 def _eta_vector(L: IntegralLattice) -> tuple[int, ...]:
@@ -143,7 +149,7 @@ def lat_show(target: str, invariants: bool, disc: bool, roots: int | None,
             click.echo(f"plane classes: {len(found)}")
             for p in found:
                 click.echo("  " + " ".join(str(x) for x in p.v))
-    except LatticeError as exc:
+    except (ValueError, LatticeError) as exc:
         raise click.UsageError(str(exc))
 
 

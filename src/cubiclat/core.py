@@ -124,7 +124,15 @@ def _numerators(v) -> tuple[list[int], int]:
 
 
 class IntegralLattice:
-    """A finite-rank lattice given by a symmetric nondegenerate integer Gram."""
+    """A finite-rank lattice given by a symmetric nondegenerate integer Gram.
+
+    ``elimination`` is ``exact.bareiss`` of the reversed Gram with
+    ``symmetric=True``, made once at construction.  ``det`` is its last
+    pivot, since the reversal and the congruence pivoting are unimodular;
+    ``signature`` and short-vector enumeration read it too.  The reversal
+    makes the first coordinate the outermost level of the Fincke-Pohst walk,
+    which then meets vectors in lexicographic order.
+    """
 
     def __init__(self, gram: Sequence[Sequence[int]],
                  labels: Sequence[str] | None = None,
@@ -152,10 +160,12 @@ class IntegralLattice:
         self.labels = labels
         self.name = name
         self.rank = n
-        det = exact.bareiss_det([list(r) for r in rows])
-        if det == 0:
+        self.elimination = exact.bareiss([r[::-1] for r in rows[::-1]],
+                                         symmetric=True)
+        m, pivots, _ = self.elimination
+        if len(pivots) < n:
             raise DegenerateLattice("gram matrix has determinant zero")
-        self.det = det
+        self.det = m[n - 1][n - 1] if n else 1
 
     def __eq__(self, other):
         return (isinstance(other, IntegralLattice)
@@ -204,12 +214,6 @@ class IntegralLattice:
     @property
     def parity(self) -> str:
         return "even" if self.is_even else "odd"
-
-    @cached_property
-    def elimination(self) -> tuple[list[list[int]], list[int], int]:
-        """``exact.bareiss(gram, symmetric=True)``, computed once per lattice
-        and read by ``signature`` and by short-vector enumeration."""
-        return exact.bareiss(self.gram, symmetric=True)
 
     @cached_property
     def signature(self) -> Signature:
@@ -277,8 +281,10 @@ class Sublattice(NamedTuple):
 def signature_of_gram(gram, elimination=None) -> Signature:
     """Exact signature by fraction-free congruence elimination: the k-th
     pivot of the diagonalization is D_k / D_{k-1} for the Bareiss pivots D.
-    ``elimination`` is ``exact.bareiss(gram, symmetric=True)`` when the
-    caller already holds it."""
+    ``elimination`` is one the caller already holds: ``exact.bareiss(g,
+    symmetric=True)`` for gram or for any Gram g congruent to it, such as
+    the reversed Gram behind ``IntegralLattice.elimination``; by Sylvester's
+    law of inertia the signature does not depend on the basis."""
     n = len(gram)
     m, pivots, _ = elimination or exact.bareiss(gram, symmetric=True)
     if len(pivots) < n:

@@ -9,9 +9,18 @@ centre and the bound is redone per call.  The walk is one loop over an
 explicit level index on integers; interval endpoints come from
 ``math.isqrt``, so the search stays exact end to end, and the leaves are
 grouped by their integer scaled norm, one ``Fraction`` per norm slice.
+
+The elimination is of the reversed Gram, so the first coordinate is the
+outermost level and the walk meets the vectors in lexicographic order: no
+slice is sorted.  When the coset is closed under negation (no centre, or
+twice the centre integral) the walk covers one sign only, those y = x +
+centre whose first nonzero coordinate is positive, and each slice is
+completed by the partners -y, which reversed come first in the same order
+(Cohen, GTM 138, Algorithm 2.7.7, lists vectors up to sign).
+
 Negative definite inputs are auto-negated; indefinite inputs are rejected,
-and a walk that would visit more than ``ENUMERATION_GUARD`` leaves raises
-TooManyVectors.
+and a walk that would visit more than ``ENUMERATION_GUARD`` leaves, both
+signs counted, raises TooManyVectors.
 """
 from __future__ import annotations
 
@@ -19,7 +28,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import mul, sub
 
 from .core import (ENUMERATION_GUARD, IndefiniteLattice, IntegralLattice,
                    NotRootGenerated, TooManyVectors, _numerators)
@@ -38,25 +47,25 @@ def _levels(L: IntegralLattice):
     """The Fincke-Pohst levels of a definite lattice as integers, and whether
     its Gram was negated.
 
-    With U the fraction-free elimination and D_i its pivots (D_0 = 1, D_i the
-    leading i x i minor), norm(x) = sum_i p_i (x_i + sum_{j>i} U[i][j] x_j /
-    U[i][i])^2 with p_i = D_{i+1} / D_i, for the Gram itself or for its
-    negation when that is the definite one.  The Gram is positive definite
-    when every D_i is positive and negative definite when D_i has sign
-    (-1)^i (Sylvester); negating it flips the sign of every p_i and leaves
-    the coefficients.  Any other pattern raises IndefiniteLattice.
+    With U the fraction-free elimination of the reversed Gram and D_i its
+    pivots (D_0 = 1, D_i the leading i x i minor), norm(x) = sum_i p_i (x_i
+    + sum_{j>i} U[i][j] x_j / U[i][i])^2 with p_i = D_{i+1} / D_i in
+    reversed coordinates (x_i is coordinate n-1-i), for the Gram itself or
+    for its negation when that is the definite one.  The Gram is positive
+    definite when every D_i is positive and negative definite when D_i has
+    sign (-1)^i (Sylvester); negating it flips the sign of every p_i and
+    leaves the coefficients.  Any other pattern raises IndefiniteLattice.
 
     Level i is returned as (p_num, p_den, r, a): p_i = p_num / p_den in
     lowest terms with both positive, and the coefficients U[i][j] / U[i][i]
     over the least common denominator r > 0 as the integers a (j > i).
     """
     n = L.rank
-    u, pivots, _ = L.elimination
-    minors = [1] + [u[i][i] for i in range(len(pivots))]
-    if len(pivots) == n and all(d > 0 for d in minors):
+    u = L.elimination[0]
+    minors = [1] + [u[i][i] for i in range(n)]  # a lattice has n pivots
+    if all(d > 0 for d in minors):
         negated = False
-    elif len(pivots) == n and all((d > 0) == (i % 2 == 0)
-                                  for i, d in enumerate(minors)):
+    elif all((d > 0) == (i % 2 == 0) for i, d in enumerate(minors)):
         negated = True
     else:
         raise IndefiniteLattice(
@@ -76,19 +85,28 @@ def _walk(k, dens, bases, rows, c, w_den, total):
 
     x runs over Z^n with sum_i k[i] * s_i^2 <= total, where s_i = dens[i] *
     x_i + bases[i] + sum_{j>i} rows[i][j-i-1] * w_j and w_j = w_den * x_j +
-    c[j]; the key of x is that sum.  Level n-1 is the outermost.  Each open
-    level i keeps x[i], its upper end hi[i] and the budget rem[i + 1] left by
-    the levels above it; ni[i] is the centre term of s_i, set in full when
-    level i + 1 opens and moved by one row entry per step of x_{i+1}.  Level
-    0 runs as a plain range.  More than ENUMERATION_GUARD leaves raise
+    c[j]; the key of x is that sum.  Level n-1 is the outermost and every
+    level counts upwards, so the leaves, stored as (x_{n-1}, ..., x_0), come
+    out in lexicographic order.  Each open level i keeps x[i], its upper end
+    hi[i] and the budget rem[i + 1] left by the levels above it; ni[i] is the
+    centre term of s_i, set in full when level i + 1 opens and moved by one
+    row entry per step of x_{i+1}.  Level 0 runs as a plain range.
+
+    With w_den <= 2 the tree is closed under w -> -w, and the walk keeps only
+    the leaves with w = 0 or with w >lex 0 in stored order: level i starts at
+    w_i >= 0 while every outer w_j is 0 (fix[i]).  The guard still counts
+    both signs, w = 0 once: more than ENUMERATION_GUARD leaves raise
     TooManyVectors.
     """
     n = len(k)
+    half = w_den <= 2
     x = [0] * n
-    w = list(c)
+    w = list(c) + [0]
     hi = [0] * n
     ni = [0] * (n - 1) + [bases[n - 1]]
     rem = [0] * n + [total]
+    fix = [False] * n + [half]
+    starts = [-(ci // w_den) for ci in c]  # least x_i with w_i >= 0
     steps = [row[0] * w_den if row else 0 for row in rows]
     out = defaultdict(list)
     count = 0
@@ -101,16 +119,22 @@ def _walk(k, dens, bases, rows, c, w_den, total):
         t = isqrt(budget // ki)
         lo = -((nc + t) // d)
         top = (t - nc) // d
+        f = fix[i] = fix[i + 1] and not w[i + 1]
+        if f and lo < starts[i]:
+            lo = starts[i]
         if not i:
-            count += top - lo + 1
-            if count > ENUMERATION_GUARD:
-                raise TooManyVectors(
-                    f"enumeration visits more than {ENUMERATION_GUARD} vectors")
-            tail = tuple(x[1:])
-            used = total - budget
-            for x0 in range(lo, top + 1):
-                s = d * x0 + nc
-                out[used + ki * s * s].append((x0, *tail))
+            if lo <= top:  # a sign-fixed start can lie past top + 1
+                count += top - lo + 1
+                if half:  # each leaf and its partner, w = 0 once
+                    count += top - lo + 1 - (f and lo * w_den + c[0] == 0)
+                if count > ENUMERATION_GUARD:
+                    raise TooManyVectors(f"enumeration visits more than "
+                                         f"{ENUMERATION_GUARD} vectors")
+                tail = tuple(x[:0:-1])
+                used = total - budget
+                for x0 in range(lo, top + 1):
+                    s = d * x0 + nc
+                    out[used + ki * s * s].append((*tail, x0))
             i = 1
         elif lo <= top:
             hi[i] = top
@@ -141,15 +165,20 @@ def enumerate_by_norm(L: IntegralLattice, max_norm,
 
     With ``center`` (a rational coordinate tuple) the coset center+Z^rank is
     enumerated instead and the zero offset is not excluded.  Vectors within a
-    slice are in lexicographic coordinate order; slices are sorted by norm.
-    For a negative definite lattice the enumeration runs on the negated Gram
-    and each slice carries negated=True (norms refer to the negated form).
+    slice are in lexicographic coordinate order, as the walk emits them (no
+    sort); slices are sorted by norm.  For a negative definite lattice the
+    enumeration runs on the negated Gram and each slice carries negated=True
+    (norms refer to the negated form).
     """
     levels, negated = _levels(L)
     if not levels:
         return []
     bound = Fraction(max_norm)
     c, w_den = ([0] * L.rank, 1) if center is None else _numerators(center)
+    # with 2 * center integral the walk keeps y = x + center >lex 0 and y = 0;
+    # the partner of x is -x - 2 * center
+    minus = [-ci * (2 // w_den) for ci in c] if w_den <= 2 else None
+    c = c[::-1]  # the elimination, hence the walk, is on the reversed basis
     # level i carries s_i = (y_i + sum_{j>i} a_ij y_j / r_i) * r_i * w_den
     # with y = x + center; one scale clears each p_i / (r_i * w_den)^2 and
     # the bound
@@ -166,8 +195,13 @@ def enumerate_by_norm(L: IntegralLattice, max_norm,
     for key in sorted(slices):
         norm = Fraction(key, scale)
         val = int(norm) if norm.denominator == 1 else norm
-        out.append(NormSlice(norm=val, vectors=sorted(slices[key]),
-                             negated=negated))
+        vectors = slices[key]
+        if minus is not None and key:  # y = 0 alone has norm 0
+            # negation reverses lexicographic order, and every partner has
+            # y <lex 0, so the reversed partners precede the walked vectors
+            vectors = [tuple(map(sub, minus, v))
+                       for v in reversed(vectors)] + vectors
+        out.append(NormSlice(norm=val, vectors=vectors, negated=negated))
     return out
 
 

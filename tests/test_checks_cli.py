@@ -217,6 +217,31 @@ def test_cli_lat_show_file_rejects_malformed_lattice(tmp_path, payload, message)
     _assert_usage_error(result, message)
 
 
+@pytest.mark.parametrize("name", ["E8(0)", "<0>"])
+def test_cli_lat_show_degenerate_catalog_name(name):
+    result = CliRunner().invoke(main, ["lat", "show", name])
+    _assert_usage_error(result, "determinant zero")
+
+
+def test_cli_lat_show_directory_target(tmp_path):
+    result = CliRunner().invoke(main, ["lat", "show", str(tmp_path)])
+    _assert_usage_error(result, "cannot read")
+
+
+def test_cli_lat_show_deeply_nested_file(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    result = CliRunner().invoke(main, ["lat", "show", str(path)])
+    _assert_usage_error(result, "nested too deeply")
+
+
+def test_cli_lat_show_planes_rejects_eta_of_wrong_norm(tmp_path):
+    path = tmp_path / "eta2.json"
+    path.write_text(json.dumps({"gram": [[2]], "labels": ["eta"]}))
+    result = CliRunner().invoke(main, ["lat", "show", str(path), "--planes"])
+    _assert_usage_error(result, "eta must have norm 3, got 2")
+
+
 def test_cli_lat_show_unknown_target():
     result = CliRunner().invoke(main, ["lat", "show", "Zorro"])
     assert result.exit_code == 2

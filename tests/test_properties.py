@@ -8,11 +8,14 @@ to keep the unit suite fast.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubiclat import catalog, two_elementary_invariants
 from cubiclat.core import (
+    DegenerateLattice,
+    IntegralLattice,
     basic_invariants,
     direct_sum,
     discriminant_form,
@@ -118,6 +121,30 @@ def test_elimination_kernel_on_congruent_grams(case, data):
     assert rational_rank(product) == k
     assert rational_rank(transpose(product)) == k
     assert rational_rank([[Fraction(x, 3) for x in row] for row in product]) == k
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(1, 5))
+    entries = st.integers(-3, 3)
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = draw(entries)
+    return gram
+
+
+@settings(deadline=None)
+@given(symmetric_matrices())
+def test_lattice_det_is_the_last_symmetric_pivot(gram):
+    # the lattice reads det off its congruence elimination of the reversed
+    # Gram; it must agree with plain row-reduction Bareiss
+    det = bareiss_det(gram)
+    if det == 0:
+        with pytest.raises(DegenerateLattice):
+            IntegralLattice(gram)
+    else:
+        assert IntegralLattice(gram).det == det
 
 
 @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))

@@ -56,14 +56,16 @@ def test_negative_definite_enumeration():
 
 
 def test_enumeration_eliminates_once(monkeypatch):
-    # definiteness is read off the LDL pivots: no separate signature probe
-    lattices = [rescale(A2, -1), catalog.standard("E8"),
-                rescale(catalog.standard("D4"), -1)]
+    # definiteness is read off the LDL pivots: no separate signature probe,
+    # and construction's determinant comes from the same elimination
+    grams = [rescale(A2, -1).gram, catalog.standard("E8").gram,
+             rescale(catalog.standard("D4"), -1).gram]
     calls = []
     bareiss = exact.bareiss
     monkeypatch.setattr(exact, "bareiss",
                         lambda *a, **k: calls.append(1) or bareiss(*a, **k))
     monkeypatch.setattr(core, "signature_of_gram", None)
+    lattices = [IntegralLattice(g) for g in grams]
     results = [enumerate_by_norm(L, 2)[0] for L in lattices]
     assert len(calls) == len(lattices)
     assert [(sl.negated, len(sl.vectors)) for sl in results] == [
@@ -71,11 +73,13 @@ def test_enumeration_eliminates_once(monkeypatch):
 
 
 def test_one_elimination_serves_every_walk_and_the_signature(monkeypatch):
-    L = catalog.standard("D4")
+    gram = catalog.standard("D4").gram
     calls = []
     bareiss = exact.bareiss
     monkeypatch.setattr(exact, "bareiss",
                         lambda *a, **k: calls.append(1) or bareiss(*a, **k))
+    L = IntegralLattice(gram)
+    assert L.det == 4
     plain = enumerate_by_norm(L, 2)
     centred = enumerate_by_norm(L, 1, center=(Fraction(1, 2), 0, 0, 0))
     assert L.signature == (4, 0)
@@ -94,10 +98,25 @@ def test_enumeration_guard_counts_leaves(monkeypatch):
         enumerate_by_norm(e8, 2)
 
 
+def test_enumeration_guard_counts_the_centred_zero_once(monkeypatch):
+    # centred on 0, E8 up to norm 2 has the zero vector and its 240 roots
+    e8 = catalog.standard("E8")
+    center = (Fraction(0),) * 8
+    monkeypatch.setattr(shortvec, "ENUMERATION_GUARD", 241)
+    slices = enumerate_by_norm(e8, 2, center=center)
+    assert [(sl.norm, len(sl.vectors)) for sl in slices] == [(0, 1), (2, 240)]
+    assert slices[0].vectors == [(0,) * 8]
+    monkeypatch.setattr(shortvec, "ENUMERATION_GUARD", 240)
+    with pytest.raises(TooManyVectors, match="more than 240 vectors"):
+        enumerate_by_norm(e8, 2, center=center)
+
+
 @st.composite
 def definite_queries(draw):
     """A definite Gram (B^T B or its negation, rank 1-4), a bound, and
-    either no center or a rational one."""
+    either no center, a rational one, one in (1/2)Z^n (a coset closed under
+    negation, which the walk covers one sign at a time) or an integral one
+    (whose coset holds the zero vector)."""
     n = draw(st.integers(1, 4))
     b = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
                       min_size=n, max_size=n))
@@ -106,8 +125,11 @@ def definite_queries(draw):
     gram = [[sign * sum(b[k][i] * b[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)]
     bound = draw(st.integers(0, 6) | st.fractions(0, 6, max_denominator=4))
-    center = draw(st.none() | st.tuples(
-        *[st.fractions(-2, 2, max_denominator=6) for _ in range(n)]))
+    halves = st.integers(-4, 4).map(lambda a: Fraction(a, 2))
+    center = draw(st.none()
+                  | st.tuples(*[st.fractions(-2, 2, max_denominator=6)] * n)
+                  | st.tuples(*[halves] * n)
+                  | st.tuples(*[st.integers(-2, 2).map(Fraction)] * n))
     return gram, sign, bound, center
 
 
