@@ -13,14 +13,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import exact
 from .core import (
     CrossCheckFailed,
     IntegralLattice,
     NotIntegral,
+    TooLarge,
     UnknownLattice,
     basic_invariants,
     direct_sum,
     discriminant_form,
+    discriminant_group,
     orthogonal_complement,
     rescale,
 )
@@ -29,6 +32,9 @@ from .glue import glue_subgroup, overlattice_from_glue
 _STD = re.compile(r"^(?P<fam>[ADE])(?P<n>\d+)$")
 _BRACKET = re.compile(r"^<(?P<k>-?\d+)>$")
 _SCALED = re.compile(r"^(?P<base>.+)\((?P<s>-?\d+)\)$")
+# far above the rank-22 K3 lattice; A128 builds its invariants in well under
+# a second
+MAX_STANDARD_RANK = 128
 
 
 def _chain_gram(n: int) -> list[list[int]]:
@@ -60,17 +66,20 @@ def standard(name: str, scale: int = 1) -> IntegralLattice:
     """A standard lattice by name: An, Dn, E6/E7/E8, U, or <k> for rank one.
 
     A trailing ``(s)`` in the name multiplies the form, as does ``scale``;
-    ``standard("E8(2)")`` and ``standard("E8", 2)`` agree.
+    ``standard("E8(2)")`` and ``standard("E8", 2)`` agree.  A family rank
+    above MAX_STANDARD_RANK raises TooLarge.
     """
-    m = _SCALED.match(name)
-    if m:
-        return standard(m.group("base"), scale * int(m.group("s")))
+    while (m := _SCALED.match(name)):
+        name, scale = m.group("base"), scale * int(m.group("s"))
     if name == "U":
         lat = IntegralLattice([[0, 1], [1, 0]], labels=["u1", "u2"])
     elif (m := _BRACKET.match(name)):
         lat = IntegralLattice([[int(m.group("k"))]], labels=["g"])
     elif (m := _STD.match(name)):
         fam, n = m.group("fam"), int(m.group("n"))
+        if n > MAX_STANDARD_RANK:
+            raise TooLarge(f"rank {n} is above the limit {MAX_STANDARD_RANK} "
+                           "for standard families")
         if fam == "A" and n >= 1:
             gram = _chain_gram(n)
         elif fam == "D" and n >= 4:
@@ -86,6 +95,9 @@ def standard(name: str, scale: int = 1) -> IntegralLattice:
     if scale != 1:
         lat = rescale(lat, scale)
     return lat
+
+
+_N_LABELS = ("eta", "y") + tuple(f"F{i}" for i in range(1, 10))
 
 
 # Pairing rules for the symbol basis (eta, P, F_1..F_9): every class has norm
@@ -125,8 +137,26 @@ def plane_lattice_N() -> IntegralLattice:
                 raise NotIntegral(f"N has the non-integral pairing {val}")
             row.append(int(val))
         gram.append(row)
-    labels = ["eta", "y"] + [f"F{i}" for i in range(1, 10)]
-    return IntegralLattice(gram, labels=labels)
+    return IntegralLattice(gram, labels=_N_LABELS)
+
+
+def n_class(label: str) -> tuple[int, ...]:
+    """The basis class of N with the given label (eta, y, F1..F9)."""
+    i = _N_LABELS.index(label)
+    return tuple(int(k == i) for k in range(len(_N_LABELS)))
+
+
+def n_dual_classes():
+    """A_N, the dual classes eta*, F_1*..F_9* (columns of N's inverse Gram),
+    and whether they generate A_N = (Z/2)^10 independently: their classes
+    have odd determinant mod 2, so distinct supports give distinct classes."""
+    n = plane_lattice_N()
+    dg = discriminant_group(n)
+    lifts = [tuple(row[i] for row in n.inverse_gram) for i in [0, *range(2, 11)]]
+    rows = [[c % 2 for c in dg.class_of_rational(lift)] for lift in lifts]
+    independent = (all(f == 2 for f in dg.factors)
+                   and exact.bareiss_det(rows) % 2 == 1)
+    return dg, lifts, independent
 
 
 def p_in_N() -> tuple[int, ...]:
@@ -136,8 +166,7 @@ def p_in_N() -> tuple[int, ...]:
 
 def delta_in_N() -> tuple[int, ...]:
     """The norm-24 class eta - 3P."""
-    p = p_in_N()
-    return tuple(e - 3 * q for e, q in zip((1,) + (0,) * 10, p))
+    return tuple(e - 3 * q for e, q in zip(n_class("eta"), p_in_N()))
 
 
 def delta_in_M() -> tuple[int, ...]:
@@ -163,21 +192,13 @@ def m_basis_in_N() -> list[tuple[int, ...]]:
     alpha_i = F_i - F_{i+1} for i <= 8, alpha_9 = P + F_8 + F_9 - eta, and
     x = (alpha_1 + alpha_3 + alpha_5 + alpha_7 + F_9 - P)/2.
     """
-    def f(i):
-        v = [0] * 11
-        v[1 + i] = 1
-        return v
-
-    alphas = []
-    for i in range(1, 9):
-        v = [a - b for a, b in zip(f(i), f(i + 1))]
-        alphas.append(v)
-    p = list(p_in_N())
-    a9 = [pp + x8 + x9 - e for pp, x8, x9, e in
-          zip(p, f(8), f(9), [1] + [0] * 10)]
-    alphas.append(a9)
+    f = {i: n_class(f"F{i}") for i in range(1, 10)}
+    alphas = [[a - b for a, b in zip(f[i], f[i + 1])] for i in range(1, 9)]
+    p = p_in_N()
+    alphas.append([pp + x8 + x9 - e for pp, x8, x9, e in
+                   zip(p, f[8], f[9], n_class("eta"))])
     two_x = [alphas[0][k] + alphas[2][k] + alphas[4][k] + alphas[6][k]
-             + f(9)[k] - p[k] for k in range(11)]
+             + f[9][k] - p[k] for k in range(11)]
     if any(c % 2 for c in two_x):
         raise NotIntegral("2x is not divisible by 2 in N")
     x = [c // 2 for c in two_x]
@@ -239,7 +260,7 @@ def prim_lattice_M() -> IntegralLattice:
 
     n = plane_lattice_N()
     basis = m_basis_in_N()
-    eta = (1,) + (0,) * 10
+    eta = n_class("eta")
     if any(n.pair(v, eta) for v in basis):
         raise CrossCheckFailed("the M-basis is not orthogonal to eta in N")
     regram = [[n.pair(v, w) for w in basis] for v in basis]

@@ -52,24 +52,15 @@ def n_gram_certificate() -> CheckReport:
         "1024", body)
 
 
-def _dual_lift(L, index) -> tuple[Fraction, ...]:
-    ginv = L.inverse_gram
-    return tuple(ginv[i][index] for i in range(L.rank))
-
-
 def n_disc_certificate() -> CheckReport:
     def body():
         n = catalog.plane_lattice_N()
-        dg = discriminant_group(n)
-        lifts = [_dual_lift(n, i) for i in [0] + list(range(2, 11))]
+        dg, lifts, independent = catalog.n_dual_classes()
         matrix = [[n.pair_rational(u, v) % 1 for v in lifts] for u in lifts]
         half = Fraction(1, 2)
         diagonal_half = all(matrix[i][i] == half for i in range(10))
         off_zero = all(matrix[i][j] == 0
                        for i in range(10) for j in range(10) if i != j)
-        rows = [[c % 2 for c in dg.class_of_rational(lift)] for lift in lifts]
-        independent = (all(f == 2 for f in dg.factors)
-                       and exact.bareiss_det(rows) % 2 == 1)
         details = {"factors": dg.factors, "matrix": matrix,
                    "diagonal_half": diagonal_half, "off_diagonal_zero": off_zero,
                    "generators_independent": independent}
@@ -87,7 +78,7 @@ def n_disc_certificate() -> CheckReport:
 def n_planes_certificate() -> CheckReport:
     def body():
         n = catalog.plane_lattice_N()
-        eta = (1,) + (0,) * 10
+        eta = catalog.n_class("eta")
         planes = geomchecks.enumerate_planes(n, eta)
         products: dict[int, int] = {}
         for a, b in combinations(planes, 2):
@@ -107,7 +98,7 @@ def n_planes_certificate() -> CheckReport:
 def n_admissible_certificate() -> CheckReport:
     def body():
         n = catalog.plane_lattice_N()
-        eta = (1,) + (0,) * 10
+        eta = catalog.n_class("eta")
         violation = geomchecks.admissibility_scan(n, eta)
         details = {"rules": sorted(geomchecks.RULES),
                    "violation": violation._asdict() if hasattr(

@@ -81,7 +81,7 @@ def _resolve_target(target: str) -> IntegralLattice:
     except UnknownLattice as exc:
         if not os.path.exists(target):
             raise click.UsageError(str(exc))
-    except LatticeError as exc:
+    except (ValueError, LatticeError) as exc:
         raise click.UsageError(f"{target}: {exc}")
     try:
         with open(target, encoding="utf-8") as fh:
@@ -159,8 +159,8 @@ def hassett_group():
 
 
 @hassett_group.command("sweep")
-@click.option("--dmax", type=int, required=True, metavar="N",
-              help="Upper bound on the discriminant.")
+@click.option("--dmax", type=click.IntRange(min=8), required=True,
+              metavar="N", help="Upper bound on the discriminant (8 or more).")
 @click.option("--json", "as_json", is_flag=True, help="Emit the JSON report.")
 def hassett_sweep_cmd(dmax: int, as_json: bool):
     """Label every admissible discriminant up to --dmax and verify it."""

@@ -111,8 +111,6 @@ class Invariants(NamedTuple):
 
 
 def _coords(v) -> tuple[int, ...]:
-    if isinstance(v, LatticeVector):
-        return v.coords
     return tuple(int(x) for x in v)
 
 
@@ -200,13 +198,6 @@ class IntegralLattice:
         """The pairings of v with each basis vector, i.e. gram times v."""
         return tuple(exact.mat_vec([list(r) for r in self.gram], list(_coords(v))))
 
-    def vector(self, coords) -> "LatticeVector":
-        return LatticeVector(self, _coords(coords))
-
-    def basis_vector(self, label: str) -> "LatticeVector":
-        i = self.labels.index(label)
-        return LatticeVector(self, tuple(int(j == i) for j in range(self.rank)))
-
     @cached_property
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
@@ -228,38 +219,6 @@ class IntegralLattice:
 
     def is_negative_definite(self) -> bool:
         return self.signature == (0, self.rank)
-
-
-@dataclass(frozen=True)
-class LatticeVector:
-    ambient: IntegralLattice
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(x) for x in self.coords))
-        if len(self.coords) != self.ambient.rank:
-            raise ValueError("coordinate length does not match ambient rank")
-
-    @property
-    def norm(self) -> int:
-        return self.ambient.norm(self.coords)
-
-    def pair(self, other) -> int:
-        return self.ambient.pair(self.coords, other)
-
-    def __add__(self, other):
-        return LatticeVector(self.ambient,
-                             tuple(a + b for a, b in zip(self.coords, _coords(other))))
-
-    def __sub__(self, other):
-        return LatticeVector(self.ambient,
-                             tuple(a - b for a, b in zip(self.coords, _coords(other))))
-
-    def __rmul__(self, k: int):
-        return LatticeVector(self.ambient, tuple(k * a for a in self.coords))
-
-    def __neg__(self):
-        return LatticeVector(self.ambient, tuple(-a for a in self.coords))
 
 
 class Sublattice(NamedTuple):
@@ -492,11 +451,7 @@ def orthogonal_complement(L: IntegralLattice, vectors) -> Sublattice:
     if vs and exact.rational_rank(vs) < len(vs):
         raise DependentSpan("spanning vectors are linearly dependent")
     constraints = [list(L.dual_pairings(v)) for v in vs]
-    if not constraints:
-        cols = exact.identity(L.rank)
-        basis = [exact.column(cols, j) for j in range(L.rank)]
-    else:
-        basis = exact.integer_kernel(constraints)
+    basis = exact.integer_kernel(constraints) if vs else exact.identity(L.rank)
     gram = [[L.pair(a, b) for b in basis] for a in basis]
     sub = IntegralLattice(gram, labels=[f"c{i+1}" for i in range(len(basis))])
     return Sublattice(sub, basis)
@@ -511,10 +466,8 @@ def saturation(L: IntegralLattice, vectors) -> Sublattice:
     # functionals vanishing on the span, then their joint kernel: the
     # intersection of the rational span with the lattice
     funcs = exact.integer_kernel(vs)
-    if not funcs:
-        basis = [exact.column(exact.identity(L.rank), j) for j in range(L.rank)]
-    else:
-        basis = exact.integer_kernel([list(f) for f in funcs])
+    basis = (exact.integer_kernel([list(f) for f in funcs]) if funcs
+             else exact.identity(L.rank))
     gram = [[L.pair(a, b) for b in basis] for a in basis]
     sub = IntegralLattice(gram, labels=[f"s{i+1}" for i in range(len(basis))])
     return Sublattice(sub, basis)

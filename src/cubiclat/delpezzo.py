@@ -47,7 +47,8 @@ def picard_basis() -> PicardBasis:
 
 
 @lru_cache(maxsize=None)
-def _lines() -> tuple[tuple[int, ...], ...]:
+def line_classes() -> tuple[tuple[int, ...], ...]:
+    """All classes of norm -1 and anticanonical degree 1; 27 of them."""
     pic = picard_basis()
     lat = pic.lattice
     anti = tuple(-c for c in pic.canonical)
@@ -63,16 +64,12 @@ def _lines() -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(found))
 
 
-def line_classes() -> list[tuple[int, ...]]:
-    """All classes of norm -1 and anticanonical degree 1; 27 of them."""
-    return list(_lines())
-
-
 @lru_cache(maxsize=None)
-def _sixers() -> tuple[Sixer, ...]:
+def sixers() -> tuple[Sixer, ...]:
+    """All 6-cliques of pairwise-disjoint lines; 72 of them."""
     pic = picard_basis()
     lat = pic.lattice
-    lines = _lines()
+    lines = line_classes()
     n = len(lines)
     disjoint = [set() for _ in range(n)]
     for i in range(n):
@@ -108,14 +105,9 @@ def _sixers() -> tuple[Sixer, ...]:
     return tuple(out)
 
 
-def sixers() -> list[Sixer]:
-    """All 6-cliques of pairwise-disjoint lines; 72 of them."""
-    return list(_sixers())
-
-
 def double_sixes() -> list[tuple[Sixer, Sixer]]:
     """Unordered sixer pairs whose roots are negatives of each other."""
-    sxs = _sixers()
+    sxs = sixers()
     by_root = {s.root: s for s in sxs}
     pairs = []
     for s in sxs:
@@ -129,7 +121,7 @@ def double_sixes() -> list[tuple[Sixer, Sixer]]:
 def _root_span_labels() -> list[str]:
     """ADE type of the negated span of the sixer roots."""
     pic = picard_basis()
-    cols = exact.transpose([list(s.root) for s in _sixers()])
+    cols = exact.transpose([list(s.root) for s in sixers()])
     basis = exact.hermite_column_basis(cols)
     gram = [[pic.lattice.pair(u, v) for v in basis] for u in basis]
     return identify_root_lattice(rescale(IntegralLattice(gram), -1))
@@ -149,8 +141,8 @@ def intersection_lemma_verify() -> CheckReport:
         pic = picard_basis()
         lat = pic.lattice
         anti = tuple(-c for c in pic.canonical)
-        lines = _lines()
-        sxs = _sixers()
+        lines = line_classes()
+        sxs = sixers()
         problems: list[dict] = []
 
         for s in sxs:

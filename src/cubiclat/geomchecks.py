@@ -54,7 +54,7 @@ class Violation:
 
 
 def _check_eta(L: IntegralLattice, eta) -> tuple[int, ...]:
-    ec = tuple(int(x) for x in (eta.coords if hasattr(eta, "coords") else eta))
+    ec = tuple(int(x) for x in eta)
     if L.norm(ec) != 3:
         raise ValueError(f"eta must have norm 3, got {L.norm(ec)}")
     return ec
@@ -181,11 +181,9 @@ def coset_rule(L: IntegralLattice, eta, lift) -> str | None:
 
 def _plane_family():
     """eta, P, and F_1..F_9 as coordinate tuples in the plane lattice."""
-    n = catalog.plane_lattice_N()
-    eta = tuple(int(k == 0) for k in range(n.rank))
-    p = catalog.p_in_N()
-    fs = [tuple(int(k == 1 + i) for k in range(n.rank)) for i in range(1, 10)]
-    return n, eta, p, fs
+    fs = [catalog.n_class(f"F{i}") for i in range(1, 10)]
+    return (catalog.plane_lattice_N(), catalog.n_class("eta"),
+            catalog.p_in_N(), fs)
 
 
 _FAMILY_COUNTS = {
@@ -251,19 +249,8 @@ def saturation_certificate() -> CheckReport:
     """
     def body():
         n, eta, p, fs = _plane_family()
-        dg = discriminant_group(n)
-        ginv = n.inverse_gram
-        dual = {0: [row[0] for row in ginv]}
-        for i in range(1, 10):
-            dual[i] = [row[1 + i] for row in ginv]
-
-        # the ten dual classes generate (Z/2)^10 independently (odd
-        # determinant mod 2), so distinct supports give distinct classes
-        gen_classes = [dg.class_of_rational([Fraction(x) for x in dual[s]])
-                       for s in range(10)]
-        rows = [[c % 2 for c in cls] for cls in gen_classes]
-        independent = (all(f == 2 for f in dg.factors)
-                       and exact.bareiss_det(rows) % 2 == 1)
+        # dual[0] = eta*, dual[i] = F_i*
+        _, dual, independent = catalog.n_dual_classes()
 
         isotropic = 0
         families: Counter = Counter()
@@ -274,7 +261,7 @@ def saturation_certificate() -> CheckReport:
             problems.append({"class": (), "error": "scan flagged N itself"})
         for size in range(1, 11):
             for symbols in combinations(range(10), size):
-                lift = tuple(sum(Fraction(dual[s][i]) for s in symbols)
+                lift = tuple(sum(dual[s][i] for s in symbols)
                              for i in range(n.rank))
                 if n.pair_rational(lift, lift) % 1 != 0:
                     continue
@@ -384,9 +371,7 @@ def pfaffian_certificate() -> CheckReport:
         m = catalog.prim_lattice_M()
         delta = catalog.delta_in_M()
         entries_even = all(x % 2 == 0 for row in m.gram for x in row)
-        basis = [tuple(int(i == j) for i in range(m.rank))
-                 for j in range(m.rank)]
-        pair_parity = [m.pair(delta, b) % 2 for b in basis]
+        pair_parity = [x % 2 for x in m.dual_pairings(delta)]
 
         n, eta, p, fs = _plane_family()
         planes = enumerate_planes(n, eta)
@@ -446,9 +431,7 @@ def trivial_rationality_certificate() -> CheckReport:
     def body():
         n, eta, p, fs = _plane_family()
         q = tuple(a - b for a, b in zip(eta, p))
-        basis = [tuple(int(i == j) for i in range(n.rank))
-                 for j in range(n.rank)]
-        pairings = [n.pair(q, b) for b in basis]
+        pairings = list(n.dual_pairings(q))
         details = {
             "eta_Q": n.pair(eta, q),
             "y_Q": pairings[1],

@@ -21,9 +21,7 @@ from .core import (
     IntegralLattice,
     NotIntegral,
     NotIsotropic,
-    ParityError,
     Sublattice,
-    discriminant_form,
     discriminant_group,
 )
 
@@ -97,12 +95,6 @@ def glue_subgroup(ambient: AnyForm, lifts) -> GlueSubgroup:
     )
     sub.validate()
     return sub
-
-
-def trivial_glue(ambient: AnyForm) -> GlueSubgroup:
-    zero = tuple(0 for _ in ambient.group.factors)
-    return GlueSubgroup(ambient=ambient, generators=(), elements=frozenset({zero}),
-                        order=1, lifts=())
 
 
 def isotropic_elements(form: AnyForm, guard: int = ENUMERATION_GUARD) -> list[tuple[int, ...]]:
@@ -238,44 +230,3 @@ def glue_group(L: IntegralLattice, s1, s2) -> GlueDecomposition:
         embeddings.append((e1, e2))
     return GlueDecomposition(factors=tuple(factors), group1=g1, group2=g2,
                              embeddings=tuple(embeddings))
-
-
-def enumerate_even_overlattices(L: IntegralLattice, max_index: int,
-                                guard: int = ENUMERATION_GUARD):
-    """All isotropic subgroups of order <= max_index with their overlattices.
-
-    Subgroups are listed up to equality (no automorphism quotient), smallest
-    first, the trivial subgroup included.
-    """
-    if not L.is_even:
-        raise ParityError("even overlattice enumeration needs an even lattice")
-    form = discriminant_form(L)
-    group = form.group
-    iso = isotropic_elements(form, guard)
-    found: dict[frozenset, tuple[tuple[int, ...], ...]] = {}
-    zero = tuple(0 for _ in group.factors)
-    frontier = [(frozenset({zero}), ())]
-    found[frozenset({zero})] = ()
-    while frontier:
-        nxt = []
-        for elems, gens in frontier:
-            for g in iso:
-                if g in elems:
-                    continue
-                new_gens = gens + (g,)
-                new_elems = _closure(new_gens, group.factors)
-                if len(new_elems) > max_index or new_elems in found:
-                    continue
-                if any(form.q(e) != 0 for e in new_elems):
-                    continue
-                found[new_elems] = new_gens
-                nxt.append((new_elems, new_gens))
-        frontier = nxt
-    out = []
-    for elems in sorted(found, key=lambda s: (len(s), sorted(s))):
-        gens = found[elems]
-        lifts = tuple(group.lift(g) for g in gens)
-        sub = GlueSubgroup(ambient=form, generators=gens, elements=elems,
-                           order=len(elems), lifts=lifts)
-        out.append((sub, overlattice_from_glue(L, sub)))
-    return out

@@ -10,6 +10,7 @@ v = sum x_i alpha_i + s beta + t gamma the span <eta, v> has discriminant
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
 from . import catalog
@@ -69,24 +70,21 @@ class Labeling:
     witness: object
 
 
+def _minus(a, *labels):
+    """The class a minus the basis classes of N with the given labels."""
+    return tuple(x - sum(catalog.n_class(lab)[k] for lab in labels)
+                 for k, x in enumerate(a))
+
+
+@lru_cache(maxsize=None)
 def _frame_vectors():
-    n = catalog.plane_lattice_N()
-    rank = n.rank
-
-    def f(i):
-        return tuple(int(k == 1 + i) for k in range(rank))
-
-    def sub(a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    alphas = [sub(f(1), f(2)), sub(f(3), f(4)), sub(f(5), f(6)), sub(f(7), f(8))]
-    eta = tuple(int(k == 0) for k in range(rank))
-    y = tuple(int(k == 1) for k in range(rank))
-    p = catalog.p_in_N()
-    beta = tuple(e - pp - f9 for e, pp, f9 in zip(eta, p, f(9)))
-    gamma = tuple(yy - a - b - c - d_ - e for yy, a, b, c, d_, e in
-                  zip(y, f(5), f(6), f(7), f(8), f(9)))
-    return n, eta, y, alphas, beta, gamma
+    """N, eta, y, (alpha_1, alpha_3, alpha_5, alpha_7), beta and gamma."""
+    eta, y = catalog.n_class("eta"), catalog.n_class("y")
+    alphas = tuple(_minus(catalog.n_class(f"F{i}"), f"F{i + 1}")
+                   for i in (1, 3, 5, 7))
+    beta = _minus(tuple(e - p for e, p in zip(eta, catalog.p_in_N())), "F9")
+    gamma = _minus(y, "F5", "F6", "F7", "F8", "F9")
+    return catalog.plane_lattice_N(), eta, y, alphas, beta, gamma
 
 
 def _four_squares_even(m: int) -> tuple[int, int, int, int]:
@@ -134,10 +132,7 @@ def labeling_for_d(d: int) -> Labeling:
         v = catalog.p_in_N()
         witness = "plane"
     elif d == 14:
-        def f(i):
-            return tuple(int(k == 1 + i) for k in range(n.rank))
-        v = tuple(yy - a - b - c - e for yy, a, b, c, e in
-                  zip(y, f(2), f(4), f(6), f(8)))
+        v = _minus(y, "F2", "F4", "F6", "F8")
         witness = "y-F2-F4-F6-F8"
     else:
         k, r = divmod(d, 6)

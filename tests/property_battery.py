@@ -17,8 +17,8 @@ from cubiclat.core import (
     rescale,
 )
 from cubiclat.exact import bareiss_det, smith_normal_form
-from cubiclat.glue import enumerate_even_overlattices
 from cubiclat.shortvec import enumerate_by_norm
+from oracles import enumerate_even_overlattices
 
 
 def random_positive_definite(rng: random.Random, max_rank: int = 4,

@@ -223,6 +223,18 @@ def test_cli_lat_show_degenerate_catalog_name(name):
     _assert_usage_error(result, "determinant zero")
 
 
+@pytest.mark.parametrize("name", ["A99999999", "A" + "9" * 5000])
+def test_cli_lat_show_oversized_standard_name(name):
+    result = CliRunner().invoke(main, ["lat", "show", name, "--invariants"])
+    _assert_usage_error(result, "limit")
+
+
+def test_cli_lat_show_many_scale_suffixes():
+    result = CliRunner().invoke(main, ["lat", "show", "A1" + "(1)" * 3000,
+                                       "--invariants"])
+    assert result.exit_code == 0 and "det 2  signature (1, 0)" in result.output
+
+
 def test_cli_lat_show_directory_target(tmp_path):
     result = CliRunner().invoke(main, ["lat", "show", str(tmp_path)])
     _assert_usage_error(result, "cannot read")
@@ -253,6 +265,12 @@ def test_cli_hassett_sweep():
     assert result.exit_code == 0
     assert "admissible discriminants <= 30: 8" in result.output
     assert "labeled and verified: 8" in result.output
+
+
+@pytest.mark.parametrize("dmax", ["-5", "0"])
+def test_cli_hassett_sweep_rejects_dmax_below_8(dmax):
+    result = CliRunner().invoke(main, ["hassett", "sweep", "--dmax", dmax])
+    _assert_usage_error(result, "x>=8")
 
 
 def test_cli_hassett_sweep_json():

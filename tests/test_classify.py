@@ -3,8 +3,9 @@ certificates built on it."""
 
 import pytest
 
-from cubiclat import (
-    catalog,
+from cubiclat import catalog
+from cubiclat.classify import (
+    _torsion_q_multiset,
     p_elementary_hyperbolic_exists,
     phi2_no_associated_k3,
     phi3_k3_exists,
@@ -12,7 +13,6 @@ from cubiclat import (
     two_elementary_invariants,
     unimodular_complement_profile,
 )
-from cubiclat.classify import _torsion_q_multiset
 from cubiclat.core import (
     DoesNotFit,
     Not2Elementary,

@@ -7,7 +7,6 @@ from cubiclat.core import (
     DegenerateLattice,
     DependentSpan,
     IntegralLattice,
-    LatticeVector,
     NotIntegral,
     ParityError,
     Signature,
@@ -87,18 +86,6 @@ def test_basic_invariants():
     assert inv.determinant == 3
     assert tuple(inv.signature) == (2, 0)
     assert inv.parity == "even"
-
-
-def test_lattice_vector_arithmetic():
-    v = A2.vector((1, 0))
-    w = A2.basis_vector("e2")
-    assert (v + w).coords == (1, 1)
-    assert (v - w).coords == (1, -1)
-    assert (-v).coords == (-1, 0)
-    assert (3 * v).coords == (3, 0)
-    assert v.norm == 2 and v.pair(w) == -1
-    with pytest.raises(ValueError):
-        LatticeVector(A2, (1, 0, 0))
 
 
 def test_discriminant_group_small():

@@ -5,10 +5,10 @@ import pytest
 from cubiclat import catalog
 from cubiclat.core import (BadSplitting, IntegralLattice, NotIsotropic,
                            discriminant_form, discriminant_bilinear_form)
-from cubiclat.glue import (enumerate_even_overlattices, glue_group,
-                           glue_subgroup, isotropic_elements,
-                           overlattice_from_glue, trivial_glue)
+from cubiclat.glue import (glue_group, glue_subgroup, isotropic_elements,
+                           overlattice_from_glue)
 from cubiclat.shortvec import identify_root_lattice, root_count
+from oracles import enumerate_even_overlattices, trivial_glue
 
 D8 = catalog.standard("D8")
 

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cubiclat import catalog, two_elementary_invariants
+from cubiclat import catalog
+from cubiclat.classify import two_elementary_invariants
 from cubiclat.core import (
     DegenerateLattice,
     IntegralLattice,

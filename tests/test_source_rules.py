@@ -1,10 +1,13 @@
 """Rules on the package source itself."""
 import ast
+import re
 from pathlib import Path
 
 import cubiclat
 
 SOURCES = sorted(Path(cubiclat.__file__).parent.glob("*.py"))
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
+ROOT = Path(cubiclat.__file__).resolve().parents[2]
 
 
 def test_package_source_has_no_assert():
@@ -14,3 +17,25 @@ def test_package_source_has_no_assert():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert SOURCES and not found, found
+
+
+def test_module_level_api_has_a_non_test_user():
+    # every module-level def and class but a click command is named outside
+    # its own definition in the package modules (re-exports in __init__ do
+    # not count), bench/*.py or the README; what only tests reach is deleted
+    texts = {path: path.read_text(encoding="utf-8").splitlines() for path in
+             [*MODULES, *(ROOT / "bench").glob("*.py"), ROOT / "README.md"]}
+    unused = []
+    for path in MODULES:
+        for node in ast.parse("\n".join(texts[path])).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or any(
+                    getattr(getattr(d, "func", None), "attr", None)
+                    in ("command", "group") for d in node.decorator_list):
+                continue
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(word.search(line) for other, lines in texts.items()
+                       for i, line in enumerate(lines, 1)
+                       if other != path or not node.lineno <= i <= node.end_lineno):
+                unused.append(f"{path.name}:{node.name}")
+    assert MODULES
+    assert not unused, unused
