@@ -10,6 +10,7 @@ determinants, discriminant groups, glue indices, and root counts.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -137,8 +138,8 @@ def m_glue_certificate() -> CheckReport:
         kt = catalog.kappa_tilde()
         sub = glue_subgroup(discriminant_form(kt), [catalog.kappa_glue_lift()])
         ext = overlattice_from_glue(kt, sub)
-        q_match = sorted(discriminant_form(ext.lattice).value_multiset()) == \
-            sorted(discriminant_form(m).value_multiset())
+        q_match = (discriminant_form(ext.lattice).value_multiset()
+                   == discriminant_form(m).value_multiset())
         alphas = [tuple(int(j == i) for j in range(10)) for i in range(1, 10)]
         decomposition = glue_group(m, [catalog.delta_in_M()], alphas)
         details = {"glue_order": sub.order,
@@ -241,11 +242,7 @@ def t_invariants_certificate() -> CheckReport:
         exists = two_elementary_exists(inv.signature, inv.a, inv.delta)
         profile = unimodular_complement_profile(
             catalog.prim_lattice_M(), (20, 2))
-        q_t = discriminant_form(t)
-        t_multiset: dict = {}
-        for e in q_t.group.elements():
-            v = q_t.q(e)
-            t_multiset[v] = t_multiset.get(v, 0) + 1
+        t_multiset = Counter(discriminant_form(t).value_multiset())
         two_part = _torsion_q_multiset(profile.form, 2)
         details = {"invariants": flat, "exists": exists,
                    "det": exact.bareiss_det(t.gram),

@@ -7,7 +7,6 @@ exactly when the quadratic form on the discriminant group is integer-valued.
 """
 from __future__ import annotations
 
-from itertools import product
 from math import gcd
 from typing import NamedTuple
 
@@ -131,17 +130,10 @@ def unimodular_complement_profile(M: IntegralLattice, ambient_sig) -> Complement
 
 
 def _torsion_q_multiset(form: FiniteQuadraticForm, m: int) -> dict:
-    """Value multiset of q over the elements killed by m."""
-    choices = []
-    for d in form.group.factors:
-        g = gcd(m, d)
-        step = d // g
-        choices.append([k * step for k in range(g)])
-    counts: dict = {}
-    for e in product(*choices):
-        v = form.q(e)
-        counts[v] = counts.get(v, 0) + 1
-    return counts
+    """Value multiset of q over the elements killed by m: on the factor Z/d
+    those are the multiples k * step of step = d / gcd(m, d)."""
+    return form.value_counts([range(0, d, d // gcd(m, d))
+                              for d in form.group.factors])
 
 
 def phi2_no_associated_k3(control_three_part: IntegralLattice | None = None) -> CheckReport:

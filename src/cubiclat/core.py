@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, prod
+from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 from . import exact
@@ -111,7 +113,7 @@ class Invariants(NamedTuple):
 
 
 def _coords(v) -> tuple[int, ...]:
-    return tuple(int(x) for x in v)
+    return tuple(map(int, v))
 
 
 def _numerators(v) -> tuple[list[int], int]:
@@ -119,6 +121,11 @@ def _numerators(v) -> tuple[list[int], int]:
     Fractions."""
     den = exact.lcm_list(x.denominator for x in v)
     return [x.numerator * (den // x.denominator) for x in v], den
+
+
+def _gram_product(gram, u, v) -> int:
+    """u^T gram v for integer coordinates: one Gram-row product per u_i != 0."""
+    return sum(a * sum(map(mul, row, v)) for a, row in zip(u, gram) if a)
 
 
 class IntegralLattice:
@@ -177,10 +184,7 @@ class IntegralLattice:
         return f"<IntegralLattice{tag} rank {self.rank} det {self.det}>"
 
     def pair(self, u, v) -> int:
-        uc, vc = _coords(u), _coords(v)
-        g = self.gram
-        return sum(uc[i] * g[i][j] * vc[j]
-                   for i in range(self.rank) for j in range(self.rank))
+        return _gram_product(self.gram, _coords(u), _coords(v))
 
     def norm(self, v) -> int:
         return self.pair(v, v)
@@ -190,13 +194,12 @@ class IntegralLattice:
         product over the two vectors' cleared denominators."""
         un, uden = _numerators(u)
         vn, vden = _numerators(v)
-        total = sum(a * sum(x * b for x, b in zip(row, vn))
-                    for a, row in zip(un, self.gram) if a)
-        return Fraction(total, uden * vden)
+        return Fraction(_gram_product(self.gram, un, vn), uden * vden)
 
     def dual_pairings(self, v) -> tuple[int, ...]:
         """The pairings of v with each basis vector, i.e. gram times v."""
-        return tuple(exact.mat_vec([list(r) for r in self.gram], list(_coords(v))))
+        vc = _coords(v)
+        return tuple(sum(map(mul, row, vc)) for row in self.gram)
 
     @cached_property
     def is_even(self) -> bool:
@@ -297,19 +300,19 @@ class DiscriminantGroup:
 
     def class_of_dual_coords(self, z: Sequence[int]) -> tuple[int, ...]:
         """Class of a dual vector given by its integer dual-basis coordinates."""
-        w = exact.mat_vec([list(r) for r in self._u], list(z))
-        return tuple(w[p] % d for p, d in zip(self._positions, self.factors))
+        return tuple(sum(map(mul, self._u[p], z)) % d
+                     for p, d in zip(self._positions, self.factors))
 
     def class_of_rational(self, y: Sequence[Fraction]) -> tuple[int, ...]:
-        """Class of a dual vector given in rational lattice-basis coordinates."""
-        g = self.lattice.gram
-        n = self.lattice.rank
+        """Class of a dual vector given in rational lattice-basis coordinates,
+        by integer Gram-row products over its cleared denominators."""
+        num, den = _numerators(y)
         z = []
-        for i in range(n):
-            v = sum(Fraction(y[j]) * g[i][j] for j in range(n))
-            if v.denominator != 1:
+        for pairing in self.lattice.dual_pairings(num):
+            c, r = divmod(pairing, den)
+            if r:
                 raise ValueError("vector is not in the dual lattice")
-            z.append(int(v))
+            z.append(c)
         return self.class_of_dual_coords(z)
 
 
@@ -336,29 +339,27 @@ def discriminant_group(L: IntegralLattice) -> DiscriminantGroup:
 
 
 class _FormBase:
-    """Shared machinery: exact pairings of generator lifts, scaled to ints."""
+    """Shared machinery: exact pairings of generator lifts, scaled to ints
+    and kept modulo 2 * ``_scale``, which fixes b mod Z and q mod 2Z."""
 
     def __init__(self, group: DiscriminantGroup):
         self.group = group
         L = group.lattice
-        k = len(group.factors)
-        pair = [[L.pair_rational(group.lifts[i], group.lifts[j]) for j in range(k)]
-                for i in range(k)]
-        scale = exact.lcm_list([p.denominator for row in pair for p in row] or [1])
+        # all lifts over one common denominator den: pairings are x / den^2
+        flat, den = _numerators([x for lift in group.lifts for x in lift])
+        lifts = [flat[i * L.rank:(i + 1) * L.rank] for i in range(len(group.lifts))]
+        images = [L.dual_pairings(b) for b in lifts]
+        pair = [[sum(map(mul, a, gb)) for gb in images] for a in lifts]
+        d2 = den * den
+        scale = exact.lcm_list(d2 // gcd(x, d2) for row in pair for x in row)
         self._scale = scale
-        self._pair_scaled = [[int(p * scale) for p in row] for row in pair]
+        self._pair_scaled = [[x * scale // d2 % (2 * scale) for x in row]
+                             for row in pair]
 
     def bilinear(self, c1: Sequence[int], c2: Sequence[int]) -> Fraction:
         """b(x, y) in Q/Z, reduced into [0, 1)."""
-        p = self._pair_scaled
-        total = 0
-        for i, a in enumerate(c1):
-            if a:
-                row = p[i]
-                for j, b in enumerate(c2):
-                    if b:
-                        total += a * b * row[j]
-        return Fraction(total % self._scale, self._scale)
+        return Fraction(_gram_product(self._pair_scaled, c1, c2) % self._scale,
+                        self._scale)
 
     def bilinear_matrix(self) -> list[list[Fraction]]:
         k = len(self.group.factors)
@@ -373,20 +374,45 @@ class FiniteBilinearForm(_FormBase):
 class FiniteQuadraticForm(_FormBase):
     """The discriminant quadratic form q_L: A_L -> Q/2Z of an even lattice."""
 
+    def _scaled_values(self, choices) -> list[int]:
+        """The integer kernel: q(c) * _scale mod 2 * _scale for each c in
+        ``product(*choices)``, in that order, by one depth-first walk.  Level
+        i carries the partial value and each deeper level l's linear term
+        sum_{j<i} c_j P[j][l], so an element costs O(1) amortised, not O(k^2)."""
+        p, mod, k = self._pair_scaled, 2 * self._scale, len(choices)
+        if not k:
+            return [0]
+        out: list[int] = []
+
+        def level(i, partial, lin):
+            diag, twice = p[i][i], 2 * lin[0]
+            if i == k - 1:
+                out.extend([(partial + c * (c * diag + twice)) % mod
+                            for c in choices[i]])
+                return
+            tail = p[i][i + 1:k]
+            for c in choices[i]:
+                level(i + 1, partial + c * (c * diag + twice),
+                      [t + c * r for t, r in zip(lin[1:], tail)])
+
+        level(0, 0, [0] * k)
+        return out
+
     def q(self, coeffs: Sequence[int]) -> Fraction:
-        p = self._pair_scaled
-        total = 0
-        for i, a in enumerate(coeffs):
-            if a:
-                total += a * a * p[i][i]
-                for j in range(i + 1, len(coeffs)):
-                    b = coeffs[j]
-                    if b:
-                        total += 2 * a * b * p[i][j]
-        return Fraction(total % (2 * self._scale), self._scale)
+        return Fraction(self._scaled_values([(c,) for c in coeffs])[0],
+                        self._scale)
+
+    def value_counts(self, choices) -> dict[Fraction, int]:
+        """How often q takes each value over ``product(*choices)``, one
+        coefficient list per invariant factor, in increasing order of value."""
+        counts = Counter(self._scaled_values(choices))
+        return {Fraction(v, self._scale): counts[v] for v in sorted(counts)}
 
     def value_multiset(self, guard: int = ENUMERATION_GUARD) -> tuple[Fraction, ...]:
-        return tuple(sorted(self.q(e) for e in self.group.elements(guard)))
+        self.group.elements(guard)  # TooLarge before any value is computed
+        counts = self.value_counts([range(d) for d in self.group.factors])
+        return tuple(itertools.chain.from_iterable(
+            itertools.repeat(v, n) for v, n in counts.items()))
 
 
 def discriminant_form(L: IntegralLattice) -> FiniteQuadraticForm:

@@ -71,7 +71,7 @@ def enumerate_planes(L: IntegralLattice, eta) -> list[PlaneClass]:
 
 def _labeling_det(L: IntegralLattice, eta, u) -> int:
     """Determinant of the saturation of <eta, u>, via the gcd of the 2x2
-    minors of the coordinate matrix."""
+    minors of the coordinate matrix; a gcd of 1 ends the scan early."""
     span = 3 * L.norm(u) - L.pair(eta, u) ** 2
     if span == 0:
         return 0
@@ -79,6 +79,8 @@ def _labeling_det(L: IntegralLattice, eta, u) -> int:
     for i in range(L.rank):
         for j in range(i + 1, L.rank):
             g = gcd(g, eta[i] * u[j] - eta[j] * u[i])
+            if g == 1:
+                return span
     if span % (g * g):
         raise LatticeError(f"span determinant {span} is not divisible by the "
                            f"squared saturation index {g * g}")

@@ -6,10 +6,12 @@ import pytest
 from cubiclat.core import (
     DegenerateLattice,
     DependentSpan,
+    FiniteQuadraticForm,
     IntegralLattice,
     NotIntegral,
     ParityError,
     Signature,
+    TooLarge,
     ZeroVector,
     basic_invariants,
     direct_sum,
@@ -114,6 +116,23 @@ def test_discriminant_form_values():
     assert sorted(q.value_multiset()) == [0, Fraction(2, 3), Fraction(2, 3)]
     with pytest.raises(ParityError):
         discriminant_form(IntegralLattice([[1]]))
+
+
+def test_value_multiset_guard_comes_before_any_value(monkeypatch):
+    form = discriminant_form(direct_sum(A2, A2, IntegralLattice([[4]])))
+    order = form.group.order
+    assert order == 36
+    expected = form.value_multiset(guard=order)
+    assert len(expected) == order
+
+    def kernel_called(self, choices):
+        raise AssertionError("q evaluated before the guard")
+
+    with monkeypatch.context() as m:
+        m.setattr(FiniteQuadraticForm, "_scaled_values", kernel_called)
+        with pytest.raises(TooLarge, match="36 elements"):
+            form.value_multiset(guard=order - 1)
+    assert form.value_multiset(guard=order) == expected
 
 
 def test_discriminant_bilinear_form():

@@ -6,6 +6,7 @@ to keep the unit suite fast.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubiclat import catalog
-from cubiclat.classify import two_elementary_invariants
+from cubiclat.classify import _torsion_q_multiset, two_elementary_invariants
 from cubiclat.core import (
     DegenerateLattice,
     IntegralLattice,
@@ -78,17 +79,20 @@ BLOCKS = [([[0, 1], [1, 0]], (1, 1)), ([[0, 2], [2, 0]], (1, 1))] + [
     ([[s * k]], (1, 0) if s > 0 else (0, 1)) for k in (1, 2, 3) for s in (1, -1)]
 
 
-@st.composite
-def congruent_grams(draw):
-    """(B, P^T B P, signature of B) for a block sum B and a unimodular P."""
-    blocks = draw(st.lists(st.sampled_from(BLOCKS), min_size=1, max_size=4))
-    n = sum(len(b) for b, _ in blocks)
+def _block_sum(blocks):
+    n = sum(len(b) for b in blocks)
     gram = [[0] * n for _ in range(n)]
     at = 0
-    for b, _ in blocks:
+    for b in blocks:
         for i, row in enumerate(b):
             gram[at + i][at:at + len(b)] = row
         at += len(b)
+    return gram
+
+
+def _twisted(draw, gram):
+    """P^T gram P for a random unimodular P: row negations and additions."""
+    n = len(gram)
     p = identity(n)
     for _ in range(draw(st.integers(0, 2 * n))):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
@@ -97,9 +101,16 @@ def congruent_grams(draw):
         else:
             c = draw(st.integers(-2, 2))
             p[i] = [x + c * y for x, y in zip(p[i], p[j])]
-    g = mat_mul(mat_mul(transpose(p), gram), p)
+    return mat_mul(mat_mul(transpose(p), gram), p)
+
+
+@st.composite
+def congruent_grams(draw):
+    """(B, P^T B P, signature of B) for a block sum B and a unimodular P."""
+    blocks = draw(st.lists(st.sampled_from(BLOCKS), min_size=1, max_size=4))
+    gram = _block_sum([b for b, _ in blocks])
     signature = tuple(map(sum, zip(*(s for _, s in blocks))))
-    return gram, g, signature
+    return gram, _twisted(draw, gram), signature
 
 
 @settings(deadline=None)
@@ -122,6 +133,49 @@ def test_elimination_kernel_on_congruent_grams(case, data):
     assert rational_rank(product) == k
     assert rational_rank(transpose(product)) == k
     assert rational_rank([[Fraction(x, 3) for x in row] for row in product]) == k
+
+
+@st.composite
+def even_lattices(draw):
+    """A_n, D_n, U(k) and <2k> blocks (signs mixed), summed while the group
+    order stays at most 2^12, then twisted by a random unimodular P."""
+    names = st.one_of(st.builds("A{}".format, st.integers(1, 6)),
+                      st.builds("D{}".format, st.integers(4, 6)),
+                      st.builds("U({})".format, st.integers(1, 4)),
+                      st.builds("<{}>".format, st.integers(1, 6).map(lambda k: 2 * k)))
+    blocks, order = [], 1
+    for name in draw(st.lists(names, min_size=1, max_size=4)):
+        lat = catalog.standard(name, draw(st.sampled_from([1, -1])))
+        if order * abs(lat.det) <= 2 ** 12:
+            blocks.append(lat.gram)
+            order *= abs(lat.det)
+    return IntegralLattice(_twisted(draw, _block_sum(blocks)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(even_lattices(), st.data())
+def test_integer_forms_match_a_fraction_oracle(L, data):
+    form = discriminant_form(L)
+    group = form.group
+    # q(e) = lift(e)^T G lift(e) mod 2, computed on Fractions element by element
+    oracle = {e: L.pair_rational(group.lift(e), group.lift(e)) % 2
+              for e in group.elements()}
+    assert form.value_multiset() == tuple(sorted(oracle.values()))
+    for e, value in oracle.items():
+        assert form.q(e) == value
+        assert group.class_of_rational(group.lift(e)) == e
+    for m in (2, 3):
+        killed = Counter(v for e, v in oracle.items()
+                         if all(m * c % d == 0 for c, d in zip(e, group.factors)))
+        assert _torsion_q_multiset(form, m) == dict(killed)
+    e, f = (data.draw(st.sampled_from(sorted(oracle))) for _ in range(2))
+    assert form.bilinear(e, f) == L.pair_rational(group.lift(e), group.lift(f)) % 1
+    # adding e_i / s, s above every entry of Gram column i, leaves the dual
+    i = data.draw(st.integers(0, L.rank - 1))
+    s = 1 + max(abs(row[i]) for row in L.gram)
+    off = [x + Fraction(int(j == i), s) for j, x in enumerate(group.lift(e))]
+    with pytest.raises(ValueError, match="dual"):
+        group.class_of_rational(off)
 
 
 @st.composite
