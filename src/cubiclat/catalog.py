@@ -9,12 +9,12 @@ and K3-side models.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import exact
 from .core import (
+    MAX_RANK,
     CrossCheckFailed,
     IntegralLattice,
     NotIntegral,
@@ -32,9 +32,6 @@ from .glue import glue_subgroup, overlattice_from_glue
 _STD = re.compile(r"^(?P<fam>[ADE])(?P<n>\d+)$")
 _BRACKET = re.compile(r"^<(?P<k>-?\d+)>$")
 _SCALED = re.compile(r"^(?P<base>.+)\((?P<s>-?\d+)\)$")
-# far above the rank-22 K3 lattice; A128 builds its invariants in well under
-# a second
-MAX_STANDARD_RANK = 128
 
 
 def _chain_gram(n: int) -> list[list[int]]:
@@ -67,7 +64,7 @@ def standard(name: str, scale: int = 1) -> IntegralLattice:
 
     A trailing ``(s)`` in the name multiplies the form, as does ``scale``;
     ``standard("E8(2)")`` and ``standard("E8", 2)`` agree.  A family rank
-    above MAX_STANDARD_RANK raises TooLarge.
+    above MAX_RANK raises TooLarge.
     """
     while (m := _SCALED.match(name)):
         name, scale = m.group("base"), scale * int(m.group("s"))
@@ -77,8 +74,8 @@ def standard(name: str, scale: int = 1) -> IntegralLattice:
         lat = IntegralLattice([[int(m.group("k"))]], labels=["g"])
     elif (m := _STD.match(name)):
         fam, n = m.group("fam"), int(m.group("n"))
-        if n > MAX_STANDARD_RANK:
-            raise TooLarge(f"rank {n} is above the limit {MAX_STANDARD_RANK} "
+        if n > MAX_RANK:
+            raise TooLarge(f"rank {n} is above the limit {MAX_RANK} "
                            "for standard families")
         if fam == "A" and n >= 1:
             gram = _chain_gram(n)
@@ -317,54 +314,22 @@ def nodal_sextic_NS() -> IntegralLattice:
     return IntegralLattice(gram, labels=["h"] + [f"e{i}" for i in range(1, 10)])
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    builder: object
-    description: str
-    symbols: tuple[tuple[str, str], ...] = ()
-
-
-CATALOG: dict[str, CatalogEntry] = {}
-
-
-def _register(name, builder, description, symbols=()):
-    CATALOG[name] = CatalogEntry(name=name, builder=builder,
-                                 description=description,
-                                 symbols=tuple(symbols))
-
-
-_register("N", plane_lattice_N,
-          "rank-11 algebraic lattice of the fibered involution model",
-          [("eta", "square of the hyperplane class"),
-           ("y", "half-sum (P + F_1 + ... + F_9)/2"),
-           ("F1..F9", "fiber plane classes")])
-_register("M", prim_lattice_M,
-          "primitive part of N, the complement of eta",
-          [("x", "half-sum (alpha_1+alpha_3+alpha_5+alpha_7+F_9-P)/2"),
-           ("a1..a9", "differences of plane classes spanning a doubled D9")])
-_register("Ktilde", kappa_tilde,
-          "index-4 sublattice <24> + D9(2) of M",
-          [("delta", "norm-24 class eta - 3P"),
-           ("a1..a9", "doubled D9 chain with fork at a7")])
-_register("T", transcendental_T,
-          "transcendental lattice E8(2) + A1 + A1(-1) + U", ())
-_register("K3", k3_lattice, "even unimodular lattice U^3 + E8(-1)^2", ())
-_register("NS", nodal_sextic_NS,
-          "Neron-Severi lattice <2> + <-2>^9 of a 9-nodal sextic double plane",
-          [("h", "pulled-back line class"), ("e1..e9", "exceptional classes")])
-for _tau in range(7):
-    _register(f"Ktau{_tau}", (lambda t: (lambda: scroll_lattice_K(t)))(_tau),
-              f"rank-3 scroll lattice with scroll product tau = {_tau}",
-              [("eta", "square of the hyperplane class"),
-               ("T1", "first scroll class"), ("T2", "second scroll class")])
+CATALOG = {
+    "N": plane_lattice_N,
+    "M": prim_lattice_M,
+    "Ktilde": kappa_tilde,
+    "T": transcendental_T,
+    "K3": k3_lattice,
+    "NS": nodal_sextic_NS,
+    **{f"Ktau{tau}": partial(scroll_lattice_K, tau) for tau in range(7)},
+}
 
 
 def resolve(name: str) -> IntegralLattice:
     """Look up a catalog name, falling back to the standard-family parser."""
-    entry = CATALOG.get(name)
-    if entry is not None:
-        return entry.builder()
+    builder = CATALOG.get(name)
+    if builder is not None:
+        return builder()
     try:
         return standard(name)
     except UnknownLattice:

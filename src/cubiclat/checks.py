@@ -11,7 +11,7 @@ determinants, discriminant groups, glue indices, and root counts.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable
@@ -101,9 +101,8 @@ def n_admissible_certificate() -> CheckReport:
         n = catalog.plane_lattice_N()
         eta = catalog.n_class("eta")
         violation = geomchecks.admissibility_scan(n, eta)
-        details = {"rules": sorted(geomchecks.RULES),
-                   "violation": violation._asdict() if hasattr(
-                       violation, "_asdict") else violation}
+        details = {"rules": list(geomchecks.RULES),
+                   "violation": asdict(violation) if violation else None}
         return violation is None, details
 
     return run_certificate(
@@ -141,17 +140,17 @@ def m_glue_certificate() -> CheckReport:
         q_match = (discriminant_form(ext.lattice).value_multiset()
                    == discriminant_form(m).value_multiset())
         alphas = [tuple(int(j == i) for j in range(10)) for i in range(1, 10)]
-        decomposition = glue_group(m, [catalog.delta_in_M()], alphas)
+        glue_factors = glue_group(m, [catalog.delta_in_M()], alphas)
         details = {"glue_order": sub.order,
                    "overlattice_index": ext.index,
                    "commonly_quoted_index": 2,
                    "invariants_match":
                        basic_invariants(ext.lattice) == basic_invariants(m),
                    "q_value_multiset_match": q_match,
-                   "glue_factors": decomposition.factors}
+                   "glue_factors": glue_factors}
         ok = (sub.order == 4 and ext.index == 4
               and details["invariants_match"] and q_match
-              and decomposition.factors == (4,))
+              and glue_factors == (4,))
         return ok, details
 
     return run_certificate(

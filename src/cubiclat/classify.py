@@ -181,7 +181,7 @@ def phi2_no_associated_k3(control_three_part: IntegralLattice | None = None) -> 
         ok = ok and discriminant_group(half).factors == (3,)
         candidate = rescale(half, 2)
         details["candidate_factors"] = discriminant_group(candidate).factors
-        ok = ok and sorted(discriminant_group(candidate).factors) == sorted(factors)
+        ok = ok and sorted(details["candidate_factors"]) == sorted(factors)
 
         if control_three_part is not None:
             cand_form = discriminant_form(control_three_part)

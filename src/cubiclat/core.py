@@ -27,6 +27,9 @@ from typing import Iterator, NamedTuple, Sequence
 from . import exact
 
 ENUMERATION_GUARD = 2 ** 20
+# far above the rank-22 K3 lattice; A128 builds its invariants in well under
+# a second
+MAX_RANK = 128
 
 
 class LatticeError(Exception):
@@ -136,7 +139,9 @@ class IntegralLattice:
     pivot, since the reversal and the congruence pivoting are unimodular;
     ``signature`` and short-vector enumeration read it too.  The reversal
     makes the first coordinate the outermost level of the Fincke-Pohst walk,
-    which then meets vectors in lexicographic order.
+    which then meets vectors in lexicographic order.  ``smith`` is
+    ``exact.smith_normal_form`` of the Gram, made on first use; every
+    discriminant group and form of the lattice reads it.
     """
 
     def __init__(self, gram: Sequence[Sequence[int]],
@@ -217,11 +222,12 @@ class IntegralLattice:
     def inverse_gram(self) -> list[list[Fraction]]:
         return exact.frac_inverse(self.gram)
 
+    @cached_property
+    def smith(self) -> tuple[exact.IntMatrix, exact.IntMatrix, exact.IntMatrix]:
+        return exact.smith_normal_form([list(r) for r in self.gram])
+
     def is_positive_definite(self) -> bool:
         return self.signature == (self.rank, 0)
-
-    def is_negative_definite(self) -> bool:
-        return self.signature == (0, self.rank)
 
 
 class Sublattice(NamedTuple):
@@ -283,21 +289,6 @@ class DiscriminantGroup:
             raise TooLarge(f"discriminant group has {self.order} elements (guard {guard})")
         return itertools.product(*(range(d) for d in self.factors))
 
-    def lift(self, coeffs: Sequence[int]) -> tuple[Fraction, ...]:
-        n = self.lattice.rank
-        acc = [Fraction(0)] * n
-        for c, g in zip(coeffs, self.lifts):
-            for i in range(n):
-                acc[i] += c * g[i]
-        return tuple(x - x.__floor__() for x in acc)
-
-    def order_of(self, coeffs: Sequence[int]) -> int:
-        o = 1
-        for c, d in zip(coeffs, self.factors):
-            dd = d // gcd(c % d, d) if c % d else 1
-            o = o * dd // gcd(o, dd)
-        return o
-
     def class_of_dual_coords(self, z: Sequence[int]) -> tuple[int, ...]:
         """Class of a dual vector given by its integer dual-basis coordinates."""
         return tuple(sum(map(mul, self._u[p], z)) % d
@@ -317,7 +308,7 @@ class DiscriminantGroup:
 
 
 def discriminant_group(L: IntegralLattice) -> DiscriminantGroup:
-    d, u, v = exact.smith_normal_form([list(r) for r in L.gram])
+    d, u, v = L.smith
     n = L.rank
     factors = []
     positions = []
@@ -521,6 +512,8 @@ def lattice_from_json(text: str) -> IntegralLattice:
             or any(not isinstance(x, int) or isinstance(x, bool)
                    for row in gram for x in row)):
         raise ValueError("gram must be a matrix of integers")
+    if len(gram) > MAX_RANK:
+        raise TooLarge(f"rank {len(gram)} is above the limit {MAX_RANK}")
     if not gram:
         raise ValueError("gram must have at least one row (rank 0 is not a lattice)")
     labels = data["labels"]

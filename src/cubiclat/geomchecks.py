@@ -23,21 +23,7 @@ from .report import CheckReport, run_certificate
 from .shortvec import enumerate_by_norm, vectors_of_norm
 
 
-@dataclass(frozen=True)
-class AdmissibilityRule:
-    id: str
-    description: str
-
-
-RULES = {
-    "R1": AdmissibilityRule("R1", "every class orthogonal to eta has even norm"),
-    "R2": AdmissibilityRule("R2", "no norm-2 class"),
-    "R3": AdmissibilityRule(
-        "R3", "no norm-6 class of divisibility 3 in the eta-complement"),
-    "R4": AdmissibilityRule(
-        "R4", "every saturated rank-2 labeling through eta has determinant "
-              "d > 6 with d = 0 or 2 mod 6"),
-}
+RULES = ("R1", "R2", "R3", "R4")
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,10 @@ from . import exact
 from .core import (
     ENUMERATION_GUARD,
     BadSplitting,
-    DiscriminantGroup,
     FiniteBilinearForm,
     FiniteQuadraticForm,
     IntegralLattice,
-    NotIntegral,
     NotIsotropic,
-    Sublattice,
-    discriminant_group,
 )
 
 AnyForm = FiniteQuadraticForm | FiniteBilinearForm
@@ -51,12 +47,11 @@ def _closure(generators, factors, guard=ENUMERATION_GUARD) -> frozenset:
 class GlueSubgroup:
     """An isotropic subgroup of a discriminant form with chosen generator lifts.
 
-    ``generators`` are coefficient tuples with respect to the canonical
-    generators of the discriminant group; ``lifts`` are the corresponding dual
+    ``elements`` are coefficient tuples with respect to the canonical
+    generators of the discriminant group; ``lifts`` are the generating dual
     vectors in rational lattice-basis coordinates.
     """
     ambient: AnyForm
-    generators: tuple[tuple[int, ...], ...]
     elements: frozenset
     order: int
     lifts: tuple[tuple[Fraction, ...], ...]
@@ -88,7 +83,6 @@ def glue_subgroup(ambient: AnyForm, lifts) -> GlueSubgroup:
     elements = _closure(gens, group.factors)
     sub = GlueSubgroup(
         ambient=ambient,
-        generators=tuple(gens),
         elements=elements,
         order=len(elements),
         lifts=tuple(canon_lifts),
@@ -177,56 +171,18 @@ def overlattice_from_glue(L: IntegralLattice, H: GlueSubgroup) -> Overlattice:
     return Overlattice(lattice=out, ambient=L, basis=basis, index=H.order)
 
 
-@dataclass(frozen=True)
-class GlueDecomposition:
-    """Invariant factors of L/(S1 + S2) with generator images in A_S1 x A_S2."""
-    factors: tuple[int, ...]
-    group1: DiscriminantGroup
-    group2: DiscriminantGroup
-    embeddings: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-
-def _basis_of(s) -> list[list[int]]:
-    if isinstance(s, Sublattice):
-        return [list(v) for v in s.basis]
-    return [list(int(x) for x in v) for v in s]
-
-
-def glue_group(L: IntegralLattice, s1, s2) -> GlueDecomposition:
-    """The quotient of L by an orthogonal pair of full-rank sublattices."""
-    b1, b2 = _basis_of(s1), _basis_of(s2)
-    for v in b1:
-        for w in b2:
+def glue_group(L: IntegralLattice, s1, s2) -> tuple[int, ...]:
+    """Invariant factors of L/(S1 + S2) for orthogonal spans S1 and S2 whose
+    union is a rational basis of L."""
+    for v in s1:
+        for w in s2:
             if L.pair(v, w) != 0:
                 raise BadSplitting(f"spans are not orthogonal: {v} . {w} != 0")
-    combined = b1 + b2
+    combined = [*s1, *s2]
     if len(combined) != L.rank or exact.rational_rank(combined) != L.rank:
         raise BadSplitting(
             f"spans have combined rank {exact.rational_rank(combined)}, "
             f"need {L.rank}")
     bmat = [[combined[j][i] for j in range(L.rank)] for i in range(L.rank)]
-    d, u, _ = exact.smith_normal_form(bmat)
-    uinv = exact.frac_inverse(u)
-    lat1 = IntegralLattice([[L.pair(x, y) for y in b1] for x in b1]) if b1 else None
-    lat2 = IntegralLattice([[L.pair(x, y) for y in b2] for x in b2]) if b2 else None
-    g1 = discriminant_group(lat1) if lat1 else None
-    g2 = discriminant_group(lat2) if lat2 else None
-    binv = exact.frac_inverse(bmat)
-    factors = []
-    embeddings = []
-    for i in range(L.rank):
-        di = d[i][i]
-        if di <= 1:
-            continue
-        factors.append(di)
-        w = [uinv[k][i] for k in range(L.rank)]
-        if any(x.denominator != 1 for x in w):
-            raise NotIntegral("inverse of the unimodular Smith transform is "
-                              "not integral")
-        c = exact.mat_vec(binv, w)
-        c1, c2 = c[:len(b1)], c[len(b1):]
-        e1 = g1.class_of_rational(c1) if g1 else ()
-        e2 = g2.class_of_rational(c2) if g2 else ()
-        embeddings.append((e1, e2))
-    return GlueDecomposition(factors=tuple(factors), group1=g1, group2=g2,
-                             embeddings=tuple(embeddings))
+    d, _, _ = exact.smith_normal_form(bmat)
+    return tuple(d[i][i] for i in range(L.rank) if d[i][i] > 1)

@@ -1,15 +1,28 @@
-"""Glue generators that only tests use: no certificate enumerates
-overlattices (``geomchecks.coset_rule`` reads index-2 cosets directly)."""
-from cubiclat.core import (ENUMERATION_GUARD, IntegralLattice, ParityError,
-                           discriminant_form)
+"""Oracles that only tests use: glue generators (no certificate enumerates
+overlattices; ``geomchecks.coset_rule`` reads index-2 cosets directly) and
+the Fraction lift of a discriminant class."""
+from fractions import Fraction
+
+from cubiclat.core import (ENUMERATION_GUARD, DiscriminantGroup,
+                           IntegralLattice, ParityError, discriminant_form)
 from cubiclat.glue import (AnyForm, GlueSubgroup, _closure,
                            isotropic_elements, overlattice_from_glue)
 
 
+def lift(group: DiscriminantGroup, coeffs) -> tuple[Fraction, ...]:
+    """The dual vector sum c_i * lifts[i], reduced into [0, 1) componentwise."""
+    n = group.lattice.rank
+    acc = [Fraction(0)] * n
+    for c, g in zip(coeffs, group.lifts):
+        for i in range(n):
+            acc[i] += c * g[i]
+    return tuple(x - x.__floor__() for x in acc)
+
+
 def trivial_glue(ambient: AnyForm) -> GlueSubgroup:
     zero = tuple(0 for _ in ambient.group.factors)
-    return GlueSubgroup(ambient=ambient, generators=(), elements=frozenset({zero}),
-                        order=1, lifts=())
+    return GlueSubgroup(ambient=ambient, elements=frozenset({zero}), order=1,
+                        lifts=())
 
 
 def enumerate_even_overlattices(L: IntegralLattice, max_index: int,
@@ -46,8 +59,8 @@ def enumerate_even_overlattices(L: IntegralLattice, max_index: int,
     out = []
     for elems in sorted(found, key=lambda s: (len(s), sorted(s))):
         gens = found[elems]
-        lifts = tuple(group.lift(g) for g in gens)
-        sub = GlueSubgroup(ambient=form, generators=gens, elements=elems,
-                           order=len(elems), lifts=lifts)
+        lifts = tuple(lift(group, g) for g in gens)
+        sub = GlueSubgroup(ambient=form, elements=elems, order=len(elems),
+                           lifts=lifts)
         out.append((sub, overlattice_from_glue(L, sub)))
     return out

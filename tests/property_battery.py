@@ -18,7 +18,7 @@ from cubiclat.core import (
 )
 from cubiclat.exact import bareiss_det, smith_normal_form
 from cubiclat.shortvec import enumerate_by_norm
-from oracles import enumerate_even_overlattices
+from oracles import enumerate_even_overlattices, lift
 
 
 def random_positive_definite(rng: random.Random, max_rank: int = 4,
@@ -123,8 +123,8 @@ def disc_lift_trials(rng: random.Random, trials: int) -> int:
             continue
         cls = tuple(rng.randrange(f) for f in group.factors)
         other = tuple(rng.randrange(f) for f in group.factors)
-        v = group.lift(cls)
-        u = group.lift(other)
+        v = lift(group, cls)
+        u = lift(group, other)
         w = [rng.randint(-3, 3) for _ in range(L.rank)]
         v2 = tuple(a + b for a, b in zip(v, w))
         assert group.class_of_rational(v) == cls

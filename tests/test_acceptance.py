@@ -154,7 +154,7 @@ def test_c03_glue_reconstruction_and_glue_group():
     gg = glue_group(m, [delta], alphas)
     reports = run_checks(["M.glue"])
     d = reports[0].details
-    ok = (match and glued.index == 4 and gg.factors == (4,)
+    ok = (match and glued.index == 4 and gg == (4,)
           and d["overlattice_index"] == 4 and d["commonly_quoted_index"] == 2
           and reports[0].ok)
     _line(3, ok, "index-4 glue of <24> + D9(2) reproduces the primitive "

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from cubiclat import catalog, checks
+from cubiclat import catalog, checks, geomchecks
 from cubiclat.checks import CheckSpec, UnknownCheck, check_ids, run_checks
 from cubiclat.cli import main
 from cubiclat.core import lattice_to_json
@@ -114,6 +114,15 @@ def test_cli_checks_run_reports_failure(monkeypatch):
     assert result.exit_code == 1
     assert "fail" in result.output
     assert "details" in result.output
+
+
+def test_failing_admissibility_keeps_its_structured_witness(monkeypatch):
+    monkeypatch.setattr(geomchecks, "admissibility_scan", lambda L, eta:
+                        geomchecks.Violation("R2", (1, 0, 0), {"norm": 2}))
+    report = checks.n_admissible_certificate().to_json()
+    assert report["status"] == "fail"
+    assert report["details"]["violation"] == {
+        "rule": "R2", "witness": [1, 0, 0], "data": {"norm": 2}}
 
 
 def test_cli_lat_show_catalog_entry():
@@ -227,6 +236,19 @@ def test_cli_lat_show_degenerate_catalog_name(name):
 def test_cli_lat_show_oversized_standard_name(name):
     result = CliRunner().invoke(main, ["lat", "show", name, "--invariants"])
     _assert_usage_error(result, "limit")
+
+
+def test_cli_lat_show_rejects_a_file_above_the_rank_cap(tmp_path):
+    n = 129
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "gram": [[2 * (i == j) - (abs(i - j) == 1) for j in range(n)]
+                 for i in range(n)],
+        "labels": [f"e{i}" for i in range(n)]}))
+    result = CliRunner().invoke(main, ["lat", "show", str(path), "--invariants",
+                                       "--disc"])
+    _assert_usage_error(result, "rank 129 is above the limit 128")
+    assert "Traceback" not in result.output
 
 
 def test_cli_lat_show_many_scale_suffixes():

@@ -39,3 +39,35 @@ def test_module_level_api_has_a_non_test_user():
                 unused.append(f"{path.name}:{node.name}")
     assert MODULES
     assert not unused, unused
+
+
+def test_every_method_has_a_non_test_reader():
+    # every non-dunder method or property of a package class is read as an
+    # attribute outside its own definition, in the package modules or
+    # bench/*.py, or is named as Class.method in a bench/*.py string (the
+    # trace hooks).  Attributes match by name only, so Overlattice.to_ambient
+    # passes through the reads of Sublattice.to_ambient.
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in [*MODULES, *(ROOT / "bench").glob("*.py")]}
+    reads = [(path, node.lineno, node.attr) for path, tree in trees.items()
+             for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    hooks = " ".join(node.value for path, tree in trees.items()
+                     if path.parent.name == "bench" for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant)
+                     and isinstance(node.value, str))
+    unread = []
+    for path in MODULES:
+        for cls in ast.walk(trees[path]):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if (not isinstance(fn, ast.FunctionDef)
+                        or fn.name.startswith("__") and fn.name.endswith("__")):
+                    continue
+                if not (re.search(rf"\b{cls.name}\.{fn.name}\b", hooks) or any(
+                        attr == fn.name and not (
+                            other == path and fn.lineno <= line <= fn.end_lineno)
+                        for other, line, attr in reads)):
+                    unread.append(f"{path.name}:{cls.name}.{fn.name}")
+    assert MODULES
+    assert not unread, unread
