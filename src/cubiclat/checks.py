@@ -1,4 +1,9 @@
-"""The check manifest: every scripted certificate under a frozen id.
+"""The check registry: every scripted certificate under a frozen id.
+
+A certificate is declared once, by ``report.certificate(id, summary, claim)``
+on the function that computes it.  ``REGISTRY`` maps the id of each of the
+20 functions it lists to that function, in id order; ``checks list`` prints
+their summaries.
 
 Certificates that need real machinery live with that machinery (saturation
 and the geometric parity arguments in geomchecks, the K3 comparisons in
@@ -11,10 +16,9 @@ determinants, discriminant groups, glue indices, and root counts.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable
 
 from . import catalog, delpezzo, exact, geomchecks, hassett
 from .classify import (_torsion_q_multiset, phi2_no_associated_k3,
@@ -23,12 +27,12 @@ from .classify import (_torsion_q_multiset, phi2_no_associated_k3,
 from .core import (NoRepresentation, basic_invariants, direct_sum,
                    discriminant_form, discriminant_group, rescale)
 from .glue import glue_group, glue_subgroup, overlattice_from_glue
-from .report import CheckReport, run_certificate
+from .report import CheckReport, certificate
 from .shortvec import ade_root_number, identify_root_lattice, root_count
 
 
 class UnknownCheck(ValueError):
-    """Raised for a check id not present in the manifest."""
+    """Raised for a check id not present in the registry."""
 
     def __init__(self, name: str, valid: list[str]):
         super().__init__(f"unknown check id {name!r}; valid ids: "
@@ -37,146 +41,125 @@ class UnknownCheck(ValueError):
         self.valid = valid
 
 
-def n_gram_certificate() -> CheckReport:
-    def body():
-        n = catalog.plane_lattice_N()
-        inv = basic_invariants(n)
-        details = {"rank": n.rank, "det": exact.bareiss_det(n.gram),
-                   "signature": tuple(n.signature), "parity": n.parity}
-        ok = (details["det"] == 1024 and details["signature"] == (11, 0)
-              and details["parity"] == "odd" and inv.determinant == 1024)
-        return ok, details
-
-    return run_certificate(
-        "N.gram",
-        "the rank-11 plane lattice is odd positive definite of determinant "
-        "1024", body)
+@certificate("N.gram", "plane lattice: det 1024, odd, positive definite",
+             "the rank-11 plane lattice is odd positive definite of "
+             "determinant 1024")
+def n_gram_certificate():
+    n = catalog.plane_lattice_N()
+    inv = basic_invariants(n)
+    details = {"rank": n.rank, "det": exact.bareiss_det(n.gram),
+               "signature": tuple(n.signature), "parity": n.parity}
+    ok = (details["det"] == 1024 and details["signature"] == (11, 0)
+          and details["parity"] == "odd" and inv.determinant == 1024)
+    return ok, details
 
 
-def n_disc_certificate() -> CheckReport:
-    def body():
-        n = catalog.plane_lattice_N()
-        dg, lifts, independent = catalog.n_dual_classes()
-        matrix = [[n.pair_rational(u, v) % 1 for v in lifts] for u in lifts]
-        half = Fraction(1, 2)
-        diagonal_half = all(matrix[i][i] == half for i in range(10))
-        off_zero = all(matrix[i][j] == 0
-                       for i in range(10) for j in range(10) if i != j)
-        details = {"factors": dg.factors, "matrix": matrix,
-                   "diagonal_half": diagonal_half, "off_diagonal_zero": off_zero,
-                   "generators_independent": independent}
-        ok = (dg.factors == (2,) * 10 and diagonal_half and off_zero
-              and independent)
-        return ok, details
-
-    return run_certificate(
-        "N.disc",
-        "the plane lattice's discriminant group is (Z/2)^10 and its bilinear "
-        "form on the eta*, F_i* classes is 1/2 on the diagonal and 0 off it",
-        body)
+@certificate("N.disc", "A_N = (Z/2)^10 with b_N = diag(1/2) on eta*, F_i*",
+             "the plane lattice's discriminant group is (Z/2)^10 and its "
+             "bilinear form on the eta*, F_i* classes is 1/2 on the diagonal "
+             "and 0 off it")
+def n_disc_certificate():
+    n = catalog.plane_lattice_N()
+    dg, lifts, independent = catalog.n_dual_classes()
+    matrix = [[n.pair_rational(u, v) % 1 for v in lifts] for u in lifts]
+    half = Fraction(1, 2)
+    diagonal_half = all(matrix[i][i] == half for i in range(10))
+    off_zero = all(matrix[i][j] == 0
+                   for i in range(10) for j in range(10) if i != j)
+    details = {"factors": dg.factors, "matrix": matrix,
+               "diagonal_half": diagonal_half, "off_diagonal_zero": off_zero,
+               "generators_independent": independent}
+    ok = (dg.factors == (2,) * 10 and diagonal_half and off_zero
+          and independent)
+    return ok, details
 
 
-def n_planes_certificate() -> CheckReport:
-    def body():
-        n = catalog.plane_lattice_N()
-        eta = catalog.n_class("eta")
-        planes = geomchecks.enumerate_planes(n, eta)
-        products: dict[int, int] = {}
-        for a, b in combinations(planes, 2):
-            p = n.pair(a.v, b.v)
-            products[p] = products.get(p, 0) + 1
-        details = {"count": len(planes),
-                   "planes": [p.v for p in planes],
-                   "pair_products": dict(sorted(products.items()))}
-        return len(planes) == 19, details
-
-    return run_certificate(
-        "N.planes",
-        "the plane lattice contains exactly 19 norm-3 classes of degree 1; "
-        "their pairwise products are reported", body)
+@certificate("N.planes", "exactly 19 norm-3 degree-1 classes",
+             "the plane lattice contains exactly 19 norm-3 classes of degree "
+             "1; their pairwise products are reported")
+def n_planes_certificate():
+    n = catalog.plane_lattice_N()
+    eta = catalog.n_class("eta")
+    planes = geomchecks.enumerate_planes(n, eta)
+    products: dict[int, int] = {}
+    for a, b in combinations(planes, 2):
+        p = n.pair(a, b)
+        products[p] = products.get(p, 0) + 1
+    details = {"count": len(planes),
+               "planes": planes,
+               "pair_products": dict(sorted(products.items()))}
+    return len(planes) == 19, details
 
 
-def n_admissible_certificate() -> CheckReport:
-    def body():
-        n = catalog.plane_lattice_N()
-        eta = catalog.n_class("eta")
-        violation = geomchecks.admissibility_scan(n, eta)
-        details = {"rules": list(geomchecks.RULES),
-                   "violation": asdict(violation) if violation else None}
-        return violation is None, details
-
-    return run_certificate(
-        "N.admissible",
-        "the plane lattice itself passes all four admissibility rules", body)
+@certificate("N.admissible", "the plane lattice passes rules R1-R4",
+             "the plane lattice itself passes all four admissibility rules")
+def n_admissible_certificate():
+    n = catalog.plane_lattice_N()
+    eta = catalog.n_class("eta")
+    violation = geomchecks.admissibility_scan(n, eta)
+    details = {"rules": list(geomchecks.RULES),
+               "violation": asdict(violation) if violation else None}
+    return violation is None, details
 
 
-def m_gram_certificate() -> CheckReport:
-    def body():
-        m = catalog.prim_lattice_M()
-        dg = discriminant_group(m)
-        primary = {p: sum(1 for f in dg.factors if f % p == 0)
-                   for p in (2, 3)}
-        details = {"det": exact.bareiss_det(m.gram),
-                   "signature": tuple(m.signature), "parity": m.parity,
-                   "invariant_factors": dg.factors,
-                   "primary_decomposition": primary}
-        ok = (details["det"] == 3072 and details["signature"] == (10, 0)
-              and m.is_even and dg.factors == (2,) * 9 + (6,)
-              and primary == {2: 10, 3: 1})
-        return ok, details
-
-    return run_certificate(
-        "M.gram",
-        "the primitive sublattice is even of determinant 3072 with "
-        "discriminant group Z/3 x (Z/2)^10", body)
+@certificate("M.gram", "primitive sublattice: det 3072, A_M = Z/3 x (Z/2)^10",
+             "the primitive sublattice is even of determinant 3072 with "
+             "discriminant group Z/3 x (Z/2)^10")
+def m_gram_certificate():
+    m = catalog.prim_lattice_M()
+    dg = discriminant_group(m)
+    primary = {p: sum(1 for f in dg.factors if f % p == 0)
+               for p in (2, 3)}
+    details = {"det": exact.bareiss_det(m.gram),
+               "signature": tuple(m.signature), "parity": m.parity,
+               "invariant_factors": dg.factors,
+               "primary_decomposition": primary}
+    ok = (details["det"] == 3072 and details["signature"] == (10, 0)
+          and m.is_even and dg.factors == (2,) * 9 + (6,)
+          and primary == {2: 10, 3: 1})
+    return ok, details
 
 
-def m_glue_certificate() -> CheckReport:
-    def body():
-        m = catalog.prim_lattice_M()
-        kt = catalog.kappa_tilde()
-        sub = glue_subgroup(discriminant_form(kt), [catalog.kappa_glue_lift()])
-        ext = overlattice_from_glue(kt, sub)
-        q_match = (discriminant_form(ext.lattice).value_multiset()
-                   == discriminant_form(m).value_multiset())
-        alphas = [tuple(int(j == i) for j in range(10)) for i in range(1, 10)]
-        glue_factors = glue_group(m, [catalog.delta_in_M()], alphas)
-        details = {"glue_order": sub.order,
-                   "overlattice_index": ext.index,
-                   "commonly_quoted_index": 2,
-                   "invariants_match":
-                       basic_invariants(ext.lattice) == basic_invariants(m),
-                   "q_value_multiset_match": q_match,
-                   "glue_factors": glue_factors}
-        ok = (sub.order == 4 and ext.index == 4
-              and details["invariants_match"] and q_match
-              and glue_factors == (4,))
-        return ok, details
-
-    return run_certificate(
-        "M.glue",
-        "<24> + D9(2) glues by an order-4 isotropic class to a lattice "
-        "matching the primitive sublattice; the glue group over "
-        "(delta, alpha-span) is Z/4, so the index is 4 and not the commonly "
-        "quoted 2", body)
+@certificate("M.glue", "<24>+D9(2) glues to M with glue group Z/4 (index 4)",
+             "<24> + D9(2) glues by an order-4 isotropic class to a lattice "
+             "matching the primitive sublattice; the glue group over (delta, "
+             "alpha-span) is Z/4, so the index is 4 and not the commonly "
+             "quoted 2")
+def m_glue_certificate():
+    m = catalog.prim_lattice_M()
+    kt = catalog.kappa_tilde()
+    sub = glue_subgroup(discriminant_form(kt), [catalog.kappa_glue_lift()])
+    ext = overlattice_from_glue(kt, sub)
+    q_match = (discriminant_form(ext.lattice).value_multiset()
+               == discriminant_form(m).value_multiset())
+    alphas = [tuple(int(j == i) for j in range(10)) for i in range(1, 10)]
+    glue_factors = glue_group(m, [catalog.delta_in_M()], alphas)
+    details = {"glue_order": sub.order,
+               "overlattice_index": ext.index,
+               "commonly_quoted_index": 2,
+               "invariants_match":
+                   basic_invariants(ext.lattice) == basic_invariants(m),
+               "q_value_multiset_match": q_match,
+               "glue_factors": glue_factors}
+    ok = (sub.order == 4 and ext.index == 4
+          and details["invariants_match"] and q_match
+          and glue_factors == (4,))
+    return ok, details
 
 
-def k_d9_certificate() -> CheckReport:
-    def body():
-        m = catalog.prim_lattice_M()
-        sub = [[m.gram[i][j] for j in range(1, 10)] for i in range(1, 10)]
-        matches = sub == [list(r) for r in catalog.alpha_d9_2().gram]
-        half = rescale(catalog.alpha_d9_2(), Fraction(1, 2))
-        labels = identify_root_lattice(half)
-        roots = root_count(half, 2)
-        details = {"alpha_span_matches_catalog": matches,
-                   "identified": labels, "roots": roots}
-        return matches and labels == ["D9"] and roots == 144, details
-
-    return run_certificate(
-        "K.d9",
-        "the alpha-span inside the primitive sublattice halves to the root "
-        "lattice D9 with 144 roots", body)
+@certificate("K.d9", "the halved alpha-span is D9 with 144 roots",
+             "the alpha-span inside the primitive sublattice halves to the "
+             "root lattice D9 with 144 roots")
+def k_d9_certificate():
+    m = catalog.prim_lattice_M()
+    sub = [[m.gram[i][j] for j in range(1, 10)] for i in range(1, 10)]
+    matches = sub == [list(r) for r in catalog.alpha_d9_2().gram]
+    half = rescale(catalog.alpha_d9_2(), Fraction(1, 2))
+    labels = identify_root_lattice(half)
+    roots = root_count(half, 2)
+    details = {"alpha_span_matches_catalog": matches,
+               "identified": labels, "roots": roots}
+    return matches and labels == ["D9"] and roots == 144, details
 
 
 def _ade_sums(max_rank: int) -> list[tuple[str, ...]]:
@@ -199,151 +182,101 @@ def _ade_sums(max_rank: int) -> list[tuple[str, ...]]:
     return out
 
 
-def e8_roots_certificate() -> CheckReport:
-    def body():
-        formula_checked = []
-        for n in range(1, 9):
-            formula_checked.append(f"A{n}")
-        for n in range(4, 9):
-            formula_checked.append(f"D{n}")
-        formula_checked += ["E6", "E7", "E8"]
-        for label in formula_checked:
-            if ade_root_number(label) != root_count(catalog.standard(label), 2):
-                return False, {"formula_mismatch": label}
+@certificate("E8.roots", "only E8 reaches 240 roots in rank <= 8; D8 112, "
+             "D7+A1 86",
+             "among all direct sums of simple root lattices of rank at most "
+             "8 only E8 reaches 240 roots; D8 has 112 and D7+A1 has 86 (not "
+             "the commonly quoted 85)")
+def e8_roots_certificate():
+    formula_checked = []
+    for n in range(1, 9):
+        formula_checked.append(f"A{n}")
+    for n in range(4, 9):
+        formula_checked.append(f"D{n}")
+    formula_checked += ["E6", "E7", "E8"]
+    for label in formula_checked:
+        if ade_root_number(label) != root_count(catalog.standard(label), 2):
+            return False, {"formula_mismatch": label}
 
-        sums = _ade_sums(8)
-        with_240 = [s for s in sums
-                    if sum(ade_root_number(x) for x in s) == 240]
-        d7a1 = direct_sum(catalog.standard("D7"), catalog.standard("A1"))
-        d7a1_roots = root_count(d7a1, 2)
-        details = {"sums_considered": len(sums),
-                   "with_240_roots": with_240,
-                   "formula_crosschecked": formula_checked,
-                   "d8_roots": root_count(catalog.standard("D8"), 2),
-                   "d7a1_roots": d7a1_roots,
-                   "d7a1_commonly_quoted": 85}
-        ok = (with_240 == [("E8",)] and details["d8_roots"] == 112
-              and d7a1_roots == 86)
-        return ok, details
-
-    return run_certificate(
-        "E8.roots",
-        "among all direct sums of simple root lattices of rank at most 8 "
-        "only E8 reaches 240 roots; D8 has 112 and D7+A1 has 86 (not the "
-        "commonly quoted 85)", body)
+    sums = _ade_sums(8)
+    with_240 = [s for s in sums
+                if sum(ade_root_number(x) for x in s) == 240]
+    d7a1 = direct_sum(catalog.standard("D7"), catalog.standard("A1"))
+    d7a1_roots = root_count(d7a1, 2)
+    details = {"sums_considered": len(sums),
+               "with_240_roots": with_240,
+               "formula_crosschecked": formula_checked,
+               "d8_roots": root_count(catalog.standard("D8"), 2),
+               "d7a1_roots": d7a1_roots,
+               "d7a1_commonly_quoted": 85}
+    ok = (with_240 == [("E8",)] and details["d8_roots"] == 112
+          and d7a1_roots == 86)
+    return ok, details
 
 
-def t_invariants_certificate() -> CheckReport:
-    def body():
-        t = catalog.transcendental_T()
-        inv = two_elementary_invariants(t)
-        flat = (tuple(inv.signature), inv.a, inv.delta)
-        exists = two_elementary_exists(inv.signature, inv.a, inv.delta)
-        profile = unimodular_complement_profile(
-            catalog.prim_lattice_M(), (20, 2))
-        t_multiset = Counter(discriminant_form(t).value_multiset())
-        two_part = _torsion_q_multiset(profile.form, 2)
-        details = {"invariants": flat, "exists": exists,
-                   "det": exact.bareiss_det(t.gram),
-                   "profile_signature": tuple(profile.signature),
-                   "profile_factors": profile.factors,
-                   "two_part_matches_T": two_part == t_multiset}
-        ok = (flat == ((10, 2), 10, 1) and exists
-              and tuple(profile.signature) == (10, 2)
-              and profile.factors == (2,) * 9 + (6,)
-              and two_part == t_multiset)
-        return ok, details
-
-    return run_certificate(
-        "T.invariants",
-        "the transcendental lattice has 2-elementary invariants "
-        "((10,2), 10, 1); the complement profile of the primitive sublattice "
-        "inside signature (20,2) forces its signature and, on 2-torsion, its "
-        "whole discriminant form", body)
+@certificate("T.invariants", "transcendental lattice: ((10,2), 10, 1), "
+             "forced by the complement profile",
+             "the transcendental lattice has 2-elementary invariants "
+             "((10,2), 10, 1); the complement profile of the primitive "
+             "sublattice inside signature (20,2) forces its signature and, "
+             "on 2-torsion, its whole discriminant form")
+def t_invariants_certificate():
+    t = catalog.transcendental_T()
+    inv = two_elementary_invariants(t)
+    flat = (tuple(inv.signature), inv.a, inv.delta)
+    exists = two_elementary_exists(inv.signature, inv.a, inv.delta)
+    profile = unimodular_complement_profile(
+        catalog.prim_lattice_M(), (20, 2))
+    t_multiset = Counter(discriminant_form(t).value_multiset())
+    two_part = _torsion_q_multiset(profile.form, 2)
+    details = {"invariants": flat, "exists": exists,
+               "det": exact.bareiss_det(t.gram),
+               "profile_signature": tuple(profile.signature),
+               "profile_factors": profile.factors,
+               "two_part_matches_T": two_part == t_multiset}
+    ok = (flat == ((10, 2), 10, 1) and exists
+          and tuple(profile.signature) == (10, 2)
+          and profile.factors == (2,) * 9 + (6,)
+          and two_part == t_multiset)
+    return ok, details
 
 
-def ramanujan_range_certificate(limit: int = 10000) -> CheckReport:
-    def body():
-        missing = []
-        for n in range(2, limit + 1):
-            try:
-                x, y, z, u = hassett.ramanujan_rep(n)
-            except NoRepresentation:
-                missing.append(n)
-                continue
-            if 2 * x * x + 2 * y * y + 2 * z * z + 3 * u * u != n:
-                return False, {"bad_witness": (n, (x, y, z, u))}
-        details = {"range": (2, limit), "missing": missing}
-        return missing == [17], details
-
-    return run_certificate(
-        "ramanujan.range",
-        f"2x^2+2y^2+2z^2+3u^2 represents every n in 2..{limit} except 17",
-        body)
+RAMANUJAN_LIMIT = 10000
 
 
-@dataclass(frozen=True)
-class CheckSpec:
-    check_id: str
-    summary: str
-    run: Callable[[], CheckReport]
+@certificate("ramanujan.range", "2x^2+2y^2+2z^2+3u^2 represents 2..10^4 "
+             "except 17",
+             "2x^2+2y^2+2z^2+3u^2 represents every n in 2..10000 except 17")
+def ramanujan_range_certificate():
+    missing = []
+    for n in range(2, RAMANUJAN_LIMIT + 1):
+        try:
+            x, y, z, u = hassett.ramanujan_rep(n)
+        except NoRepresentation:
+            missing.append(n)
+            continue
+        if 2 * x * x + 2 * y * y + 2 * z * z + 3 * u * u != n:
+            return False, {"bad_witness": (n, (x, y, z, u))}
+    details = {"range": (2, RAMANUJAN_LIMIT), "missing": missing}
+    return missing == [17], details
 
 
-MANIFEST: tuple[CheckSpec, ...] = tuple(sorted([
-    CheckSpec("N.gram", "plane lattice: det 1024, odd, positive definite",
-              n_gram_certificate),
-    CheckSpec("N.disc", "A_N = (Z/2)^10 with b_N = diag(1/2) on eta*, F_i*",
-              n_disc_certificate),
-    CheckSpec("N.planes", "exactly 19 norm-3 degree-1 classes",
-              n_planes_certificate),
-    CheckSpec("N.admissible", "the plane lattice passes rules R1-R4",
-              n_admissible_certificate),
-    CheckSpec("M.gram", "primitive sublattice: det 3072, A_M = Z/3 x (Z/2)^10",
-              m_gram_certificate),
-    CheckSpec("M.glue", "<24>+D9(2) glues to M with glue group Z/4 (index 4)",
-              m_glue_certificate),
-    CheckSpec("K.d9", "the halved alpha-span is D9 with 144 roots",
-              k_d9_certificate),
-    CheckSpec("E8.roots", "only E8 reaches 240 roots in rank <= 8; D8 112, "
-              "D7+A1 86", e8_roots_certificate),
-    CheckSpec("scroll.screen", "scroll lattices: short/long roots at even "
-              "tau, none at odd tau", geomchecks.scroll_screen),
-    CheckSpec("T.invariants", "transcendental lattice: ((10,2), 10, 1), "
-              "forced by the complement profile", t_invariants_certificate),
-    CheckSpec("phi2.no-plane", "E8(2) has no order-3 discriminant class",
-              geomchecks.no_plane_order3_certificate),
-    CheckSpec("phi2.no-associated-k3", "no rank-8 hyperbolic lattice glues "
-              "the transcendental lattice into the K3 lattice",
-              phi2_no_associated_k3),
-    CheckSpec("phi3.k3-exists", "the nodal-sextic Neron-Severi lattice "
-              "produces a compatible K3 embedding", phi3_k3_exists),
-    CheckSpec("hassett.sweep", "every admissible d <= 10000 carries a "
-              "verified labeling", lambda: hassett.hassett_sweep(10000)),
-    CheckSpec("ramanujan.range", "2x^2+2y^2+2z^2+3u^2 represents 2..10^4 "
-              "except 17", ramanujan_range_certificate),
-    CheckSpec("sat.511", "all 511 index-2 extensions of the plane lattice "
-              "are inadmissible", geomchecks.saturation_certificate),
-    CheckSpec("pfaffian", "delta pairs evenly with everything; no disjoint "
-              "plane pair", geomchecks.pfaffian_certificate),
-    CheckSpec("oadp", "the norm-10 degree-4 class pairs evenly with every "
-              "plane", geomchecks.oadp_certificate),
-    CheckSpec("rationality.section", "eta - P pairs evenly with the whole "
-              "basis", geomchecks.trivial_rationality_certificate),
-    CheckSpec("delpezzo.lemma", "27 lines, 72 sixers, 36 double sixes, and "
-              "the four-case intersection table", delpezzo.intersection_lemma_verify),
-], key=lambda spec: spec.check_id))
-
-REGISTRY: dict[str, CheckSpec] = {spec.check_id: spec for spec in MANIFEST}
-
-
-def check_ids() -> list[str]:
-    return [spec.check_id for spec in MANIFEST]
+REGISTRY = {fn.check_id: fn for fn in sorted((
+    n_gram_certificate, n_disc_certificate, n_planes_certificate,
+    n_admissible_certificate, m_gram_certificate, m_glue_certificate,
+    k_d9_certificate, e8_roots_certificate, t_invariants_certificate,
+    ramanujan_range_certificate, geomchecks.scroll_screen,
+    geomchecks.no_plane_order3_certificate, phi2_no_associated_k3,
+    phi3_k3_exists, hassett.hassett_sweep, geomchecks.saturation_certificate,
+    geomchecks.pfaffian_certificate, geomchecks.oadp_certificate,
+    geomchecks.trivial_rationality_certificate,
+    delpezzo.intersection_lemma_verify), key=lambda fn: fn.check_id)}
 
 
 def run_checks(names=None) -> list[CheckReport]:
     """Run the named checks (default: all) and return reports sorted by id."""
-    ids = check_ids() if names is None else list(names)
+    ids = list(REGISTRY) if names is None else list(names)
     unknown = [name for name in ids if name not in REGISTRY]
     if unknown:
-        raise UnknownCheck(unknown[0], check_ids())
-    return [REGISTRY[check_id].run() for check_id in sorted(set(ids))]
+        raise UnknownCheck(unknown[0], list(REGISTRY))
+    return [REGISTRY[check_id]() for check_id in sorted(set(ids))]

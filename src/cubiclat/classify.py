@@ -22,7 +22,7 @@ from .core import (
     discriminant_group,
     rescale,
 )
-from .report import CheckReport, run_certificate
+from .report import certificate
 
 
 class TwoElemInvariants(NamedTuple):
@@ -136,7 +136,12 @@ def _torsion_q_multiset(form: FiniteQuadraticForm, m: int) -> dict:
                               for d in form.group.factors])
 
 
-def phi2_no_associated_k3(control_three_part: IntegralLattice | None = None) -> CheckReport:
+@certificate("phi2.no-associated-k3", "no rank-8 hyperbolic lattice glues "
+             "the transcendental lattice into the K3 lattice",
+             "no even hyperbolic rank-8 lattice realizes the discriminant "
+             "form forced on the complement of the doubled-E8 transcendental "
+             "lattice in the K3 lattice")
+def phi2_no_associated_k3(control_three_part: IntegralLattice | None = None):
     """Certify that the rank-14 transcendental lattice with E8(2)-primitive
     part admits no primitive embedding into the K3 lattice.
 
@@ -147,114 +152,103 @@ def phi2_no_associated_k3(control_three_part: IntegralLattice | None = None) -> 
     different lattice for the candidate's 3-part to exercise the negative
     control (a matching 3-part must flip the verdict).
     """
-    def body():
-        details: dict = {}
-        ambient = Signature(3, 19)
-        embedded = Signature(2, 12)
-        k_sig = Signature(ambient.positive - embedded.positive,
-                          ambient.negative - embedded.negative)
-        details["complement_signature"] = tuple(k_sig)
-        ok = k_sig == (1, 7)
+    details: dict = {}
+    ambient = Signature(3, 19)
+    embedded = Signature(2, 12)
+    k_sig = Signature(ambient.positive - embedded.positive,
+                      ambient.negative - embedded.negative)
+    details["complement_signature"] = tuple(k_sig)
+    ok = k_sig == (1, 7)
 
-        target = discriminant_form(
-            direct_sum(catalog.standard("E8", -2), catalog.standard("A2")))
-        factors = target.group.factors
-        details["target_group_factors"] = factors
-        ok = ok and sorted(factors) == [2] * 7 + [6]
+    target = discriminant_form(
+        direct_sum(catalog.standard("E8", -2), catalog.standard("A2")))
+    factors = target.group.factors
+    details["target_group_factors"] = factors
+    ok = ok and sorted(factors) == [2] * 7 + [6]
 
-        rank_k = sum(k_sig)
-        even_factors = sum(1 for f in factors if f % 2 == 0)
-        details["halving_defined"] = even_factors == rank_k
-        ok = ok and even_factors == rank_k
+    rank_k = sum(k_sig)
+    even_factors = sum(1 for f in factors if f % 2 == 0)
+    details["halving_defined"] = even_factors == rank_k
+    ok = ok and even_factors == rank_k
 
-        two_part = _torsion_q_multiset(target, 2)
-        odd_excluded = all(v.denominator == 1 for v in two_part)
-        details["two_part_values"] = sorted(two_part)
-        details["odd_half_excluded"] = odd_excluded
-        ok = ok and odd_excluded
+    two_part = _torsion_q_multiset(target, 2)
+    odd_excluded = all(v.denominator == 1 for v in two_part)
+    details["two_part_values"] = sorted(two_part)
+    details["odd_half_excluded"] = odd_excluded
+    ok = ok and odd_excluded
 
-        unique = p_elementary_hyperbolic_exists(3, 8, 1)
-        details["unique_3elementary_rank8"] = unique
-        ok = ok and unique
-        half = direct_sum(catalog.standard("U"), catalog.standard("E6", -1))
-        ok = ok and half.is_even and half.signature == (1, 7)
-        ok = ok and discriminant_group(half).factors == (3,)
-        candidate = rescale(half, 2)
-        details["candidate_factors"] = discriminant_group(candidate).factors
-        ok = ok and sorted(details["candidate_factors"]) == sorted(factors)
+    unique = p_elementary_hyperbolic_exists(3, 8, 1)
+    details["unique_3elementary_rank8"] = unique
+    ok = ok and unique
+    half = direct_sum(catalog.standard("U"), catalog.standard("E6", -1))
+    ok = ok and half.is_even and half.signature == (1, 7)
+    ok = ok and discriminant_group(half).factors == (3,)
+    candidate = rescale(half, 2)
+    details["candidate_factors"] = discriminant_group(candidate).factors
+    ok = ok and sorted(details["candidate_factors"]) == sorted(factors)
 
-        if control_three_part is not None:
-            cand_form = discriminant_form(control_three_part)
-        else:
-            cand_form = discriminant_form(candidate)
-        cand3 = _torsion_q_multiset(cand_form, 3)
-        need3 = _torsion_q_multiset(target, 3)
-        details["candidate_3_part"] = {str(k): v for k, v in sorted(cand3.items())}
-        details["required_3_part"] = {str(k): v for k, v in sorted(need3.items())}
-        mismatch = cand3 != need3
-        details["three_parts_differ"] = mismatch
-        if not mismatch:
-            details["verdict"] = "matching 3-part: such a K would exist"
-        else:
-            details["verdict"] = "no lattice K realizes the forced form"
-        return ok and mismatch, details
-
-    return run_certificate(
-        "phi2.no-associated-k3",
-        "no even hyperbolic rank-8 lattice realizes the discriminant form "
-        "forced on the complement of the doubled-E8 transcendental lattice "
-        "in the K3 lattice",
-        body)
+    if control_three_part is not None:
+        cand_form = discriminant_form(control_three_part)
+    else:
+        cand_form = discriminant_form(candidate)
+    cand3 = _torsion_q_multiset(cand_form, 3)
+    need3 = _torsion_q_multiset(target, 3)
+    details["candidate_3_part"] = {str(k): v for k, v in sorted(cand3.items())}
+    details["required_3_part"] = {str(k): v for k, v in sorted(need3.items())}
+    mismatch = cand3 != need3
+    details["three_parts_differ"] = mismatch
+    if not mismatch:
+        details["verdict"] = "matching 3-part: such a K would exist"
+    else:
+        details["verdict"] = "no lattice K realizes the forced form"
+    return ok and mismatch, details
 
 
-def phi3_k3_exists() -> CheckReport:
+@certificate("phi3.k3-exists", "the nodal-sextic Neron-Severi lattice "
+             "produces a compatible K3 embedding",
+             "the nine-nodal sextic double plane's Neron-Severi lattice "
+             "matches the complement data of the transcendental lattice "
+             "inside the K3 lattice, so a primitive embedding exists")
+def phi3_k3_exists():
     """Certify the primitive K3 embedding for the threefold-square involution
     via the nine-nodal sextic double plane."""
-    def body():
-        details: dict = {}
-        ns = catalog.nodal_sextic_NS()
-        inv = two_elementary_invariants(ns)
-        details["ns_invariants"] = (tuple(inv.signature), inv.a, inv.delta)
-        ok = inv == (Signature(1, 9), 10, 1)
-        ok = ok and two_elementary_exists(inv.signature, inv.a, inv.delta)
+    details: dict = {}
+    ns = catalog.nodal_sextic_NS()
+    inv = two_elementary_invariants(ns)
+    details["ns_invariants"] = (tuple(inv.signature), inv.a, inv.delta)
+    ok = inv == (Signature(1, 9), 10, 1)
+    ok = ok and two_elementary_exists(inv.signature, inv.a, inv.delta)
 
-        model = direct_sum(catalog.standard("E8", -2), catalog.standard("A1"),
-                           catalog.standard("A1", -1))
-        minv = two_elementary_invariants(model)
-        details["model_invariants"] = (tuple(minv.signature), minv.a, minv.delta)
-        ok = ok and minv == inv
-        flipped = rescale(model, -1)
-        finv = two_elementary_invariants(flipped)
-        details["sign_flipped_model_invariants"] = (tuple(finv.signature),
-                                                   finv.a, finv.delta)
+    model = direct_sum(catalog.standard("E8", -2), catalog.standard("A1"),
+                       catalog.standard("A1", -1))
+    minv = two_elementary_invariants(model)
+    details["model_invariants"] = (tuple(minv.signature), minv.a, minv.delta)
+    ok = ok and minv == inv
+    flipped = rescale(model, -1)
+    finv = two_elementary_invariants(flipped)
+    details["sign_flipped_model_invariants"] = (tuple(finv.signature),
+                                               finv.a, finv.delta)
 
-        prof = unimodular_complement_profile(ns, (3, 19))
-        details["complement_signature"] = tuple(prof.signature)
-        ok = ok and prof.signature == (2, 10)
-        ok = ok and prof.factors == (2,) * 10
+    prof = unimodular_complement_profile(ns, (3, 19))
+    details["complement_signature"] = tuple(prof.signature)
+    ok = ok and prof.signature == (2, 10)
+    ok = ok and prof.factors == (2,) * 10
 
-        ts_model = direct_sum(catalog.standard("E8", -2), catalog.standard("U"),
-                              catalog.standard("A1"), catalog.standard("A1", -1))
-        tinv = two_elementary_invariants(ts_model)
-        details["transcendental_invariants"] = (tuple(tinv.signature), tinv.a,
-                                               tinv.delta)
-        ok = ok and tinv == (Signature(2, 10), 10, 1)
-        tx_neg = rescale(catalog.transcendental_T(), -1)
-        ok = ok and two_elementary_invariants(tx_neg) == tinv
+    ts_model = direct_sum(catalog.standard("E8", -2), catalog.standard("U"),
+                          catalog.standard("A1"), catalog.standard("A1", -1))
+    tinv = two_elementary_invariants(ts_model)
+    details["transcendental_invariants"] = (tuple(tinv.signature), tinv.a,
+                                           tinv.delta)
+    ok = ok and tinv == (Signature(2, 10), 10, 1)
+    tx_neg = rescale(catalog.transcendental_T(), -1)
+    ok = ok and two_elementary_invariants(tx_neg) == tinv
 
-        forced = prof.form.value_multiset()
-        got = discriminant_form(ts_model).value_multiset()
-        also = discriminant_form(tx_neg).value_multiset()
-        agree = forced == got == also
-        details["q_multisets_agree"] = agree
-        ok = ok and agree
-        details["verdict"] = ("nodal-sextic surface realizes the complement; "
-                              "embedding exists" if ok else "chain failed")
-        return ok, details
-
-    return run_certificate(
-        "phi3.k3-exists",
-        "the nine-nodal sextic double plane's Neron-Severi lattice matches "
-        "the complement data of the transcendental lattice inside the K3 "
-        "lattice, so a primitive embedding exists",
-        body)
+    forced = prof.form.value_multiset()
+    got = discriminant_form(ts_model).value_multiset()
+    also = discriminant_form(tx_neg).value_multiset()
+    agree = forced == got == also
+    details["q_multisets_agree"] = agree
+    ok = ok and agree
+    details["verdict"] = ("nodal-sextic surface realizes the complement; "
+                          "embedding exists" if ok else "chain failed")
+    return ok, details

@@ -33,8 +33,8 @@ def checks_group():
 @checks_group.command("list")
 def checks_list():
     """Print every check id with its one-line summary."""
-    for spec in checks.MANIFEST:
-        click.echo(f"{spec.check_id:24s}{spec.summary}")
+    for check_id, run in checks.REGISTRY.items():
+        click.echo(f"{check_id:24s}{run.summary}")
 
 
 def _emit_reports(reports: list[CheckReport], as_json: bool) -> int:
@@ -148,7 +148,7 @@ def lat_show(target: str, invariants: bool, disc: bool, roots: int | None,
             found = geomchecks.enumerate_planes(L, _eta_vector(L))
             click.echo(f"plane classes: {len(found)}")
             for p in found:
-                click.echo("  " + " ".join(str(x) for x in p.v))
+                click.echo("  " + " ".join(str(x) for x in p))
     except (ValueError, LatticeError) as exc:
         raise click.UsageError(str(exc))
 

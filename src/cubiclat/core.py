@@ -115,8 +115,12 @@ class Invariants(NamedTuple):
     parity: str  # "even" | "odd"
 
 
-def _coords(v) -> tuple[int, ...]:
-    return tuple(map(int, v))
+def _coords(v, rank: int) -> tuple[int, ...]:
+    """Integer coordinates of v, which must have exactly ``rank`` of them."""
+    vc = tuple(map(int, v))
+    if len(vc) != rank:
+        raise ValueError(f"vector has {len(vc)} coordinates, not {rank}")
+    return vc
 
 
 def _numerators(v) -> tuple[list[int], int]:
@@ -189,7 +193,8 @@ class IntegralLattice:
         return f"<IntegralLattice{tag} rank {self.rank} det {self.det}>"
 
     def pair(self, u, v) -> int:
-        return _gram_product(self.gram, _coords(u), _coords(v))
+        return _gram_product(self.gram, _coords(u, self.rank),
+                             _coords(v, self.rank))
 
     def norm(self, v) -> int:
         return self.pair(v, v)
@@ -199,11 +204,12 @@ class IntegralLattice:
         product over the two vectors' cleared denominators."""
         un, uden = _numerators(u)
         vn, vden = _numerators(v)
-        return Fraction(_gram_product(self.gram, un, vn), uden * vden)
+        return Fraction(_gram_product(self.gram, _coords(un, self.rank),
+                                      _coords(vn, self.rank)), uden * vden)
 
     def dual_pairings(self, v) -> tuple[int, ...]:
         """The pairings of v with each basis vector, i.e. gram times v."""
-        vc = _coords(v)
+        vc = _coords(v, self.rank)
         return tuple(sum(map(mul, row, vc)) for row in self.gram)
 
     @cached_property
@@ -240,7 +246,7 @@ class Sublattice(NamedTuple):
     basis: list[list[int]]
 
     def to_ambient(self, v) -> tuple[int, ...]:
-        vc = _coords(v)
+        vc = _coords(v, len(self.basis))
         n = len(self.basis[0]) if self.basis else 0
         return tuple(sum(vc[a] * self.basis[a][i] for a in range(len(self.basis)))
                      for i in range(n))
@@ -284,9 +290,10 @@ class DiscriminantGroup:
     def order(self) -> int:
         return prod(self.factors)
 
-    def elements(self, guard: int = ENUMERATION_GUARD) -> Iterator[tuple[int, ...]]:
-        if self.order > guard:
-            raise TooLarge(f"discriminant group has {self.order} elements (guard {guard})")
+    def elements(self) -> Iterator[tuple[int, ...]]:
+        if self.order > ENUMERATION_GUARD:
+            raise TooLarge(f"discriminant group has {self.order} elements "
+                           f"(guard {ENUMERATION_GUARD})")
         return itertools.product(*(range(d) for d in self.factors))
 
     def class_of_dual_coords(self, z: Sequence[int]) -> tuple[int, ...]:
@@ -399,8 +406,8 @@ class FiniteQuadraticForm(_FormBase):
         counts = Counter(self._scaled_values(choices))
         return {Fraction(v, self._scale): counts[v] for v in sorted(counts)}
 
-    def value_multiset(self, guard: int = ENUMERATION_GUARD) -> tuple[Fraction, ...]:
-        self.group.elements(guard)  # TooLarge before any value is computed
+    def value_multiset(self) -> tuple[Fraction, ...]:
+        self.group.elements()  # TooLarge before any value is computed
         counts = self.value_counts([range(d) for d in self.group.factors])
         return tuple(itertools.chain.from_iterable(
             itertools.repeat(v, n) for v, n in counts.items()))
@@ -420,7 +427,7 @@ def discriminant_bilinear_form(L: IntegralLattice) -> FiniteBilinearForm:
 
 
 def divisibility(L: IntegralLattice, v) -> int:
-    vc = _coords(v)
+    vc = _coords(v, L.rank)
     if all(x == 0 for x in vc):
         raise ZeroVector("divisibility of the zero vector is undefined")
     return exact.gcd_list(L.dual_pairings(vc))
@@ -464,7 +471,7 @@ def direct_sum(*lattices: IntegralLattice) -> IntegralLattice:
 
 
 def orthogonal_complement(L: IntegralLattice, vectors) -> Sublattice:
-    vs = [list(_coords(v)) for v in vectors]
+    vs = [list(_coords(v, L.rank)) for v in vectors]
     if vs and exact.rational_rank(vs) < len(vs):
         raise DependentSpan("spanning vectors are linearly dependent")
     constraints = [list(L.dual_pairings(v)) for v in vs]
@@ -475,7 +482,7 @@ def orthogonal_complement(L: IntegralLattice, vectors) -> Sublattice:
 
 
 def saturation(L: IntegralLattice, vectors) -> Sublattice:
-    vs = [list(_coords(v)) for v in vectors]
+    vs = [list(_coords(v, L.rank)) for v in vectors]
     if not vs:
         raise DependentSpan("saturation of the empty span is undefined")
     if exact.rational_rank(vs) < len(vs):

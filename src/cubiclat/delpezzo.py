@@ -18,7 +18,7 @@ from itertools import product
 
 from . import exact
 from .core import IntegralLattice, NotIntegral, rescale
-from .report import CheckReport, run_certificate
+from .report import certificate
 from .shortvec import identify_root_lattice
 
 
@@ -127,7 +127,12 @@ def _root_span_labels() -> list[str]:
     return identify_root_lattice(rescale(IntegralLattice(gram), -1))
 
 
-def intersection_lemma_verify() -> CheckReport:
+@certificate("delpezzo.lemma", "27 lines, 72 sixers, 36 double sixes, and "
+             "the four-case intersection table",
+             "27 lines, 72 sixers and 36 double sixes, with the four-case "
+             "twisted-cubic intersection table holding over all 2556 sixer "
+             "pairs")
+def intersection_lemma_verify():
     """Brute-force certificate for the twisted-cubic intersection table.
 
     For every pair of distinct sixers, with C, C' their twisted-cubic
@@ -137,62 +142,55 @@ def intersection_lemma_verify() -> CheckReport:
     double six).  The even pairings that actually occur in the C.C' = 3
     case are reported rather than assumed.
     """
-    def body():
-        pic = picard_basis()
-        lat = pic.lattice
-        anti = tuple(-c for c in pic.canonical)
-        lines = line_classes()
-        sxs = sixers()
-        problems: list[dict] = []
+    pic = picard_basis()
+    lat = pic.lattice
+    anti = tuple(-c for c in pic.canonical)
+    lines = line_classes()
+    sxs = sixers()
+    problems: list[dict] = []
 
-        for s in sxs:
-            if lat.norm(s.cubic) != 1 or lat.pair(s.cubic, anti) != 3:
-                problems.append({"kind": "cubic", "cubic": s.cubic})
-            if lat.norm(s.root) != -2 or lat.pair(s.root, pic.canonical) != 0:
-                problems.append({"kind": "root", "root": s.root})
-            if any(lat.pair(s.root, f) != 1 for f in s.lines):
-                problems.append({"kind": "root-line", "root": s.root})
+    for s in sxs:
+        if lat.norm(s.cubic) != 1 or lat.pair(s.cubic, anti) != 3:
+            problems.append({"kind": "cubic", "cubic": s.cubic})
+        if lat.norm(s.root) != -2 or lat.pair(s.root, pic.canonical) != 0:
+            problems.append({"kind": "root", "root": s.root})
+        if any(lat.pair(s.root, f) != 1 for f in s.lines):
+            problems.append({"kind": "root-line", "root": s.root})
 
-        roots = {s.root for s in sxs}
-        negation_closed = all(tuple(-c for c in r) in roots for r in roots)
-        dsx = double_sixes()
+    roots = {s.root for s in sxs}
+    negation_closed = all(tuple(-c for c in r) in roots for r in roots)
+    dsx = double_sixes()
 
-        distribution: Counter[int] = Counter()
-        even_pairings: set[int] = set()
-        for i in range(len(sxs)):
-            for j in range(i + 1, len(sxs)):
-                m = lat.pair(sxs[i].cubic, sxs[j].cubic)
-                p = lat.pair(sxs[i].root, sxs[j].root)
-                double = sxs[j].root == tuple(-c for c in sxs[i].root)
-                cases = {2: p == -1, 3: p % 2 == 0 and not double,
-                         4: p == 1, 5: double}
-                if not cases.get(m, False):
-                    problems.append({"kind": "table", "product": m,
-                                     "pairing": p, "pair": (i, j)})
-                elif m == 3:
-                    even_pairings.add(p)
-                distribution[m] += 1
+    distribution: Counter[int] = Counter()
+    even_pairings: set[int] = set()
+    for i in range(len(sxs)):
+        for j in range(i + 1, len(sxs)):
+            m = lat.pair(sxs[i].cubic, sxs[j].cubic)
+            p = lat.pair(sxs[i].root, sxs[j].root)
+            double = sxs[j].root == tuple(-c for c in sxs[i].root)
+            cases = {2: p == -1, 3: p % 2 == 0 and not double,
+                     4: p == 1, 5: double}
+            if not cases.get(m, False):
+                problems.append({"kind": "table", "product": m,
+                                 "pairing": p, "pair": (i, j)})
+            elif m == 3:
+                even_pairings.add(p)
+            distribution[m] += 1
 
-        details = {
-            "lines": len(lines),
-            "sixers": len(sxs),
-            "double_sixes": len(dsx),
-            "pairs": sum(distribution.values()),
-            "distribution": dict(sorted(distribution.items())),
-            "roots_distinct": len(roots) == len(sxs),
-            "roots_negation_closed": negation_closed,
-            "syzygetic_pairings": sorted(even_pairings),
-            "root_span": _root_span_labels(),
-            "problems": problems,
-        }
-        ok = (len(lines) == 27 and len(sxs) == 72 and len(dsx) == 36
-              and not problems and distribution[5] == 36
-              and details["roots_distinct"] and negation_closed
-              and details["root_span"] == ["E6"])
-        return ok, details
-
-    return run_certificate(
-        "delpezzo.lemma",
-        "27 lines, 72 sixers and 36 double sixes, with the four-case "
-        "twisted-cubic intersection table holding over all 2556 sixer pairs",
-        body)
+    details = {
+        "lines": len(lines),
+        "sixers": len(sxs),
+        "double_sixes": len(dsx),
+        "pairs": sum(distribution.values()),
+        "distribution": dict(sorted(distribution.items())),
+        "roots_distinct": len(roots) == len(sxs),
+        "roots_negation_closed": negation_closed,
+        "syzygetic_pairings": sorted(even_pairings),
+        "root_span": _root_span_labels(),
+        "problems": problems,
+    }
+    ok = (len(lines) == 27 and len(sxs) == 72 and len(dsx) == 36
+          and not problems and distribution[5] == 36
+          and details["roots_distinct"] and negation_closed
+          and details["root_span"] == ["E6"])
+    return ok, details

@@ -19,17 +19,11 @@ from . import catalog, exact
 from .core import (IntegralLattice, LatticeError, discriminant_group,
                    divisibility, orthogonal_complement)
 from .hassett import is_admissible
-from .report import CheckReport, run_certificate
+from .report import certificate
 from .shortvec import enumerate_by_norm, vectors_of_norm
 
 
 RULES = ("R1", "R2", "R3", "R4")
-
-
-@dataclass(frozen=True)
-class PlaneClass:
-    """A class v with v^2 = 3 and v.eta = 1."""
-    v: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -46,13 +40,11 @@ def _check_eta(L: IntegralLattice, eta) -> tuple[int, ...]:
     return ec
 
 
-def enumerate_planes(L: IntegralLattice, eta) -> list[PlaneClass]:
-    """All classes v with v^2 = 3 and v.eta = 1, by exhaustive enumeration of
-    the norm-3 shell."""
+def enumerate_planes(L: IntegralLattice, eta) -> list[tuple[int, ...]]:
+    """All classes v with v^2 = 3 and v.eta = 1, sorted, by exhaustive
+    enumeration of the norm-3 shell."""
     ec = _check_eta(L, eta)
-    out = [PlaneClass(tuple(v)) for v in vectors_of_norm(L, 3)
-           if L.pair(v, ec) == 1]
-    return sorted(out, key=lambda p: p.v)
+    return sorted(tuple(v) for v in vectors_of_norm(L, 3) if L.pair(v, ec) == 1)
 
 
 def _labeling_det(L: IntegralLattice, eta, u) -> int:
@@ -224,7 +216,12 @@ def _family_witness(has_eta: bool, supp: tuple[int, ...], eta, p, fs):
     return half((1, eta), (-1, p)), "R4", {"det": 2}
 
 
-def saturation_certificate() -> CheckReport:
+@certificate("sat.511", "all 511 index-2 extensions of the plane lattice are "
+             "inadmissible",
+             "all 511 index-2 extensions of the plane lattice are "
+             "inadmissible, split 36/126/84/9/9/84/126/36/1 across the nine "
+             "support families")
+def saturation_certificate():
     """Reject all 511 candidate index-2 extensions of the plane lattice.
 
     The discriminant group is (Z/2)^10 on the duals of eta and the fibre
@@ -235,233 +232,210 @@ def saturation_certificate() -> CheckReport:
     explicit rejecting class for each of the nine support families is
     re-verified directly.
     """
-    def body():
-        n, eta, p, fs = _plane_family()
-        # dual[0] = eta*, dual[i] = F_i*
-        _, dual, independent = catalog.n_dual_classes()
+    n, eta, p, fs = _plane_family()
+    # dual[0] = eta*, dual[i] = F_i*
+    _, dual, independent = catalog.n_dual_classes()
 
-        isotropic = 0
-        families: Counter = Counter()
-        scan_rules: Counter = Counter()
-        problems = []
-        # coset_rule's premise: N itself passes the bound-3 scan
-        if admissibility_scan(n, eta, norm_bound=3) is not None:
-            problems.append({"class": (), "error": "scan flagged N itself"})
-        for size in range(1, 11):
-            for symbols in combinations(range(10), size):
-                lift = tuple(sum(dual[s][i] for s in symbols)
-                             for i in range(n.rank))
-                if n.pair_rational(lift, lift) % 1 != 0:
-                    continue
-                isotropic += 1
-                has_eta = 0 in symbols
-                supp = tuple(s for s in symbols if s != 0)
-                key = f"eta+{len(supp)}F" if has_eta else f"{len(supp)}F"
-                families[key] += 1
+    isotropic = 0
+    families: Counter = Counter()
+    scan_rules: Counter = Counter()
+    problems = []
+    # coset_rule's premise: N itself passes the bound-3 scan
+    if admissibility_scan(n, eta, norm_bound=3) is not None:
+        problems.append({"class": (), "error": "scan flagged N itself"})
+    for size in range(1, 11):
+        for symbols in combinations(range(10), size):
+            lift = tuple(sum(dual[s][i] for s in symbols)
+                         for i in range(n.rank))
+            if n.pair_rational(lift, lift) % 1 != 0:
+                continue
+            isotropic += 1
+            has_eta = 0 in symbols
+            supp = tuple(s for s in symbols if s != 0)
+            key = f"eta+{len(supp)}F" if has_eta else f"{len(supp)}F"
+            families[key] += 1
 
-                # bound 3 suffices here: every family is rejected by a class
-                # of norm at most 3 (witness table below)
-                rule = coset_rule(n, eta, lift)
-                if rule is None:
-                    problems.append({"class": symbols, "error": "scan passed"})
-                    continue
-                scan_rules[rule] += 1
+            # bound 3 suffices here: every family is rejected by a class
+            # of norm at most 3 (witness table below)
+            rule = coset_rule(n, eta, lift)
+            if rule is None:
+                problems.append({"class": symbols, "error": "scan passed"})
+                continue
+            scan_rules[rule] += 1
 
-                w, rule, data = _family_witness(has_eta, supp, eta, p, fs)
-                if not (all(x.denominator == 1 for x in w)
-                        or all((x - c).denominator == 1 for x, c in zip(w, lift))):
-                    problems.append({"class": symbols, "error": "witness outside"})
-                    continue
-                wn = n.pair_rational(w, w)
-                we = n.pair_rational(w, eta)
-                ok = rule == _FAMILY_RULE[key]
-                if rule == "R2":
-                    ok = ok and wn == 2
-                elif rule == "R1":
-                    ok = ok and wn == data["norm"] and wn % 2 == 1 and we == 0
-                else:
-                    ok = ok and 3 * wn - we * we == data["det"] \
-                        and not is_admissible(data["det"])
-                if not ok:
-                    problems.append({"class": symbols, "error": "witness data",
-                                     "norm": wn, "eta": we})
+            w, rule, data = _family_witness(has_eta, supp, eta, p, fs)
+            if not (all(x.denominator == 1 for x in w)
+                    or all((x - c).denominator == 1 for x, c in zip(w, lift))):
+                problems.append({"class": symbols, "error": "witness outside"})
+                continue
+            wn = n.pair_rational(w, w)
+            we = n.pair_rational(w, eta)
+            ok = rule == _FAMILY_RULE[key]
+            if rule == "R2":
+                ok = ok and wn == 2
+            elif rule == "R1":
+                ok = ok and wn == data["norm"] and wn % 2 == 1 and we == 0
+            else:
+                ok = ok and 3 * wn - we * we == data["det"] \
+                    and not is_admissible(data["det"])
+            if not ok:
+                problems.append({"class": symbols, "error": "witness data",
+                                 "norm": wn, "eta": we})
 
-        details = {
-            "isotropic_classes": isotropic,
-            "generators_independent": independent,
-            "families": dict(sorted(families.items())),
-            "family_rule": _FAMILY_RULE,
-            "scan_rules": dict(sorted(scan_rules.items())),
-            "problems": problems,
-        }
-        ok = (isotropic == 511 and independent and not problems
-              and dict(families) == _FAMILY_COUNTS)
-        return ok, details
-
-    return run_certificate(
-        "sat.511",
-        "all 511 index-2 extensions of the plane lattice are inadmissible, "
-        "split 36/126/84/9/9/84/126/36/1 across the nine support families",
-        body)
+    details = {
+        "isotropic_classes": isotropic,
+        "generators_independent": independent,
+        "families": dict(sorted(families.items())),
+        "family_rule": _FAMILY_RULE,
+        "scan_rules": dict(sorted(scan_rules.items())),
+        "problems": problems,
+    }
+    ok = (isotropic == 511 and independent and not problems
+          and dict(families) == _FAMILY_COUNTS)
+    return ok, details
 
 
-def scroll_screen() -> CheckReport:
+@certificate("scroll.screen", "scroll lattices: short/long roots at even "
+             "tau, none at odd tau",
+             "scroll lattices are positive definite for tau in 0..6 with a "
+             "short root at tau in {{0,6}}, a long root at tau in {{2,4}}, "
+             "and neither at odd tau")
+def scroll_screen():
     """Short/long root screen over the seven positive-definite scroll
     lattices: roots at even tau, certified absence at odd tau."""
-    def body():
-        rows = {}
-        ok = True
-        witness = {0: (-2, 1, 1), 2: (-2, 1, 1), 4: (0, 1, -1), 6: (0, 1, -1)}
-        for tau in range(7):
-            k = catalog.scroll_lattice_K(tau)
-            eta = (1, 0, 0)
-            row = {"det": k.det, "positive_definite": k.is_positive_definite()}
-            ok = ok and row["positive_definite"]
-            comp = orthogonal_complement(k, [eta])
-            ok = ok and 3 * comp.lattice.det == k.det
-            if tau % 2 == 0:
-                v = witness[tau]
-                norm = k.norm(v)
-                row["witness"] = v
-                row["witness_norm"] = norm
-                if norm == 2:
-                    row["kind"] = "short"
-                    ok = ok and k.pair(v, eta) == 0
-                else:
-                    div = 0
-                    for b in comp.basis:
-                        div = gcd(div, k.pair(v, b))
-                    row["kind"] = "long"
-                    row["divisibility"] = div
-                    ok = ok and norm == 6 and div == 3 and k.pair(v, eta) == 0
+    rows = {}
+    ok = True
+    witness = {0: (-2, 1, 1), 2: (-2, 1, 1), 4: (0, 1, -1), 6: (0, 1, -1)}
+    for tau in range(7):
+        k = catalog.scroll_lattice_K(tau)
+        eta = (1, 0, 0)
+        row = {"det": k.det, "positive_definite": k.is_positive_definite()}
+        ok = ok and row["positive_definite"]
+        comp = orthogonal_complement(k, [eta])
+        ok = ok and 3 * comp.lattice.det == k.det
+        if tau % 2 == 0:
+            v = witness[tau]
+            norm = k.norm(v)
+            row["witness"] = v
+            row["witness_norm"] = norm
+            if norm == 2:
+                row["kind"] = "short"
+                ok = ok and k.pair(v, eta) == 0
             else:
-                norms = sorted({sl.norm for sl in
-                                enumerate_by_norm(comp.lattice, 6)})
-                row["kind"] = "none"
-                row["complement_norms_to_6"] = norms
-                longs = [w for w in vectors_of_norm(comp.lattice, 6)
-                         if divisibility(comp.lattice, w) == 3]
-                ok = ok and 2 not in norms and not longs
-            rows[str(tau)] = row
-        return ok, {"tau": rows}
+                div = 0
+                for b in comp.basis:
+                    div = gcd(div, k.pair(v, b))
+                row["kind"] = "long"
+                row["divisibility"] = div
+                ok = ok and norm == 6 and div == 3 and k.pair(v, eta) == 0
+        else:
+            norms = sorted({sl.norm for sl in
+                            enumerate_by_norm(comp.lattice, 6)})
+            row["kind"] = "none"
+            row["complement_norms_to_6"] = norms
+            longs = [w for w in vectors_of_norm(comp.lattice, 6)
+                     if divisibility(comp.lattice, w) == 3]
+            ok = ok and 2 not in norms and not longs
+        rows[str(tau)] = row
+    return ok, {"tau": rows}
 
-    return run_certificate(
-        "scroll.screen",
-        "scroll lattices are positive definite for tau in 0..6 with a short "
-        "root at tau in {0,6}, a long root at tau in {2,4}, and neither at "
-        "odd tau",
-        body)
 
-
-def pfaffian_certificate() -> CheckReport:
+@certificate("pfaffian", "delta pairs evenly with everything; no disjoint "
+             "plane pair",
+             "every class pairs evenly with the norm-24 class delta, so a "
+             "disjoint plane pair (which would pair to 9) cannot exist; the "
+             "plane scan confirms no pair has product 0")
+def pfaffian_certificate():
     """Parity argument against disjoint plane pairs, plus the direct scan."""
-    def body():
-        m = catalog.prim_lattice_M()
-        delta = catalog.delta_in_M()
-        entries_even = all(x % 2 == 0 for row in m.gram for x in row)
-        pair_parity = [x % 2 for x in m.dual_pairings(delta)]
+    m = catalog.prim_lattice_M()
+    delta = catalog.delta_in_M()
+    entries_even = all(x % 2 == 0 for row in m.gram for x in row)
+    pair_parity = [x % 2 for x in m.dual_pairings(delta)]
 
-        n, eta, p, fs = _plane_family()
-        planes = enumerate_planes(n, eta)
-        products = Counter(n.pair(a.v, b.v)
-                           for a, b in combinations(planes, 2))
-        details = {
-            "gram_entries_even": entries_even,
-            "delta_norm": m.norm(delta),
-            "delta_pairings_all_even": all(x == 0 for x in pair_parity),
-            "disjoint_pair_obstruction": 9,
-            "plane_count": len(planes),
-            "disjoint_pairs": products.get(0, 0),
-            "product_distribution": {str(k): v for k, v in sorted(products.items())},
-        }
-        ok = (entries_even and details["delta_norm"] == 24
-              and details["delta_pairings_all_even"]
-              and details["disjoint_pairs"] == 0 and 9 % 2 == 1)
-        return ok, details
-
-    return run_certificate(
-        "pfaffian",
-        "every class pairs evenly with the norm-24 class delta, so a disjoint "
-        "plane pair (which would pair to 9) cannot exist; the plane scan "
-        "confirms no pair has product 0",
-        body)
+    n, eta, p, fs = _plane_family()
+    planes = enumerate_planes(n, eta)
+    products = Counter(n.pair(a, b) for a, b in combinations(planes, 2))
+    details = {
+        "gram_entries_even": entries_even,
+        "delta_norm": m.norm(delta),
+        "delta_pairings_all_even": all(x == 0 for x in pair_parity),
+        "disjoint_pair_obstruction": 9,
+        "plane_count": len(planes),
+        "disjoint_pairs": products.get(0, 0),
+        "product_distribution": {str(k): v for k, v in sorted(products.items())},
+    }
+    ok = (entries_even and details["delta_norm"] == 24
+          and details["delta_pairings_all_even"]
+          and details["disjoint_pairs"] == 0 and 9 % 2 == 1)
+    return ok, details
 
 
-def oadp_certificate() -> CheckReport:
+@certificate("oadp", "the norm-10 degree-4 class pairs evenly with every "
+             "plane",
+             "the norm-10, degree-4 class T pairs evenly with every plane "
+             "class, ruling out the odd pairings demanded by the other two "
+             "cases")
+def oadp_certificate():
     """Parity screen for the degree-4 surface class T = 2 eta - y + F7+F8+F9."""
-    def body():
-        n, eta, p, fs = _plane_family()
-        t = (2, -1, 0, 0, 0, 0, 0, 0, 1, 1, 1)
-        planes = enumerate_planes(n, eta)
-        pairings = sorted({n.pair(pl.v, t) for pl in planes})
-        details = {
-            "T_eta": n.pair(t, eta),
-            "T_norm": n.norm(t),
-            "plane_pairings": pairings,
-            "all_even": all(x % 2 == 0 for x in pairings),
-            "case1_identity": 3,
-            "case1_identity_odd": 3 % 2 == 1,
-        }
-        ok = (details["T_eta"] == 4 and details["T_norm"] == 10
-              and details["all_even"] and details["case1_identity_odd"])
-        return ok, details
-
-    return run_certificate(
-        "oadp",
-        "the norm-10, degree-4 class T pairs evenly with every plane class, "
-        "ruling out the odd pairings demanded by the other two cases",
-        body)
+    n, eta, p, fs = _plane_family()
+    t = (2, -1, 0, 0, 0, 0, 0, 0, 1, 1, 1)
+    planes = enumerate_planes(n, eta)
+    pairings = sorted({n.pair(pl, t) for pl in planes})
+    details = {
+        "T_eta": n.pair(t, eta),
+        "T_norm": n.norm(t),
+        "plane_pairings": pairings,
+        "all_even": all(x % 2 == 0 for x in pairings),
+        "case1_identity": 3,
+        "case1_identity_odd": 3 % 2 == 1,
+    }
+    ok = (details["T_eta"] == 4 and details["T_norm"] == 10
+          and details["all_even"] and details["case1_identity_odd"])
+    return ok, details
 
 
-def trivial_rationality_certificate() -> CheckReport:
+@certificate("rationality.section", "eta - P pairs evenly with the whole "
+             "basis",
+             "the quadric-section class eta - P pairs evenly with every "
+             "basis class of the plane lattice")
+def trivial_rationality_certificate():
     """The quadric-section class Q = eta - P pairs evenly with the whole
     lattice."""
-    def body():
-        n, eta, p, fs = _plane_family()
-        q = tuple(a - b for a, b in zip(eta, p))
-        pairings = list(n.dual_pairings(q))
-        details = {
-            "eta_Q": n.pair(eta, q),
-            "y_Q": pairings[1],
-            "F_Q": pairings[2:],
-            "all_even": all(x % 2 == 0 for x in pairings),
-        }
-        ok = (details["eta_Q"] == 2 and details["y_Q"] == 8
-              and all(x == 2 for x in details["F_Q"]) and details["all_even"])
-        return ok, details
-
-    return run_certificate(
-        "rationality.section",
-        "the quadric-section class eta - P pairs evenly with every basis "
-        "class of the plane lattice",
-        body)
+    n, eta, p, fs = _plane_family()
+    q = tuple(a - b for a, b in zip(eta, p))
+    pairings = list(n.dual_pairings(q))
+    details = {
+        "eta_Q": n.pair(eta, q),
+        "y_Q": pairings[1],
+        "F_Q": pairings[2:],
+        "all_even": all(x % 2 == 0 for x in pairings),
+    }
+    ok = (details["eta_Q"] == 2 and details["y_Q"] == 8
+          and all(x == 2 for x in details["F_Q"]) and details["all_even"])
+    return ok, details
 
 
-def no_plane_order3_certificate() -> CheckReport:
+@certificate("phi2.no-plane", "E8(2) has no order-3 discriminant class",
+             "the order-256 discriminant group of E8(2) has no order-3 "
+             "class, while both control groups do")
+def no_plane_order3_certificate():
     """Absence of 3-torsion in the discriminant group of E8(2), against two
     controls that do carry an order-3 class."""
-    def body():
-        e82 = catalog.standard("E8", 2)
-        dg = discriminant_group(e82)
-        m = catalog.prim_lattice_M()
-        e62 = catalog.eckardt_E6_2()
-        three = [f for f in dg.factors if f % 3 == 0]
-        details = {
-            "order": dg.order,
-            "factors": dg.factors,
-            "three_torsion": bool(three),
-            "control_M_three_torsion": any(
-                f % 3 == 0 for f in discriminant_group(m).factors),
-            "control_E62_three_torsion": any(
-                f % 3 == 0 for f in discriminant_group(e62).factors),
-        }
-        ok = (details["order"] == 256 and not details["three_torsion"]
-              and details["control_M_three_torsion"]
-              and details["control_E62_three_torsion"])
-        return ok, details
-
-    return run_certificate(
-        "phi2.no-plane",
-        "the order-256 discriminant group of E8(2) has no order-3 class, "
-        "while both control groups do",
-        body)
+    e82 = catalog.standard("E8", 2)
+    dg = discriminant_group(e82)
+    m = catalog.prim_lattice_M()
+    e62 = catalog.eckardt_E6_2()
+    three = [f for f in dg.factors if f % 3 == 0]
+    details = {
+        "order": dg.order,
+        "factors": dg.factors,
+        "three_torsion": bool(three),
+        "control_M_three_torsion": any(
+            f % 3 == 0 for f in discriminant_group(m).factors),
+        "control_E62_three_torsion": any(
+            f % 3 == 0 for f in discriminant_group(e62).factors),
+    }
+    ok = (details["order"] == 256 and not details["three_torsion"]
+          and details["control_M_three_torsion"]
+          and details["control_E62_three_torsion"])
+    return ok, details

@@ -24,7 +24,7 @@ from .core import (
 AnyForm = FiniteQuadraticForm | FiniteBilinearForm
 
 
-def _closure(generators, factors, guard=ENUMERATION_GUARD) -> frozenset:
+def _closure(generators, factors) -> frozenset:
     """All elements of the subgroup generated by the given coefficient tuples."""
     zero = tuple(0 for _ in factors)
     elems = {zero}
@@ -37,7 +37,7 @@ def _closure(generators, factors, guard=ENUMERATION_GUARD) -> frozenset:
                 if s not in elems:
                     elems.add(s)
                     nxt.append(s)
-                    if len(elems) > guard:
+                    if len(elems) > ENUMERATION_GUARD:
                         raise BadSplitting("subgroup closure exceeded guard")
         frontier = nxt
     return frozenset(elems)
@@ -91,11 +91,11 @@ def glue_subgroup(ambient: AnyForm, lifts) -> GlueSubgroup:
     return sub
 
 
-def isotropic_elements(form: AnyForm, guard: int = ENUMERATION_GUARD) -> list[tuple[int, ...]]:
+def isotropic_elements(form: AnyForm) -> list[tuple[int, ...]]:
     """All nonzero elements with q = 0 mod 2Z (quadratic) or b(x,x) = 0 mod Z."""
     group = form.group
     out = []
-    for e in group.elements(guard):
+    for e in group.elements():
         if all(c == 0 for c in e):
             continue
         if isinstance(form, FiniteQuadraticForm):
@@ -118,11 +118,6 @@ class Overlattice:
     ambient: IntegralLattice
     basis: tuple[tuple[Fraction, ...], ...]
     index: int
-
-    def to_ambient(self, v) -> tuple[Fraction, ...]:
-        n = self.ambient.rank
-        return tuple(sum(Fraction(v[a]) * self.basis[a][i] for a in range(n))
-                     for i in range(n))
 
     def from_ambient(self, w) -> tuple[int, ...]:
         """Coordinates in the extension basis of a rational ambient vector."""

@@ -15,7 +15,7 @@ from math import isqrt
 
 from . import catalog
 from .core import NoRepresentation, NotAHassettDiscriminant, saturation
-from .report import CheckReport, run_certificate
+from .report import certificate
 
 
 def _four_square_reps(n: int):
@@ -160,29 +160,27 @@ def labeling_for_d(d: int) -> Labeling:
     return Labeling(d=d, v=v, witness=witness)
 
 
-def hassett_sweep(d_max: int) -> CheckReport:
+@certificate("hassett.sweep", "every admissible d <= 10000 carries a "
+             "verified labeling",
+             "every admissible discriminant d <= {d_max} (d > 6, d = 0 or 2 "
+             "mod 6) is realized by a verified primitive rank-2 labeling "
+             "through eta")
+def hassett_sweep(d_max: int = 10000):
     """Label and verify every admissible discriminant up to d_max."""
-    def body():
-        labeled = 0
-        failures = []
-        for d in range(7, d_max + 1):
-            if not is_admissible(d):
-                continue
-            try:
-                labeling_for_d(d)
-                labeled += 1
-            except Exception as exc:  # noqa: BLE001 - report, don't crash the sweep
-                failures.append({"d": d, "error": str(exc)})
-        details = {
-            "d_max": d_max,
-            "admissible": labeled + len(failures),
-            "labeled": labeled,
-            "failures": failures,
-        }
-        return not failures, details
-
-    return run_certificate(
-        "hassett.sweep",
-        f"every admissible discriminant d <= {d_max} (d > 6, d = 0 or 2 mod 6) "
-        "is realized by a verified primitive rank-2 labeling through eta",
-        body)
+    labeled = 0
+    failures = []
+    for d in range(7, d_max + 1):
+        if not is_admissible(d):
+            continue
+        try:
+            labeling_for_d(d)
+            labeled += 1
+        except Exception as exc:  # noqa: BLE001 - report, don't crash the sweep
+            failures.append({"d": d, "error": str(exc)})
+    details = {
+        "d_max": d_max,
+        "admissible": labeled + len(failures),
+        "labeled": labeled,
+        "failures": failures,
+    }
+    return not failures, details

@@ -1,6 +1,8 @@
 """Certificate reports: a named pass/fail result with enough detail to re-verify."""
 from __future__ import annotations
 
+import functools
+import inspect
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,11 +55,29 @@ class CheckReport:
         }
 
 
-def run_certificate(check_id: str, claim: str, body) -> CheckReport:
-    """Time a certificate body returning (ok, details) and wrap it up."""
-    t0 = time.perf_counter()
-    ok, details = body()
-    elapsed = int(round((time.perf_counter() - t0) * 1000))
-    return CheckReport(check_id=check_id, claim=claim,
-                       status="pass" if ok else "fail",
-                       details=details, elapsed_ms=elapsed)
+def certificate(check_id: str, summary: str, claim: str):
+    """Declare a certificate: the decorated function returns (ok, details),
+    and calling it times that body and returns its ``CheckReport``.
+
+    ``claim`` is formatted with the call's arguments, defaults applied (so a
+    literal brace is written doubled).  The function carries ``check_id`` and
+    ``summary``; nothing is registered here (``checks.REGISTRY`` lists them).
+    """
+    def declare(body):
+        signature = inspect.signature(body)
+
+        @functools.wraps(body)
+        def run(*args, **kwargs) -> CheckReport:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            t0 = time.perf_counter()
+            ok, details = body(*args, **kwargs)
+            elapsed = int(round((time.perf_counter() - t0) * 1000))
+            return CheckReport(check_id=check_id,
+                               claim=claim.format(**bound.arguments),
+                               status="pass" if ok else "fail",
+                               details=details, elapsed_ms=elapsed)
+
+        run.check_id, run.summary = check_id, summary
+        return run
+    return declare

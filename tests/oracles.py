@@ -1,11 +1,12 @@
 """Oracles that only tests use: glue generators (no certificate enumerates
-overlattices; ``geomchecks.coset_rule`` reads index-2 cosets directly) and
-the Fraction lift of a discriminant class."""
+overlattices; ``geomchecks.coset_rule`` reads index-2 cosets directly), the
+Fraction lift of a discriminant class and the ambient coordinates of an
+overlattice vector."""
 from fractions import Fraction
 
-from cubiclat.core import (ENUMERATION_GUARD, DiscriminantGroup,
-                           IntegralLattice, ParityError, discriminant_form)
-from cubiclat.glue import (AnyForm, GlueSubgroup, _closure,
+from cubiclat.core import (DiscriminantGroup, IntegralLattice, ParityError,
+                           discriminant_form)
+from cubiclat.glue import (AnyForm, GlueSubgroup, Overlattice, _closure,
                            isotropic_elements, overlattice_from_glue)
 
 
@@ -19,14 +20,21 @@ def lift(group: DiscriminantGroup, coeffs) -> tuple[Fraction, ...]:
     return tuple(x - x.__floor__() for x in acc)
 
 
+def to_ambient(ext: Overlattice, v) -> tuple[Fraction, ...]:
+    """Rational ambient-basis coordinates of the extension vector v; the
+    inverse of ``Overlattice.from_ambient``."""
+    n = ext.ambient.rank
+    return tuple(sum(Fraction(v[a]) * ext.basis[a][i] for a in range(n))
+                 for i in range(n))
+
+
 def trivial_glue(ambient: AnyForm) -> GlueSubgroup:
     zero = tuple(0 for _ in ambient.group.factors)
     return GlueSubgroup(ambient=ambient, elements=frozenset({zero}), order=1,
                         lifts=())
 
 
-def enumerate_even_overlattices(L: IntegralLattice, max_index: int,
-                                guard: int = ENUMERATION_GUARD):
+def enumerate_even_overlattices(L: IntegralLattice, max_index: int):
     """All isotropic subgroups of order <= max_index with their overlattices.
 
     Subgroups are listed up to equality (no automorphism quotient), smallest
@@ -36,7 +44,7 @@ def enumerate_even_overlattices(L: IntegralLattice, max_index: int,
         raise ParityError("even overlattice enumeration needs an even lattice")
     form = discriminant_form(L)
     group = form.group
-    iso = isotropic_elements(form, guard)
+    iso = isotropic_elements(form)
     found: dict[frozenset, tuple[tuple[int, ...], ...]] = {}
     zero = tuple(0 for _ in group.factors)
     frontier = [(frozenset({zero}), ())]

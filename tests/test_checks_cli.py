@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,10 @@ import pytest
 from click.testing import CliRunner
 
 from cubiclat import catalog, checks, geomchecks
-from cubiclat.checks import CheckSpec, UnknownCheck, check_ids, run_checks
+from cubiclat.checks import UnknownCheck, run_checks
 from cubiclat.cli import main
 from cubiclat.core import lattice_to_json
-from cubiclat.report import run_certificate
+from cubiclat.report import certificate
 
 FAST = ["K.d9", "M.gram", "N.gram"]
 REPO = Path(__file__).resolve().parents[1]
@@ -21,14 +22,16 @@ GOLDEN = REPO / "bench" / "reference" / "suite.jsonl"
 
 
 def test_manifest_shape():
-    ids = [spec.check_id for spec in checks.MANIFEST]
+    ids = list(checks.REGISTRY)
     assert len(ids) == 20
     assert ids == sorted(ids)
-    assert len(set(ids)) == 20
-    for spec in checks.MANIFEST:
-        assert spec.summary
-    assert set(checks.REGISTRY) == set(ids)
-    assert list(check_ids()) == ids
+    for check_id, run in checks.REGISTRY.items():
+        assert run.check_id == check_id
+        assert run.summary
+    # the README's certificate table documents every check, in id order
+    table = re.findall(r"^\| `([^`]+)` \|", (REPO / "README.md").read_text(
+        encoding="utf-8"), re.MULTILINE)
+    assert table == ids
 
 
 def test_run_checks_subset():
@@ -68,7 +71,7 @@ def test_run_checks_is_deterministic_and_sorted():
 def test_cli_checks_list():
     result = CliRunner().invoke(main, ["checks", "list"])
     assert result.exit_code == 0
-    for check_id in check_ids():
+    for check_id in checks.REGISTRY:
         assert check_id in result.output
 
 
@@ -105,11 +108,11 @@ def test_cli_checks_run_unknown_id():
 
 
 def test_cli_checks_run_reports_failure(monkeypatch):
-    spec = CheckSpec(
-        "tmp.fail", "always fails",
-        lambda: run_certificate("tmp.fail", "always fails",
-                                lambda: (False, {"reason": "test"})))
-    monkeypatch.setitem(checks.REGISTRY, "tmp.fail", spec)
+    @certificate("tmp.fail", "always fails", "always fails")
+    def always_fails():
+        return False, {"reason": "test"}
+
+    monkeypatch.setitem(checks.REGISTRY, "tmp.fail", always_fails)
     result = CliRunner().invoke(main, ["checks", "run", "--name", "tmp.fail"])
     assert result.exit_code == 1
     assert "fail" in result.output

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubiclat import exact
+from cubiclat import core, exact
 from cubiclat.core import (
     DegenerateLattice,
     DependentSpan,
@@ -26,6 +26,7 @@ from cubiclat.core import (
     rescale,
     saturation,
 )
+from cubiclat.glue import glue_group
 
 A2 = IntegralLattice([[2, -1], [-1, 2]], name="A2")
 U = IntegralLattice([[0, 1], [1, 0]], name="U")
@@ -51,6 +52,20 @@ def test_pairing_and_norm():
     assert A2.pair_rational((Fraction(1, 3), Fraction(2, 3)),
                             (Fraction(1, 3), Fraction(2, 3))) == Fraction(2, 3)
     assert A2.dual_pairings((1, 0)) == (2, -1)
+
+
+def test_mis_sized_vectors_are_rejected():
+    # a vector of the wrong length is an error, not silently truncated
+    with pytest.raises(ValueError, match="1 coordinates, not 2"):
+        A2.norm((1,))
+    with pytest.raises(ValueError, match="3 coordinates, not 2"):
+        A2.pair((1, 0, 7), (1, 0, 9))
+    with pytest.raises(ValueError, match="1 coordinates, not 2"):
+        A2.dual_pairings((1,))
+    with pytest.raises(ValueError, match="3 coordinates, not 2"):
+        A2.pair_rational((Fraction(1), 0, 5), (Fraction(1, 2), 0, 7))
+    with pytest.raises(ValueError, match="3 coordinates, not 2"):
+        glue_group(U, [(1, 1, 5)], [(1, -1, 3)])
 
 
 def test_pair_rational_matches_fraction_sum():
@@ -135,7 +150,8 @@ def test_value_multiset_guard_comes_before_any_value(monkeypatch):
     form = discriminant_form(direct_sum(A2, A2, IntegralLattice([[4]])))
     order = form.group.order
     assert order == 36
-    expected = form.value_multiset(guard=order)
+    monkeypatch.setattr(core, "ENUMERATION_GUARD", order)
+    expected = form.value_multiset()
     assert len(expected) == order
 
     def kernel_called(self, choices):
@@ -143,9 +159,10 @@ def test_value_multiset_guard_comes_before_any_value(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(FiniteQuadraticForm, "_scaled_values", kernel_called)
+        m.setattr(core, "ENUMERATION_GUARD", order - 1)
         with pytest.raises(TooLarge, match="36 elements"):
-            form.value_multiset(guard=order - 1)
-    assert form.value_multiset(guard=order) == expected
+            form.value_multiset()
+    assert form.value_multiset() == expected
 
 
 def test_discriminant_bilinear_form():

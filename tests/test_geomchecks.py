@@ -32,13 +32,13 @@ def test_plane_enumeration_in_n():
     n = catalog.plane_lattice_N()
     planes = enumerate_planes(n, ETA)
     assert len(planes) == 19
-    vs = {p.v for p in planes}
-    assert catalog.p_in_N() in vs
+    assert planes == sorted(set(planes))
+    assert catalog.p_in_N() in planes
     for i in range(1, 10):
-        assert tuple(int(k == 1 + i) for k in range(11)) in vs
+        assert tuple(int(k == 1 + i) for k in range(11)) in planes
     for p in planes:
-        assert n.norm(p.v) == 3
-        assert n.pair(p.v, ETA) == 1
+        assert n.norm(p) == 3
+        assert n.pair(p, ETA) == 1
 
 
 def test_plane_enumeration_can_be_empty():

@@ -120,6 +120,8 @@ def test_hassett_sweep_report():
     rep = hassett_sweep(100)
     assert rep.ok
     assert rep.check_id == "hassett.sweep"
+    # the claim is formatted with the call's own bound
+    assert rep.claim.startswith("every admissible discriminant d <= 100 (")
     assert rep.details["failures"] == []
     assert rep.details["labeled"] == rep.details["admissible"] == 31
 
