@@ -1,4 +1,4 @@
-"""Tests for the check manifest, the runner, and the command-line interface."""
+"""Tests for the check registry, the runner, and the command-line interface."""
 
 import json
 import os

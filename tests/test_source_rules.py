@@ -45,8 +45,8 @@ def test_every_method_has_a_non_test_reader():
     # every non-dunder method or property of a package class is read as an
     # attribute outside its own definition, in the package modules or
     # bench/*.py, or is named as Class.method in a bench/*.py string (the
-    # trace hooks).  Attributes match by name only, so Overlattice.to_ambient
-    # passes through the reads of Sublattice.to_ambient.
+    # trace hooks).  Attributes match by name only, so a method passes when
+    # a same-named method of another class is read.
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in [*MODULES, *(ROOT / "bench").glob("*.py")]}
     reads = [(path, node.lineno, node.attr) for path, tree in trees.items()
