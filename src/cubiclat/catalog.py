@@ -34,15 +34,6 @@ _BRACKET = re.compile(r"^<(?P<k>-?\d+)>$")
 _SCALED = re.compile(r"^(?P<base>.+)\((?P<s>-?\d+)\)$")
 
 
-def _chain_gram(n: int) -> list[list[int]]:
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        g[i][i] = 2
-    for i in range(n - 1):
-        g[i][i + 1] = g[i + 1][i] = -1
-    return g
-
-
 def _tree_gram(arms: tuple[int, ...]) -> list[list[int]]:
     """Gram matrix of the simply laced tree with the given arm lengths."""
     n = 1 + sum(arms)
@@ -78,7 +69,7 @@ def standard(name: str, scale: int = 1) -> IntegralLattice:
             raise TooLarge(f"rank {n} is above the limit {MAX_RANK} "
                            "for standard families")
         if fam == "A" and n >= 1:
-            gram = _chain_gram(n)
+            gram = _tree_gram((n - 1,))
         elif fam == "D" and n >= 4:
             gram = _tree_gram((1, 1, n - 3))
         elif fam == "E" and n in (6, 7, 8):

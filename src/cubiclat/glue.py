@@ -19,6 +19,7 @@ from .core import (
     FiniteQuadraticForm,
     IntegralLattice,
     NotIsotropic,
+    _coords,
 )
 
 AnyForm = FiniteQuadraticForm | FiniteBilinearForm
@@ -169,6 +170,8 @@ def overlattice_from_glue(L: IntegralLattice, H: GlueSubgroup) -> Overlattice:
 def glue_group(L: IntegralLattice, s1, s2) -> tuple[int, ...]:
     """Invariant factors of L/(S1 + S2) for orthogonal spans S1 and S2 whose
     union is a rational basis of L."""
+    s1 = [_coords(v, L.rank) for v in s1]
+    s2 = [_coords(v, L.rank) for v in s2]
     for v in s1:
         for w in s2:
             if L.pair(v, w) != 0:

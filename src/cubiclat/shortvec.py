@@ -227,94 +227,40 @@ def ade_root_number(label: str) -> int:
     return ADE_ROOT_COUNTS[label[0]](int(label[1:]))
 
 
-def _component_label(nodes: list[int], adj: dict[int, set[int]]) -> str:
-    n = len(nodes)
-    degrees = {v: len(adj[v] & set(nodes)) for v in nodes}
-    branch = [v for v in nodes if degrees[v] >= 3]
-    if not branch:
-        return f"A{n}"
-    if len(branch) > 1 or degrees[branch[0]] > 3:
-        raise NotRootGenerated("norm-2 graph is not an ADE diagram")
-    b = branch[0]
-    arms = []
-    for start in adj[b] & set(nodes):
-        length = 1
-        prev, cur = b, start
-        while True:
-            nxt = (adj[cur] & set(nodes)) - {prev}
-            if not nxt:
-                break
-            prev, cur = cur, nxt.pop()
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return f"D{arms[2] + 3}"
-    if arms == [1, 2, 2]:
-        return "E6"
-    if arms == [1, 2, 3]:
-        return "E7"
-    if arms == [1, 2, 4]:
-        return "E8"
-    raise NotRootGenerated("norm-2 graph is not an ADE diagram")
-
-
 def identify_root_lattice(L: IntegralLattice) -> list[str]:
     """ADE decomposition of the sublattice generated by norm-2 vectors.
 
     Requires the norm-2 vectors to span L over the rationals; otherwise
     NotRootGenerated.  Returns sorted labels like ["A1", "D9"].
+
+    The reflections x -> x - (x.r) r in norm-2 vectors r preserve L, so
+    those vectors form a simply-laced root system.  Its irreducible pieces
+    are the connected components of the graph joining two roots that pair
+    nonzero, and an irreducible piece is fixed by its rank n and its root
+    count (Humphreys, GTM 9, section 11): A_n has n(n+1) roots, D_n has
+    2n(n-1), E6, E7 and E8 have 72, 126 and 240, and the counts coincide
+    only at A3 = D3, labelled A3.  The E8.roots certificate checks this
+    count table against enumeration for A1-A8, D4-D8 and E6-E8.
     """
     if L.rank and not L.is_positive_definite():
         raise IndefiniteLattice("root identification needs a positive definite lattice")
     roots = vectors_of_norm(L, 2)
-    if exact.rational_rank([list(r) for r in roots]) < L.rank:
-        raise NotRootGenerated(
-            f"norm-2 vectors span rank {exact.rational_rank([list(r) for r in roots])}"
-            f" < {L.rank}")
-    # generic positive functional: balanced base-B digits cannot cancel
-    big = max(abs(x) for r in roots for x in r)
-    base = max(2 * big + 1, L.rank + 1)
-    weights = [base ** i for i in range(L.rank)]
-
-    def height(v):
-        return sum(w * x for w, x in zip(weights, v))
-
-    positives = [r for r in roots if height(r) > 0]
-    pos_set = set(positives)
-    simple = []
-    for r in positives:
-        if not any(tuple(a - b for a, b in zip(r, s)) in pos_set
-                   for s in positives if s != r):
-            simple.append(r)
-    adj = {i: set() for i in range(len(simple))}
-    for i in range(len(simple)):
-        for j in range(i + 1, len(simple)):
-            p = L.pair(simple[i], simple[j])
-            if p == -1:
-                adj[i].add(j)
-                adj[j].add(i)
-            elif p != 0:
-                raise NotRootGenerated(
-                    f"simple-root pairing {p} outside a simply-laced diagram")
-    seen: set[int] = set()
+    span = exact.rational_rank([list(r) for r in roots])
+    if span < L.rank:
+        raise NotRootGenerated(f"norm-2 vectors span rank {span} < {L.rank}")
+    rest = set(roots)
     labels = []
-    for start in range(len(simple)):
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            comp.append(v)
-            stack.extend(adj[v] - seen)
-        labels.append(_component_label(comp, adj))
-    labels.sort()
-    total = sum(ade_root_number(lab) for lab in labels)
-    if total != len(roots):
-        raise NotRootGenerated(
-            f"{len(roots)} roots but diagram {labels} accounts for {total}")
-    return labels
+    while rest:
+        component = [rest.pop()]
+        for r in component:  # grows until the component is closed
+            linked = [s for s in rest if L.pair(r, s)]
+            rest.difference_update(linked)
+            component.extend(linked)
+        n = exact.rational_rank([list(r) for r in component])
+        label = next((lab for lab in (f"A{n}", f"D{n}", f"E{n}")
+                      if ade_root_number(lab) == len(component)), None)
+        if label is None:
+            raise NotRootGenerated(
+                f"{len(component)} roots of rank {n} fit no ADE type")
+        labels.append(label)
+    return sorted(labels)

@@ -150,6 +150,13 @@ def test_standard_parser():
     assert scaled.det == 2 ** 8
 
 
+def test_standard_a_family_is_the_tridiagonal_path():
+    for n in range(1, 13):
+        want = tuple(tuple(2 if i == j else -1 if abs(i - j) == 1 else 0
+                           for j in range(n)) for i in range(n))
+        assert catalog.standard(f"A{n}").gram == want, n
+
+
 def test_standard_parser_rejections():
     for bad in ["A0", "D3", "E9", "E5", "Q5", "<x>"]:
         with pytest.raises(UnknownLattice):

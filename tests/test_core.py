@@ -66,6 +66,11 @@ def test_mis_sized_vectors_are_rejected():
         A2.pair_rational((Fraction(1), 0, 5), (Fraction(1, 2), 0, 7))
     with pytest.raises(ValueError, match="3 coordinates, not 2"):
         glue_group(U, [(1, 1, 5)], [(1, -1, 3)])
+    # with one span empty no pairing is taken, so the length is checked first
+    with pytest.raises(ValueError, match="3 coordinates, not 2"):
+        glue_group(U, [], [(1, 1, 5), (1, -1, 3)])
+    with pytest.raises(ValueError, match="3 coordinates, not 2"):
+        glue_group(U, [(1, 1, 5), (1, -1, 3)], [])
 
 
 def test_pair_rational_matches_fraction_sum():

@@ -158,23 +158,24 @@ def even_lattices(draw):
 def test_integer_forms_match_a_fraction_oracle(L, data):
     form = discriminant_form(L)
     group = form.group
-    # q(e) = lift(e)^T G lift(e) mod 2, computed on Fractions element by element
-    oracle = {e: L.pair_rational(lift(group, e), lift(group, e)) % 2
-              for e in group.elements()}
+    # q(e) = lift(e)^T G lift(e) mod 2, computed on Fractions element by
+    # element; each lift is built once
+    lifts = {e: lift(group, e) for e in group.elements()}
+    oracle = {e: L.pair_rational(y, y) % 2 for e, y in lifts.items()}
     assert form.value_multiset() == tuple(sorted(oracle.values()))
     for e, value in oracle.items():
         assert form.q(e) == value
-        assert group.class_of_rational(lift(group, e)) == e
+        assert group.class_of_rational(lifts[e]) == e
     for m in (2, 3):
         killed = Counter(v for e, v in oracle.items()
                          if all(m * c % d == 0 for c, d in zip(e, group.factors)))
         assert _torsion_q_multiset(form, m) == dict(killed)
     e, f = (data.draw(st.sampled_from(sorted(oracle))) for _ in range(2))
-    assert form.bilinear(e, f) == L.pair_rational(lift(group, e), lift(group, f)) % 1
+    assert form.bilinear(e, f) == L.pair_rational(lifts[e], lifts[f]) % 1
     # adding e_i / s, s above every entry of Gram column i, leaves the dual
     i = data.draw(st.integers(0, L.rank - 1))
     s = 1 + max(abs(row[i]) for row in L.gram)
-    off = [x + Fraction(int(j == i), s) for j, x in enumerate(lift(group, e))]
+    off = [x + Fraction(int(j == i), s) for j, x in enumerate(lifts[e])]
     with pytest.raises(ValueError, match="dual"):
         group.class_of_rational(off)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cubiclat import catalog, core, exact, shortvec
+from cubiclat import catalog, checks, core, exact, shortvec
 from cubiclat.core import (IndefiniteLattice, IntegralLattice,
                            NotRootGenerated, TooManyVectors, direct_sum,
                            rescale)
@@ -201,6 +201,31 @@ def test_identify_direct_sum():
     s = direct_sum(catalog.standard("D7"), catalog.standard("A1"))
     assert identify_root_lattice(s) == ["A1", "D7"]
     assert root_count(s, 2) == 86
+
+
+def test_identify_every_ade_sum_of_rank_at_most_8():
+    sums = checks._ade_sums(8)
+    assert len(sums) == 100
+    for labels in sums:
+        L = direct_sum(*(catalog.standard(label) for label in labels))
+        assert identify_root_lattice(L) == sorted(labels), labels
+
+
+def test_identify_names_odd_root_systems():
+    # the norm-2 vectors of Z^3 are A3 = D3, named A3; those of Z^4 are D4
+    for n, labels in ((3, ["A3"]), (4, ["D4"])):
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert identify_root_lattice(IntegralLattice(identity)) == labels
+
+
+def test_ade_root_counts_fix_the_type_within_each_rank():
+    # identification reads a component's type off its rank and root count,
+    # which is sound only while no two types of one rank share a count
+    assert ade_root_number("A3") == ade_root_number("D3") == 12
+    for n in range(1, core.MAX_RANK + 1):
+        labels = [f"A{n}"] + [f"D{n}"] * (n >= 4) + [f"E{n}"] * (6 <= n <= 8)
+        counts = [ade_root_number(label) for label in labels]
+        assert len(set(counts)) == len(counts), labels
 
 
 def test_identify_rejects_non_root_lattices():

@@ -71,3 +71,22 @@ def test_every_method_has_a_non_test_reader():
                     unread.append(f"{path.name}:{cls.name}.{fn.name}")
     assert MODULES
     assert not unread, unread
+
+
+def test_every_imported_name_is_read():
+    # each name a package module imports is read in that module; __init__
+    # re-exports, and the __future__ import is a compiler directive
+    unread = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unread.append(f"{path.name}:{node.lineno}:{name}")
+    assert MODULES
+    assert not unread, unread
