@@ -20,6 +20,7 @@ from .core import (
     NotIntegral,
     TooLarge,
     UnknownLattice,
+    _gram_product,
     basic_invariants,
     direct_sum,
     discriminant_form,
@@ -108,22 +109,18 @@ def plane_lattice_N() -> IntegralLattice:
     2y - sum(F_i).
     """
     s = _symbol_pairing()
-    half = Fraction(1, 2)
-    basis = [[Fraction(0)] * 11 for _ in range(11)]
-    basis[0][0] = Fraction(1)
-    for j in range(1, 11):
-        basis[1][j] = half
-    for i in range(2, 11):
-        basis[i][i] = Fraction(1)
+    # 2 * (eta, y, F_1..F_9) in the symbol basis: integral, as 2y = P + sum F_i
+    basis2 = [[2 * (j == a) for j in range(11)] for a in range(11)]
+    basis2[1] = [0] + [1] * 10
     gram = []
     for a in range(11):
         row = []
         for b in range(11):
-            val = sum(basis[a][i] * s[i][j] * basis[b][j]
-                      for i in range(11) for j in range(11))
-            if val.denominator != 1:
-                raise NotIntegral(f"N has the non-integral pairing {val}")
-            row.append(int(val))
+            val4 = _gram_product(s, basis2[a], basis2[b])
+            if val4 % 4:
+                raise NotIntegral(
+                    f"N has the non-integral pairing {Fraction(val4, 4)}")
+            row.append(val4 // 4)
         gram.append(row)
     return IntegralLattice(gram, labels=_N_LABELS)
 

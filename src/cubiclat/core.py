@@ -116,10 +116,12 @@ class Invariants(NamedTuple):
 
 
 def _coords(v, rank: int) -> tuple[int, ...]:
-    """Integer coordinates of v, which must have exactly ``rank`` of them."""
+    """v as a tuple of ints; v must be integral and have ``rank`` entries."""
     vc = tuple(map(int, v))
     if len(vc) != rank:
         raise ValueError(f"vector has {len(vc)} coordinates, not {rank}")
+    if vc != tuple(v):
+        raise ValueError(f"vector {tuple(v)} has non-integral coordinates")
     return vc
 
 
@@ -476,7 +478,7 @@ def orthogonal_complement(L: IntegralLattice, vectors) -> Sublattice:
         raise DependentSpan("spanning vectors are linearly dependent")
     constraints = [list(L.dual_pairings(v)) for v in vs]
     basis = exact.integer_kernel(constraints) if vs else exact.identity(L.rank)
-    gram = [[L.pair(a, b) for b in basis] for a in basis]
+    gram = [[_gram_product(L.gram, a, b) for b in basis] for a in basis]
     sub = IntegralLattice(gram, labels=[f"c{i+1}" for i in range(len(basis))])
     return Sublattice(sub, basis)
 
@@ -492,7 +494,7 @@ def saturation(L: IntegralLattice, vectors) -> Sublattice:
     funcs = exact.integer_kernel(vs)
     basis = (exact.integer_kernel([list(f) for f in funcs]) if funcs
              else exact.identity(L.rank))
-    gram = [[L.pair(a, b) for b in basis] for a in basis]
+    gram = [[_gram_product(L.gram, a, b) for b in basis] for a in basis]
     sub = IntegralLattice(gram, labels=[f"s{i+1}" for i in range(len(basis))])
     return Sublattice(sub, basis)
 

@@ -16,8 +16,8 @@ from itertools import combinations
 from math import gcd
 
 from . import catalog, exact
-from .core import (IntegralLattice, LatticeError, discriminant_group,
-                   divisibility, orthogonal_complement)
+from .core import (IntegralLattice, LatticeError, _gram_product,
+                   discriminant_group, divisibility, orthogonal_complement)
 from .hassett import is_admissible
 from .report import certificate
 from .shortvec import enumerate_by_norm, vectors_of_norm
@@ -235,6 +235,10 @@ def saturation_certificate():
     n, eta, p, fs = _plane_family()
     # dual[0] = eta*, dual[i] = F_i*
     _, dual, independent = catalog.n_dual_classes()
+    # the dual classes of (Z/2)^10 doubled, so each subset sums on integers
+    if any(2 % c.denominator for d in dual for c in d):
+        raise LatticeError("twice a dual class of N is not integral")
+    dual2 = [[c.numerator * 2 // c.denominator for c in d] for d in dual]
 
     isotropic = 0
     families: Counter = Counter()
@@ -245,10 +249,10 @@ def saturation_certificate():
         problems.append({"class": (), "error": "scan flagged N itself"})
     for size in range(1, 11):
         for symbols in combinations(range(10), size):
-            lift = tuple(sum(dual[s][i] for s in symbols)
-                         for i in range(n.rank))
-            if n.pair_rational(lift, lift) % 1 != 0:
+            lift2 = [sum(c) for c in zip(*(dual2[s] for s in symbols))]
+            if _gram_product(n.gram, lift2, lift2) % 4:
                 continue
+            lift = tuple(Fraction(c, 2) for c in lift2)
             isotropic += 1
             has_eta = 0 in symbols
             supp = tuple(s for s in symbols if s != 0)

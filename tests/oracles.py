@@ -1,7 +1,7 @@
 """Oracles that only tests use: glue generators (no certificate enumerates
 overlattices; ``geomchecks.coset_rule`` reads index-2 cosets directly), the
-Fraction lift of a discriminant class and the ambient coordinates of an
-overlattice vector."""
+Fraction lift of a discriminant class, the ambient coordinates of an
+overlattice vector and N's Gram as a Fraction product."""
 from fractions import Fraction
 
 from cubiclat.core import (DiscriminantGroup, IntegralLattice, ParityError,
@@ -26,6 +26,21 @@ def to_ambient(ext: Overlattice, v) -> tuple[Fraction, ...]:
     n = ext.ambient.rank
     return tuple(sum(Fraction(v[a]) * ext.basis[a][i] for a in range(n))
                  for i in range(n))
+
+
+def plane_gram_N(s) -> list[list[Fraction]]:
+    """B S B^T over Fractions for the symbol pairing s and the basis
+    (eta, y, F_1..F_9) of N, with y = (P + F_1 + ... + F_9)/2 halved."""
+    half = Fraction(1, 2)
+    basis = [[Fraction(0)] * 11 for _ in range(11)]
+    basis[0][0] = Fraction(1)
+    for j in range(1, 11):
+        basis[1][j] = half
+    for i in range(2, 11):
+        basis[i][i] = Fraction(1)
+    return [[sum(basis[a][i] * s[i][j] * basis[b][j]
+                 for i in range(11) for j in range(11))
+             for b in range(11)] for a in range(11)]
 
 
 def trivial_glue(ambient: AnyForm) -> GlueSubgroup:

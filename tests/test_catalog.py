@@ -8,12 +8,14 @@ from cubiclat import catalog
 from cubiclat.core import (
     CrossCheckFailed,
     DegenerateLattice,
+    NotIntegral,
     UnknownLattice,
     basic_invariants,
     discriminant_group,
     divisibility,
     orthogonal_complement,
 )
+from oracles import plane_gram_N
 
 
 def test_registry_invariants():
@@ -59,6 +61,27 @@ def test_plane_lattice_symbol_classes():
     f2 = (0, 0, 0, 1) + (0,) * 7
     assert n.pair(p, f1) == -1
     assert n.pair(f1, f2) == 1
+
+
+def test_plane_lattice_matches_the_fraction_product():
+    oracle = plane_gram_N(catalog._symbol_pairing())
+    assert catalog.plane_lattice_N().gram == tuple(map(tuple, oracle))
+
+
+def test_plane_lattice_rejects_a_non_integral_pairing(monkeypatch):
+    # F_1.F_2 = 2 instead of 1 makes y.y = (84 + 2)/4 = 43/2, the first
+    # non-integral entry in row order
+    real = catalog._symbol_pairing
+
+    def skewed():
+        s = real()
+        s[2][3] = s[3][2] = 2
+        return s
+
+    monkeypatch.setattr(catalog, "_symbol_pairing", skewed)
+    with pytest.raises(NotIntegral,
+                       match="^N has the non-integral pairing 43/2$"):
+        catalog.plane_lattice_N.__wrapped__()
 
 
 def test_delta_class():

@@ -73,6 +73,23 @@ def test_mis_sized_vectors_are_rejected():
         glue_group(U, [(1, 1, 5), (1, -1, 3)], [])
 
 
+def test_non_integral_coordinates_are_rejected():
+    # a fractional coordinate is an error, not silently truncated
+    with pytest.raises(ValueError, match="non-integral"):
+        A2.pair((Fraction(1, 2), 0), (1, 0))
+    with pytest.raises(ValueError, match="non-integral"):
+        A2.norm((1.9, 0))
+    with pytest.raises(ValueError, match="non-integral"):
+        A2.dual_pairings((0, Fraction(-1, 3)))
+    with pytest.raises(ValueError, match="non-integral"):
+        glue_group(U, [(1, 1)], [(Fraction(1, 2), Fraction(-1, 2))])
+    # integral Fractions and floats are integer coordinates
+    assert A2.pair((Fraction(2, 1), 0), (1, 0)) == 4
+    assert A2.norm((1.0, 1)) == 2
+    assert A2.dual_pairings((Fraction(3), 0)) == (6, -3)
+    assert glue_group(U, [(Fraction(1), 1)], [(1, -1)]) == (2,)
+
+
 def test_pair_rational_matches_fraction_sum():
     rng = random.Random(7)
     L = IntegralLattice([[4, -1, 2], [-1, 3, 0], [2, 0, -5]])
