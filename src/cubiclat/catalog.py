@@ -132,16 +132,23 @@ def n_class(label: str) -> tuple[int, ...]:
 
 
 def n_dual_classes():
-    """A_N, the dual classes eta*, F_1*..F_9* (columns of N's inverse Gram),
-    and whether they generate A_N = (Z/2)^10 independently: their classes
-    have odd determinant mod 2, so distinct supports give distinct classes."""
+    """A_N, the dual classes eta*, F_1*..F_9* doubled (twice columns 0 and
+    2..10 of N's inverse Gram, as integer lists), and whether they generate
+    A_N = (Z/2)^10 independently: their classes have odd determinant mod 2,
+    so distinct supports give distinct classes."""
     n = plane_lattice_N()
     dg = discriminant_group(n)
-    lifts = [tuple(row[i] for row in n.inverse_gram) for i in [0, *range(2, 11)]]
-    rows = [[c % 2 for c in dg.class_of_rational(lift)] for lift in lifts]
+    labels = ("eta", *_N_LABELS[2:])
+    dual2 = [[2 * row[_N_LABELS.index(a)] for row in n.inverse_gram]
+             for a in labels]
+    if any(c.denominator != 1 for d in dual2 for c in d):
+        raise NotIntegral("twice a dual class of N is not integral")
+    # the dual coordinates of e_i* are the unit vector e_i
+    rows = [[c % 2 for c in dg.class_of_dual_coords(n_class(a))]
+            for a in labels]
     independent = (all(f == 2 for f in dg.factors)
                    and exact.bareiss_det(rows) % 2 == 1)
-    return dg, lifts, independent
+    return dg, [[int(c) for c in d] for d in dual2], independent
 
 
 def p_in_N() -> tuple[int, ...]:
@@ -162,10 +169,8 @@ def delta_in_M() -> tuple[int, ...]:
     orthogonal to eta and therefore lies in M.
     """
     n = plane_lattice_N()
-    basis = m_basis_in_N()
-    rhs = [n.pair(delta_in_N(), v) for v in basis]
-    ginv = prim_lattice_M().inverse_gram
-    coords = [sum(ginv[i][j] * rhs[j] for j in range(10)) for i in range(10)]
+    rhs = [n.pair(delta_in_N(), v) for v in m_basis_in_N()]
+    coords = exact.solve_exact(prim_lattice_M().gram, rhs)
     if any(c.denominator != 1 for c in coords):
         raise NotIntegral("eta - 3P does not lie in M")
     return tuple(int(c) for c in coords)
@@ -227,9 +232,7 @@ def kappa_glue_lift() -> tuple[Fraction, ...]:
     xi is the dual generator delta/24 and beta the dual basis vector of
     alpha_9.
     """
-    kt = kappa_tilde()
-    ginv = kt.inverse_gram
-    return tuple(6 * ginv[i][0] + 2 * ginv[i][9] for i in range(10))
+    return tuple(exact.solve_exact(kappa_tilde().gram, [6] + [0] * 8 + [2]))
 
 
 @lru_cache(maxsize=None)

@@ -60,8 +60,8 @@ def n_gram_certificate():
              "and 0 off it")
 def n_disc_certificate():
     n = catalog.plane_lattice_N()
-    dg, lifts, independent = catalog.n_dual_classes()
-    matrix = [[n.pair_rational(u, v) % 1 for v in lifts] for u in lifts]
+    dg, dual2, independent = catalog.n_dual_classes()
+    matrix = [[Fraction(n.pair(u2, v2), 4) % 1 for v2 in dual2] for u2 in dual2]
     half = Fraction(1, 2)
     diagonal_half = all(matrix[i][i] == half for i in range(10))
     off_zero = all(matrix[i][j] == 0

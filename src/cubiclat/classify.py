@@ -141,16 +141,14 @@ def _torsion_q_multiset(form: FiniteQuadraticForm, m: int) -> dict:
              "no even hyperbolic rank-8 lattice realizes the discriminant "
              "form forced on the complement of the doubled-E8 transcendental "
              "lattice in the K3 lattice")
-def phi2_no_associated_k3(control_three_part: IntegralLattice | None = None):
+def phi2_no_associated_k3():
     """Certify that the rank-14 transcendental lattice with E8(2)-primitive
     part admits no primitive embedding into the K3 lattice.
 
     The proof chain: a complement K would be even hyperbolic of rank 8 with
     discriminant form of 2-part q_{E8(2)} and 3-part q_{A2}; halving K is
     forced integral and even, leaving a unique 3-elementary candidate, whose
-    doubled form has the wrong 3-part.  ``control_three_part`` substitutes a
-    different lattice for the candidate's 3-part to exercise the negative
-    control (a matching 3-part must flip the verdict).
+    doubled form has the wrong 3-part.
     """
     details: dict = {}
     ambient = Signature(3, 19)
@@ -187,11 +185,7 @@ def phi2_no_associated_k3(control_three_part: IntegralLattice | None = None):
     details["candidate_factors"] = discriminant_group(candidate).factors
     ok = ok and sorted(details["candidate_factors"]) == sorted(factors)
 
-    if control_three_part is not None:
-        cand_form = discriminant_form(control_three_part)
-    else:
-        cand_form = discriminant_form(candidate)
-    cand3 = _torsion_q_multiset(cand_form, 3)
+    cand3 = _torsion_q_multiset(discriminant_form(candidate), 3)
     need3 = _torsion_q_multiset(target, 3)
     details["candidate_3_part"] = {str(k): v for k, v in sorted(cand3.items())}
     details["required_3_part"] = {str(k): v for k, v in sorted(need3.items())}

@@ -2,9 +2,11 @@
 
 An integral lattice is a free Z-module of finite rank carrying a symmetric
 integer Gram matrix with nonzero determinant.  Vectors are integer coordinate
-tuples in the lattice basis; dual vectors are rational coordinate tuples in the
-same basis.  All values (determinants, signatures, discriminant-form values)
-are exact: ints and fractions.Fraction throughout, floats nowhere.
+tuples in the lattice basis; dual vectors are rational tuples in the same
+basis, paired on integer numerators (an order-2 class as its doubled lift, so
+b = ``pair`` / 4 mod 1).  All values (determinants, signatures,
+discriminant-form values) are exact: ints and fractions.Fraction throughout,
+floats nowhere.
 
 Conventions:
   - discriminant quadratic values live in Q/2Z, reduced into [0, 2);
@@ -200,14 +202,6 @@ class IntegralLattice:
 
     def norm(self, v) -> int:
         return self.pair(v, v)
-
-    def pair_rational(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        """u^T gram v for rational coordinate vectors, as one integer Gram
-        product over the two vectors' cleared denominators."""
-        un, uden = _numerators(u)
-        vn, vden = _numerators(v)
-        return Fraction(_gram_product(self.gram, _coords(un, self.rank),
-                                      _coords(vn, self.rank)), uden * vden)
 
     def dual_pairings(self, v) -> tuple[int, ...]:
         """The pairings of v with each basis vector, i.e. gram times v."""

@@ -15,8 +15,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from . import catalog, exact
-from .core import (IntegralLattice, LatticeError, _gram_product,
+from . import catalog
+from .core import (IntegralLattice, LatticeError, _coords, _gram_product,
                    discriminant_group, divisibility, orthogonal_complement)
 from .hassett import is_admissible
 from .report import certificate
@@ -109,39 +109,40 @@ def admissibility_scan(L: IntegralLattice, eta,
     return None
 
 
-def coset_rule(L: IntegralLattice, eta, lift) -> str | None:
+def coset_rule(L: IntegralLattice, eta, lift2) -> str | None:
     """The rule ``admissibility_scan(..., norm_bound=3)`` reports for the
-    index-2 extension E = L + (lift + L), read off the coset lift + L alone;
+    index-2 extension E = L + (lam + L), read off the coset lam + L alone;
     None when E passes.
 
-    ``lift`` is a rational vector of order 2 modulo L whose norm is an
-    integer, so E is integral (Nikulin 1979).  Premise, which the caller
-    checks: L itself passes ``admissibility_scan(L, eta, norm_bound=3)``.
-    Then no vector of L can make E fail first at bound 3:
+    ``lift2`` is the doubled lift 2 lam, an integer vector with an odd
+    coordinate, so lam has order 2 modulo L; its norm is divisible by 4, so
+    lam has integral norm and E is integral (Nikulin 1979).  Premise, which
+    the caller checks: L itself passes ``admissibility_scan(L, eta,
+    norm_bound=3)``.  Then no vector of L can make E fail first at bound 3:
       * R1 and R2 judge a vector of L the same way in E as in L;
       * R3 needs norm 6, beyond the bound;
       * R4: for u in L of norm <= 3, span(eta, u) = 3 u.u - (eta.u)^2 <= 9,
         so L passing forces d_L(u) in {0, 8}, and 8 needs u.u = 3,
         eta.u = +-1 and <eta, u> saturated in L.  Saturating in E instead
-        adds index 1 or 2, dividing d by 1 or 4; d = 2 needs lift + L to
+        adds index 1 or 2, dividing d by 1 or 4; d = 2 needs lam + L to
         meet Q<eta, u>, and of the three new classes eta/2, u/2 and
         (eta +- u)/2 only the last has integral norm, 2 for one sign, so
         R1 or R2 fires before R4.
-    So only the coset vectors w = x + lift of norm <= 3 matter, each found by
-    one centred enumeration (Fincke-Pohst 1985).  Saturation of <eta, w> in E
-    has index exactly 2 over its saturation in L, which contains 2w, so
+    So only the coset vectors w = x + lam of norm <= 3 matter, each found by
+    one enumeration centred at lift2 / 2 (Fincke-Pohst 1985) and kept
+    doubled, 2w = 2x + lift2 in L.  Saturation of <eta, w> in E has index
+    exactly 2 over its saturation in L, which contains 2w, so
     d_E(w) = d_L(2w) / 4.  At this bound R4 in fact never fires first: a w
     with an inadmissible d <= 18 has eta.w = +-1 or +-2, and then eta -+ w
     or (eta +- w)/2 has norm 2.  R4 is still tested, in the scan's order.
     """
     ec = _check_eta(L, eta)
-    lam = tuple(Fraction(x) for x in lift)
-    if exact.lcm_list(x.denominator for x in lam) != 2:
+    lam2 = _coords(lift2, L.rank)
+    if not any(c % 2 for c in lam2):
         raise ValueError("lift must have order 2 modulo the lattice")
-    lam2 = [int(2 * c) for c in lam]
     eta_dual = L.dual_pairings(ec)
     coset = []
-    for sl in enumerate_by_norm(L, 3, center=lam):
+    for sl in enumerate_by_norm(L, 3, center=[Fraction(c, 2) for c in lam2]):
         for x in sl.vectors:
             w2 = tuple(2 * a + c for a, c in zip(x, lam2))
             coset.append((sl.norm, sum(p * y for p, y in zip(eta_dual, w2)), w2))
@@ -177,43 +178,41 @@ _FAMILY_RULE = {
 
 
 def _family_witness(has_eta: bool, supp: tuple[int, ...], eta, p, fs):
-    """The explicit half-integer class rejecting this support family, with its
-    claimed rule and the data the rejection rests on.
+    """Twice the explicit half-integer class rejecting this support family,
+    as an integer signed sum, with its claimed rule and the data the
+    rejection rests on.
 
     supp holds the 1-based F-indices in the class.
     """
-    def half(*terms):
-        vec = [Fraction(0)] * len(eta)
-        for sign, v in terms:
-            for i, x in enumerate(v):
-                vec[i] += Fraction(sign * x, 2)
-        return tuple(vec)
+    def signed_sum(*terms):
+        return tuple(sum(sign * v[i] for sign, v in terms)
+                     for i in range(len(eta)))
 
     f = {i: fs[i - 1] for i in range(1, 10)}
     miss = tuple(sorted(set(range(1, 10)) - set(supp)))
     if not has_eta:
         if len(supp) == 2:
-            return half((1, f[supp[0]]), (1, f[supp[1]])), "R2", {"norm": 2}
+            return signed_sum((1, f[supp[0]]), (1, f[supp[1]])), "R2", {"norm": 2}
         if len(supp) in (4, 6):
             terms = [((-1) ** k, f[i]) for k, i in enumerate(supp)]
-            w = half(*terms)
+            w2 = signed_sum(*terms)
             kind = "R1" if len(supp) == 6 else "R2"
-            return w, kind, {"norm": 3 if kind == "R1" else 2}
+            return w2, kind, {"norm": 3 if kind == "R1" else 2}
         r = miss[0]
-        return half((1, p), (1, f[r])), "R4", {"det": 2}
+        return signed_sum((1, p), (1, f[r])), "R4", {"det": 2}
     if len(supp) == 1:
-        return half((1, eta), (1, f[supp[0]])), "R2", {"norm": 2}
+        return signed_sum((1, eta), (1, f[supp[0]])), "R2", {"norm": 2}
     if len(supp) == 3:
         terms = [(1, eta)] + [(1, f[i]) for i in supp]
-        return half(*terms), "R4", {"det": 9}
+        return signed_sum(*terms), "R4", {"det": 9}
     if len(supp) == 5:
         s = miss[-1]
         terms = [(1, eta), (-1, p)] + [(-1, f[i]) for i in miss[:-1]] + [(1, f[s])]
-        return half(*terms), "R2", {"norm": 2}
+        return signed_sum(*terms), "R2", {"norm": 2}
     if len(supp) == 7:
         terms = [(1, eta), (-1, p)] + [(-1, f[i]) for i in miss]
-        return half(*terms), "R1", {"norm": 1}
-    return half((1, eta), (-1, p)), "R4", {"det": 2}
+        return signed_sum(*terms), "R1", {"norm": 1}
+    return signed_sum((1, eta), (-1, p)), "R4", {"det": 2}
 
 
 @certificate("sat.511", "all 511 index-2 extensions of the plane lattice are "
@@ -233,13 +232,8 @@ def saturation_certificate():
     re-verified directly.
     """
     n, eta, p, fs = _plane_family()
-    # dual[0] = eta*, dual[i] = F_i*
-    _, dual, independent = catalog.n_dual_classes()
-    # the dual classes of (Z/2)^10 doubled, so each subset sums on integers
-    if any(2 % c.denominator for d in dual for c in d):
-        raise LatticeError("twice a dual class of N is not integral")
-    dual2 = [[c.numerator * 2 // c.denominator for c in d] for d in dual]
-
+    # dual2[0] = 2 eta*, dual2[i] = 2 F_i*
+    _, dual2, independent = catalog.n_dual_classes()
     isotropic = 0
     families: Counter = Counter()
     scan_rules: Counter = Counter()
@@ -252,7 +246,6 @@ def saturation_certificate():
             lift2 = [sum(c) for c in zip(*(dual2[s] for s in symbols))]
             if _gram_product(n.gram, lift2, lift2) % 4:
                 continue
-            lift = tuple(Fraction(c, 2) for c in lift2)
             isotropic += 1
             has_eta = 0 in symbols
             supp = tuple(s for s in symbols if s != 0)
@@ -261,19 +254,20 @@ def saturation_certificate():
 
             # bound 3 suffices here: every family is rejected by a class
             # of norm at most 3 (witness table below)
-            rule = coset_rule(n, eta, lift)
+            rule = coset_rule(n, eta, lift2)
             if rule is None:
                 problems.append({"class": symbols, "error": "scan passed"})
                 continue
             scan_rules[rule] += 1
 
-            w, rule, data = _family_witness(has_eta, supp, eta, p, fs)
-            if not (all(x.denominator == 1 for x in w)
-                    or all((x - c).denominator == 1 for x, c in zip(w, lift))):
+            # w lies in N or in lam + N: 2w = 0 or 2 lam mod 2
+            w2, rule, data = _family_witness(has_eta, supp, eta, p, fs)
+            if not (all(x % 2 == 0 for x in w2)
+                    or all((x - c) % 2 == 0 for x, c in zip(w2, lift2))):
                 problems.append({"class": symbols, "error": "witness outside"})
                 continue
-            wn = n.pair_rational(w, w)
-            we = n.pair_rational(w, eta)
+            wn = Fraction(_gram_product(n.gram, w2, w2), 4)
+            we = Fraction(n.pair(w2, eta), 2)
             ok = rule == _FAMILY_RULE[key]
             if rule == "R2":
                 ok = ok and wn == 2

@@ -205,8 +205,8 @@ def enumerate_by_norm(L: IntegralLattice, max_norm,
     return out
 
 
-def vectors_of_norm(L: IntegralLattice, norm: int, center=None) -> list[tuple[int, ...]]:
-    for sl in enumerate_by_norm(L, norm, center=center):
+def vectors_of_norm(L: IntegralLattice, norm: int) -> list[tuple[int, ...]]:
+    for sl in enumerate_by_norm(L, norm):
         if sl.norm == norm:
             return sl.vectors
     return []

@@ -1,10 +1,12 @@
 """Oracles that only tests use: glue generators (no certificate enumerates
 overlattices; ``geomchecks.coset_rule`` reads index-2 cosets directly), the
-Fraction lift of a discriminant class, the ambient coordinates of an
-overlattice vector and N's Gram as a Fraction product."""
+Fraction lift of a discriminant class, the pairing of two rational vectors
+(the package pairs order-2 classes as doubled integer lifts), the ambient
+coordinates of an overlattice vector, and N's Gram and inverse by hand."""
 from fractions import Fraction
 
 from cubiclat.core import (DiscriminantGroup, IntegralLattice, ParityError,
+                           _coords, _gram_product, _numerators,
                            discriminant_form)
 from cubiclat.glue import (AnyForm, GlueSubgroup, Overlattice, _closure,
                            isotropic_elements, overlattice_from_glue)
@@ -20,12 +22,36 @@ def lift(group: DiscriminantGroup, coeffs) -> tuple[Fraction, ...]:
     return tuple(x - x.__floor__() for x in acc)
 
 
+def pair_rational(L: IntegralLattice, u, v) -> Fraction:
+    """u^T gram v for rational coordinate vectors, as one integer Gram
+    product over the two vectors' cleared denominators."""
+    un, uden = _numerators(u)
+    vn, vden = _numerators(v)
+    return Fraction(_gram_product(L.gram, _coords(un, L.rank),
+                                  _coords(vn, L.rank)), uden * vden)
+
+
 def to_ambient(ext: Overlattice, v) -> tuple[Fraction, ...]:
     """Rational ambient-basis coordinates of the extension vector v; the
     inverse of ``Overlattice.from_ambient``."""
     n = ext.ambient.rank
     return tuple(sum(Fraction(v[a]) * ext.basis[a][i] for a in range(n))
                  for i in range(n))
+
+
+ETA_F = [0] + list(range(2, 11))  # eta, F_1..F_9 in the (eta, y, F_i) basis
+
+
+def plane_inverse_times_two() -> list[list[int]]:
+    """2 * N^-1 by hand: N^-1 is 3/2 on the eta/F_i diagonal, 1 between two
+    distinct members of {eta, F_i}, -5/2 in the y row and column and 6 at
+    (y, y)."""
+    x2 = [[-5] * 11 for _ in range(11)]
+    for i in ETA_F:
+        for j in ETA_F:
+            x2[i][j] = 3 if i == j else 2
+    x2[1][1] = 12
+    return x2
 
 
 def plane_gram_N(s) -> list[list[Fraction]]:

@@ -18,7 +18,7 @@ from cubiclat.core import (
 )
 from cubiclat.exact import bareiss_det, smith_normal_form
 from cubiclat.shortvec import enumerate_by_norm
-from oracles import enumerate_even_overlattices, lift
+from oracles import enumerate_even_overlattices, lift, pair_rational
 
 
 def random_positive_definite(rng: random.Random, max_rank: int = 4,
@@ -129,9 +129,9 @@ def disc_lift_trials(rng: random.Random, trials: int) -> int:
         v2 = tuple(a + b for a, b in zip(v, w))
         assert group.class_of_rational(v) == cls
         assert group.class_of_rational(v2) == cls
-        assert (L.pair_rational(v, v) - L.pair_rational(v2, v2)) % 2 == 0
-        assert (L.pair_rational(v, u) - L.pair_rational(v2, u)) % 1 == 0
-        assert (form.q(cls) - L.pair_rational(v, v)) % 2 == 0
+        assert (pair_rational(L, v, v) - pair_rational(L, v2, v2)) % 2 == 0
+        assert (pair_rational(L, v, u) - pair_rational(L, v2, u)) % 1 == 0
+        assert (form.q(cls) - pair_rational(L, v, v)) % 2 == 0
         done += 1
     return done
 

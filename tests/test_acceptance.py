@@ -42,6 +42,7 @@ from cubiclat.geomchecks import (
 from cubiclat.glue import glue_group, glue_subgroup, overlattice_from_glue
 from cubiclat.hassett import hassett_sweep, labeling_for_d
 from cubiclat.shortvec import identify_root_lattice, root_count
+from oracles import ETA_F, pair_rational, plane_inverse_times_two
 from property_battery import run_battery
 
 import pytest
@@ -49,21 +50,6 @@ import pytest
 
 def _line(num: int, ok: bool, text: str) -> None:
     print(f"criterion {num:02d} {'PASS' if ok else 'FAIL'}: {text}")
-
-
-ETA_F = [0] + list(range(2, 11))  # eta, F_1..F_9 in the (eta, y, F_i) basis
-
-
-def _plane_inverse_times_two() -> list[list[int]]:
-    """2 * N^-1 by hand: N^-1 is 3/2 on the eta/F_i diagonal, 1 between two
-    distinct members of {eta, F_i}, -5/2 in the y row and column and 6 at
-    (y, y)."""
-    x2 = [[-5] * 11 for _ in range(11)]
-    for i in ETA_F:
-        for j in ETA_F:
-            x2[i][j] = 3 if i == j else 2
-    x2[1][1] = 12
-    return x2
 
 
 def _f2_rank(rows: list[list[int]]) -> int:
@@ -88,7 +74,7 @@ def test_c01_plane_disc_group_and_all_half_form():
     dg = discriminant_group(n)
     group_ok = dg.factors == (2,) * 10
 
-    x2 = _plane_inverse_times_two()
+    x2 = plane_inverse_times_two()
     inverse_ok = ([[sum(g[i][k] * x2[k][j] for k in range(11))
                     for j in range(11)] for i in range(11)]
                   == [[2 * (i == j) for j in range(11)] for i in range(11)])
@@ -104,7 +90,7 @@ def test_c01_plane_disc_group_and_all_half_form():
 
     ginv = n.inverse_gram
     duals = [[row[c] for row in ginv] for c in ETA_F]
-    matrix = [[n.pair_rational(a, b) % 1 for b in duals] for a in duals]
+    matrix = [[pair_rational(n, a, b) % 1 for b in duals] for a in duals]
 
     cert = run_checks(["N.disc"])[0]
 

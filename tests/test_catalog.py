@@ -14,8 +14,10 @@ from cubiclat.core import (
     discriminant_group,
     divisibility,
     orthogonal_complement,
+    rescale,
 )
-from oracles import plane_gram_N
+from oracles import (ETA_F, pair_rational, plane_gram_N,
+                     plane_inverse_times_two)
 
 
 def test_registry_invariants():
@@ -84,6 +86,31 @@ def test_plane_lattice_rejects_a_non_integral_pairing(monkeypatch):
         catalog.plane_lattice_N.__wrapped__()
 
 
+def test_n_dual_classes_are_the_doubled_inverse_columns():
+    # twice the closed form of N^-1 (checked against N's Gram in c01) on
+    # eta, F_1..F_9, as integer lists
+    x2 = plane_inverse_times_two()
+    dg, dual2, independent = catalog.n_dual_classes()
+    assert dual2 == [[row[c] for row in x2] for c in ETA_F]
+    assert all(type(c) is int for d in dual2 for c in d)
+    assert independent is True
+    # the classes read from unit dual coordinates are those of the Fraction
+    # columns of N^-1
+    n = catalog.plane_lattice_N()
+    labels = ["eta"] + [f"F{i}" for i in range(1, 10)]
+    assert ([dg.class_of_dual_coords(catalog.n_class(a)) for a in labels]
+            == [dg.class_of_rational([row[c] for row in n.inverse_gram])
+                for c in ETA_F])
+
+
+def test_n_dual_classes_reject_a_non_integral_doubled_class(monkeypatch):
+    # N(3) has inverse N^-1 / 3, so twice its dual classes are not integral
+    n3 = rescale(catalog.plane_lattice_N(), 3)
+    monkeypatch.setattr(catalog, "plane_lattice_N", lambda: n3)
+    with pytest.raises(NotIntegral, match="not integral"):
+        catalog.n_dual_classes()
+
+
 def test_delta_class():
     n = catalog.plane_lattice_N()
     delta = catalog.delta_in_N()
@@ -144,7 +171,7 @@ def test_kappa_tilde_and_glue_lift():
     assert all((4 * c).denominator == 1 for c in lift)
     assert any((2 * c).denominator != 1 for c in lift)
     # isotropic for the glue construction: the norm is an even integer
-    assert kt.pair_rational(lift, lift) == 6
+    assert pair_rational(kt, lift, lift) == 6
 
 
 def test_discriminant_group_shapes():

@@ -3,7 +3,7 @@ certificates built on it."""
 
 import pytest
 
-from cubiclat import catalog
+from cubiclat import catalog, classify
 from cubiclat.classify import (
     _torsion_q_multiset,
     p_elementary_hyperbolic_exists,
@@ -140,10 +140,17 @@ def test_phi2_certificate_passes():
     assert rep.details["verdict"] == "no lattice K realizes the forced form"
 
 
-def test_phi2_negative_control_flips_verdict():
+def test_phi2_negative_control_flips_verdict(monkeypatch):
     # feeding in a 3-part that matches the forced form must defeat the
-    # obstruction, otherwise the final comparison is vacuous
-    rep = phi2_no_associated_k3(control_three_part=catalog.standard("A2"))
+    # obstruction, otherwise the final comparison is vacuous: the candidate
+    # U + E6(-1), doubled, is given A2's form
+    candidate = rescale(direct_sum(catalog.standard("U"),
+                                   catalog.standard("E6", -1)), 2)
+    real = classify.discriminant_form
+    monkeypatch.setattr(
+        classify, "discriminant_form",
+        lambda L: real(catalog.standard("A2") if L == candidate else L))
+    rep = phi2_no_associated_k3()
     assert not rep.ok
     assert rep.details["three_parts_differ"] is False
     assert rep.details["verdict"] == "matching 3-part: such a K would exist"

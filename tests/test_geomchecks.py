@@ -24,6 +24,7 @@ from cubiclat.geomchecks import (
 )
 from cubiclat.glue import glue_subgroup, overlattice_from_glue
 from cubiclat.shortvec import enumerate_by_norm
+from oracles import pair_rational
 
 ETA = (1,) + (0,) * 10
 
@@ -129,8 +130,8 @@ def test_coset_rule_matches_overlattice_scan(family):
     symbols = FAMILY_REPRESENTATIVES[family]
     lift = tuple(sum(ginv[i][1 + s if s else 0] for s in symbols)
                  for i in range(n.rank))
-    assert n.pair_rational(lift, lift).denominator == 1
-    rule = coset_rule(n, ETA, lift)
+    assert pair_rational(n, lift, lift).denominator == 1
+    rule = coset_rule(n, ETA, [2 * c for c in lift])
     assert rule in ("R1", "R2")
     assert rule == _overlattice_rule(n, ETA, lift)
 
@@ -141,19 +142,25 @@ def test_coset_rule_r4_branch(monkeypatch):
     eta, lam = (1, 0), (Fraction(0), Fraction(1, 2))
     assert admissibility_scan(L, eta, norm_bound=3) is None
     # the full coset holds eta - lam of norm 2, so R2 comes first
-    assert coset_rule(L, eta, lam) == "R2" == _overlattice_rule(L, eta, lam)
+    lam2 = (0, 1)
+    assert coset_rule(L, eta, lam2) == "R2" == _overlattice_rule(L, eta, lam)
     # hand-built coset: its norm-1 slice alone, w = +-lam with eta.w = +-1;
     # the saturation of <eta, w> in the extension has determinant 2
     norm_one = [sl for sl in enumerate_by_norm(L, 3, center=lam) if sl.norm == 1]
     assert norm_one[0].vectors == [(0, -1), (0, 0)]
     monkeypatch.setattr(geomchecks, "enumerate_by_norm",
                         lambda *args, **kwargs: norm_one)
-    assert coset_rule(L, eta, lam) == "R4"
+    assert coset_rule(L, eta, lam2) == "R4"
 
 
 def test_coset_rule_rejects_a_class_not_of_order_two():
+    # (0, 0) is twice the zero class
     with pytest.raises(ValueError, match="order 2"):
         coset_rule(IntegralLattice([[3, 2], [2, 4]]), (1, 0), (0, 0))
+    # the lift is passed doubled; an undoubled half-integer lift is rejected
+    with pytest.raises(ValueError, match="non-integral"):
+        coset_rule(IntegralLattice([[3, 2], [2, 4]]), (1, 0),
+                   (0, Fraction(1, 2)))
 
 
 def test_labeling_det_raises_on_inconsistent_span():
@@ -187,12 +194,13 @@ def test_saturation_certificate_checks_its_premise(monkeypatch):
 
 
 def test_saturation_certificate_fails_on_witness_outside(monkeypatch):
-    # shifting each family witness by eta/2 moves it off N and off lam + N
+    # shifting each family witness by eta/2 (its doubled form by an odd
+    # integer) moves it off N and off lam + N
     family_witness = geomchecks._family_witness
 
     def shifted(*args):
-        w, rule, data = family_witness(*args)
-        return (w[0] + Fraction(1, 2),) + w[1:], rule, data
+        w2, rule, data = family_witness(*args)
+        return (w2[0] + 1,) + w2[1:], rule, data
 
     monkeypatch.setattr(geomchecks, "_family_witness", shifted)
     rep = saturation_certificate()
