@@ -481,11 +481,11 @@ def saturation(L: IntegralLattice, vectors) -> Sublattice:
     vs = [list(_coords(v, L.rank)) for v in vectors]
     if not vs:
         raise DependentSpan("saturation of the empty span is undefined")
-    if exact.rational_rank(vs) < len(vs):
-        raise DependentSpan("spanning vectors are linearly dependent")
-    # functionals vanishing on the span, then their joint kernel: the
-    # intersection of the rational span with the lattice
+    # functionals vanishing on the span (L.rank minus its rank of them), then
+    # their joint kernel: the intersection of the rational span with the lattice
     funcs = exact.integer_kernel(vs)
+    if L.rank - len(funcs) < len(vs):
+        raise DependentSpan("spanning vectors are linearly dependent")
     basis = (exact.integer_kernel([list(f) for f in funcs]) if funcs
              else exact.identity(L.rank))
     gram = [[_gram_product(L.gram, a, b) for b in basis] for a in basis]

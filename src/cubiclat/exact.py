@@ -14,7 +14,7 @@ FracMatrix = list[list[Fraction]]
 
 
 def identity(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 def copy_matrix(a):
@@ -181,7 +181,9 @@ def smith_normal_form(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form of an integer m x n matrix.
 
     Returns (d, u, v) with u @ a @ v = d, u and v unimodular, d diagonal with
-    nonnegative entries d[0][0] | d[1][1] | ...
+    nonnegative entries d[0][0] | d[1][1] | ...  An elimination changes only
+    the entries of its target row or column whose source entry is nonzero,
+    and a swap does no arithmetic.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -189,70 +191,67 @@ def smith_normal_form(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     u = identity(m)
     v = identity(n)
 
-    def row_op(i, j, s, t, x, y):
-        # (row i, row j) <- (s*row_i + t*row_j, x*row_i + y*row_j)
-        for mat in (d, u):
-            ri, rj = mat[i], mat[j]
-            for k in range(len(ri)):
-                ri[k], rj[k] = s * ri[k] + t * rj[k], x * ri[k] + y * rj[k]
-
-    def col_op(i, j, s, t, x, y):
-        for mat in (d, v):
-            for row in mat:
-                row[i], row[j] = s * row[i] + t * row[j], x * row[i] + y * row[j]
-
     t = 0
     while t < min(m, n):
-        # find a pivot
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if d[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
+        pivot = next(((i, j) for i in range(t, m) for j in range(t, n)
+                      if d[i][j]), None)
         if pivot is None:
             break
         pi, pj = pivot
         if pi != t:
-            row_op(t, pi, 0, 1, 1, 0)
+            d[t], d[pi] = d[pi], d[t]
+            u[t], u[pi] = u[pi], u[t]
         if pj != t:
-            col_op(t, pj, 0, 1, 1, 0)
+            for row in d + v:
+                row[t], row[pj] = row[pj], row[t]
         while True:
             # clear column t; plain subtraction when the pivot divides (leaves
             # row t untouched), xgcd combine otherwise (shrinks the pivot)
             for i in range(t + 1, m):
-                if d[i][t] != 0:
-                    if d[i][t] % d[t][t] == 0:
-                        row_op(t, i, 1, 0, -(d[i][t] // d[t][t]), 1)
+                f = d[i][t]
+                if f:
+                    p = d[t][t]
+                    if f % p == 0:
+                        q = f // p
+                        for src, dst in ((d[t], d[i]), (u[t], u[i])):
+                            for k, e in enumerate(src):
+                                if e:
+                                    dst[k] -= q * e
                     else:
-                        g, s, w = _xgcd(d[t][t], d[i][t])
-                        p, q = d[t][t] // g, d[i][t] // g
-                        row_op(t, i, s, w, -q, p)
-            # clear row t in the same way
+                        g, s, w = _xgcd(p, f)
+                        x, y = -(f // g), p // g
+                        for ri, rj in ((d[t], d[i]), (u[t], u[i])):
+                            for k in range(len(ri)):
+                                ri[k], rj[k] = (s * ri[k] + w * rj[k],
+                                                x * ri[k] + y * rj[k])
+            # clear row t in the same way, on d and v; live rows are nonzero at t
+            live = [row for row in d + v if row[t]]
             for j in range(t + 1, n):
-                if d[t][j] != 0:
-                    if d[t][j] % d[t][t] == 0:
-                        col_op(t, j, 1, 0, -(d[t][j] // d[t][t]), 1)
+                f = d[t][j]
+                if f:
+                    p = d[t][t]
+                    if f % p == 0:
+                        q = f // p
+                        for row in live:
+                            row[j] -= q * row[t]
                     else:
-                        g, s, w = _xgcd(d[t][t], d[t][j])
-                        p, q = d[t][t] // g, d[t][j] // g
-                        col_op(t, j, s, w, -q, p)
-            if all(d[i][t] == 0 for i in range(t + 1, m)):
+                        g, s, w = _xgcd(p, f)
+                        x, y = -(f // g), p // g
+                        for row in d + v:
+                            row[t], row[j] = (s * row[t] + w * row[j],
+                                              x * row[t] + y * row[j])
+                        live = [row for row in d + v if row[t]]
+            if not any(d[i][t] for i in range(t + 1, m)):
                 break
-        # divisibility fix-up: pivot must divide every remaining entry
-        stray = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if d[i][j] % d[t][t] != 0:
-                    stray = i
-                    break
-            if stray:
-                break
-        if stray is not None:
-            row_op(t, stray, 1, 1, 0, 1)
-            continue
+        # divisibility fix-up: the pivot must divide every remaining entry
+        # (a unit pivot does); otherwise add the first stray row to row t
+        if d[t][t] not in (1, -1):
+            stray = next((i for i in range(t + 1, m) for j in range(t + 1, n)
+                          if d[i][j] % d[t][t]), None)
+            if stray is not None:
+                d[t] = [a + b for a, b in zip(d[t], d[stray])]
+                u[t] = [a + b for a, b in zip(u[t], u[stray])]
+                continue
         t += 1
 
     for i in range(min(m, n)):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 from . import catalog
 from .core import (IntegralLattice, LatticeError, _coords, _gram_product,
@@ -47,15 +48,15 @@ def enumerate_planes(L: IntegralLattice, eta) -> list[tuple[int, ...]]:
     return sorted(tuple(v) for v in vectors_of_norm(L, 3) if L.pair(v, ec) == 1)
 
 
-def _labeling_det(L: IntegralLattice, eta, u) -> int:
-    """Determinant of the saturation of <eta, u>, via the gcd of the 2x2
-    minors of the coordinate matrix; a gcd of 1 ends the scan early."""
-    span = 3 * L.norm(u) - L.pair(eta, u) ** 2
+def _labeling_det(span: int, eta, u) -> int:
+    """Determinant of the saturation of <eta, u>, from span = 3 u.u -
+    (eta.u)^2 = det <eta, u> and the gcd of the 2x2 minors of the
+    coordinate matrix; a gcd of 1 ends the scan early."""
     if span == 0:
         return 0
     g = 0
-    for i in range(L.rank):
-        for j in range(i + 1, L.rank):
+    for i in range(len(eta)):
+        for j in range(i + 1, len(eta)):
             g = gcd(g, eta[i] * u[j] - eta[j] * u[i])
             if g == 1:
                 return span
@@ -99,11 +100,13 @@ def admissibility_scan(L: IntegralLattice, eta,
                 return Violation("R3", comp.to_ambient(w),
                                  {"norm": 6, "divisibility": 3})
 
+    eta_dual = L.dual_pairings(ec)
     for sl in slices:
         if sl.norm > r4cap:
             break
         for u in sl.vectors:
-            d = _labeling_det(L, ec, u)
+            e = sum(map(mul, eta_dual, u))
+            d = _labeling_det(3 * sl.norm - e * e, ec, u)
             if 0 < d <= 18 and not is_admissible(d):
                 return Violation("R4", tuple(u), {"det": d})
     return None
@@ -115,10 +118,11 @@ def coset_rule(L: IntegralLattice, eta, lift2) -> str | None:
     None when E passes.
 
     ``lift2`` is the doubled lift 2 lam, an integer vector with an odd
-    coordinate, so lam has order 2 modulo L; its norm is divisible by 4, so
-    lam has integral norm and E is integral (Nikulin 1979).  Premise, which
-    the caller checks: L itself passes ``admissibility_scan(L, eta,
-    norm_bound=3)``.  Then no vector of L can make E fail first at bound 3:
+    coordinate, so lam has order 2 modulo L; lam must be a dual vector of
+    integral norm (even pairings, norm of lift2 divisible by 4, else
+    ValueError), so E is integral (Nikulin 1979).  Premise, which the caller
+    checks: L itself passes ``admissibility_scan(L, eta, norm_bound=3)``.
+    Then no vector of L can make E fail first at bound 3:
       * R1 and R2 judge a vector of L the same way in E as in L;
       * R3 needs norm 6, beyond the bound;
       * R4: for u in L of norm <= 3, span(eta, u) = 3 u.u - (eta.u)^2 <= 9,
@@ -132,31 +136,36 @@ def coset_rule(L: IntegralLattice, eta, lift2) -> str | None:
     one enumeration centred at lift2 / 2 (Fincke-Pohst 1985) and kept
     doubled, 2w = 2x + lift2 in L.  Saturation of <eta, w> in E has index
     exactly 2 over its saturation in L, which contains 2w, so
-    d_E(w) = d_L(2w) / 4.  At this bound R4 in fact never fires first: a w
-    with an inadmissible d <= 18 has eta.w = +-1 or +-2, and then eta -+ w
-    or (eta +- w)/2 has norm 2.  R4 is still tested, in the scan's order.
+    d_E(w) = d_L(2w) / 4, with span(eta, 2w) = 12 w.w - (eta.2w)^2.  At this
+    bound R4 in fact never fires first: a w with an inadmissible d <= 18 has
+    eta.w = +-1 or +-2, and then eta -+ w or (eta +- w)/2 has norm 2.  R4 is
+    still tested, in the scan's order.
     """
     ec = _check_eta(L, eta)
     lam2 = _coords(lift2, L.rank)
     if not any(c % 2 for c in lam2):
         raise ValueError("lift must have order 2 modulo the lattice")
+    if any(p % 2 for p in L.dual_pairings(lam2)) or L.norm(lam2) % 4:
+        raise ValueError("half the lift must be a dual vector of integral norm")
+    # eta.2w = 2 eta.x + eta.lift2; R1 reads odd-norm slices, R2 the norms
     eta_dual = L.dual_pairings(ec)
-    coset = []
-    for sl in enumerate_by_norm(L, 3, center=[Fraction(c, 2) for c in lam2]):
-        for x in sl.vectors:
-            w2 = tuple(2 * a + c for a, c in zip(x, lam2))
-            coset.append((sl.norm, sum(p * y for p, y in zip(eta_dual, w2)), w2))
-    if any(eta2 == 0 and norm % 2 == 1 for norm, eta2, _ in coset):
+    eta_lam2 = sum(map(mul, eta_dual, lam2))
+    coset = enumerate_by_norm(L, 3, center=[Fraction(c, 2) for c in lam2])
+    if any(2 * sum(map(mul, eta_dual, x)) + eta_lam2 == 0
+           for sl in coset if sl.norm % 2 for x in sl.vectors):
         return "R1"
-    if any(norm == 2 for norm, _, _ in coset):
+    if any(sl.norm == 2 for sl in coset):
         return "R2"
-    for _, _, w2 in coset:
-        d, rem = divmod(_labeling_det(L, ec, w2), 4)
-        if rem:
-            raise LatticeError(f"labeling determinant {4 * d + rem} of 2w is "
-                               "not divisible by 4; the extension is not integral")
-        if 0 < d <= 18 and not is_admissible(d):
-            return "R4"
+    for sl in coset:
+        for x in sl.vectors:
+            e2 = 2 * sum(map(mul, eta_dual, x)) + eta_lam2
+            w2 = tuple(2 * a + c for a, c in zip(x, lam2))
+            d, rem = divmod(_labeling_det(12 * sl.norm - e2 * e2, ec, w2), 4)
+            if rem:
+                raise LatticeError(f"labeling determinant {4 * d + rem} of 2w is "
+                                   "not divisible by 4; the extension is not integral")
+            if 0 < d <= 18 and not is_admissible(d):
+                return "R4"
     return None
 
 

@@ -2,12 +2,14 @@
 overlattices; ``geomchecks.coset_rule`` reads index-2 cosets directly), the
 Fraction lift of a discriminant class, the pairing of two rational vectors
 (the package pairs order-2 classes as doubled integer lifts), the ambient
-coordinates of an overlattice vector, and N's Gram and inverse by hand."""
+coordinates of an overlattice vector, N's Gram and inverse by hand, and a
+reference Smith normal form."""
 from fractions import Fraction
 
 from cubiclat.core import (DiscriminantGroup, IntegralLattice, ParityError,
                            _coords, _gram_product, _numerators,
                            discriminant_form)
+from cubiclat.exact import _xgcd, copy_matrix, identity
 from cubiclat.glue import (AnyForm, GlueSubgroup, Overlattice, _closure,
                            isotropic_elements, overlattice_from_glue)
 
@@ -113,3 +115,81 @@ def enumerate_even_overlattices(L: IntegralLattice, max_index: int):
                            lifts=lifts)
         out.append((sub, overlattice_from_glue(L, sub)))
     return out
+
+
+def smith_normal_form_reference(a):
+    """The Smith normal form (d, u, v) by the same pivot rule and sequence of
+    row and column operations as ``exact.smith_normal_form``, each operation
+    applied in full to both of its rows or columns."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    d = copy_matrix(a)
+    u = identity(m)
+    v = identity(n)
+
+    def row_op(i, j, s, t, x, y):
+        # (row i, row j) <- (s*row_i + t*row_j, x*row_i + y*row_j)
+        for mat in (d, u):
+            ri, rj = mat[i], mat[j]
+            for k in range(len(ri)):
+                ri[k], rj[k] = s * ri[k] + t * rj[k], x * ri[k] + y * rj[k]
+
+    def col_op(i, j, s, t, x, y):
+        for mat in (d, v):
+            for row in mat:
+                row[i], row[j] = s * row[i] + t * row[j], x * row[i] + y * row[j]
+
+    t = 0
+    while t < min(m, n):
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if d[i][j] != 0:
+                    pivot = (i, j)
+                    break
+            if pivot:
+                break
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            row_op(t, pi, 0, 1, 1, 0)
+        if pj != t:
+            col_op(t, pj, 0, 1, 1, 0)
+        while True:
+            for i in range(t + 1, m):
+                if d[i][t] != 0:
+                    if d[i][t] % d[t][t] == 0:
+                        row_op(t, i, 1, 0, -(d[i][t] // d[t][t]), 1)
+                    else:
+                        g, s, w = _xgcd(d[t][t], d[i][t])
+                        p, q = d[t][t] // g, d[i][t] // g
+                        row_op(t, i, s, w, -q, p)
+            for j in range(t + 1, n):
+                if d[t][j] != 0:
+                    if d[t][j] % d[t][t] == 0:
+                        col_op(t, j, 1, 0, -(d[t][j] // d[t][t]), 1)
+                    else:
+                        g, s, w = _xgcd(d[t][t], d[t][j])
+                        p, q = d[t][t] // g, d[t][j] // g
+                        col_op(t, j, s, w, -q, p)
+            if all(d[i][t] == 0 for i in range(t + 1, m)):
+                break
+        stray = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if d[i][j] % d[t][t] != 0:
+                    stray = i
+                    break
+            if stray:
+                break
+        if stray is not None:
+            row_op(t, stray, 1, 1, 0, 1)
+            continue
+        t += 1
+
+    for i in range(min(m, n)):
+        if d[i][i] < 0:
+            d[i][i] = -d[i][i]
+            u[i] = [-x for x in u[i]]
+    return d, u, v

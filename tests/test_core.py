@@ -235,6 +235,15 @@ def test_saturation():
         saturation(z2, [])
 
 
+def test_saturation_rejects_a_dependent_span():
+    z2 = IntegralLattice([[1, 0], [0, 1]])
+    with pytest.raises(DependentSpan):
+        saturation(z2, [(1, 2), (2, 4)])
+    with pytest.raises(DependentSpan):
+        saturation(z2, [(1, 0), (0, 1), (1, 1)])
+    assert saturation(z2, [(1, 0), (1, 2)]).lattice.det == 1
+
+
 def test_json_round_trip():
     text = lattice_to_json(A2)
     back = lattice_from_json(text)

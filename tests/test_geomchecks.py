@@ -163,10 +163,33 @@ def test_coset_rule_rejects_a_class_not_of_order_two():
                    (0, Fraction(1, 2)))
 
 
+def test_coset_rule_rejects_an_extension_that_is_not_a_lattice():
+    # lam = (1/2, 0) pairs to 3/2 with e_1: not a dual vector
+    with pytest.raises(ValueError, match="dual vector of integral norm"):
+        coset_rule(IntegralLattice([[3, 2], [2, 4]]), (1, 0), (1, 0))
+    # lam = (0, 1/2) is a dual vector of norm 1/2
+    with pytest.raises(ValueError, match="dual vector of integral norm"):
+        coset_rule(IntegralLattice([[3, 0], [0, 2]]), (1, 0), (0, 1))
+
+
 def test_labeling_det_raises_on_inconsistent_span():
-    # eta of norm 2 breaks the 3 u.u - (eta.u)^2 span formula
+    # in Z^2, eta = (1, 1) has norm 2, so 3 u.u - (eta.u)^2 = 6 for
+    # u = (1, -1) is no span determinant: <eta, u> has index 2
     with pytest.raises(LatticeError, match="not divisible"):
-        _labeling_det(IntegralLattice([[1, 0], [0, 1]]), (1, 1), (1, -1))
+        _labeling_det(6, (1, 1), (1, -1))
+
+
+def test_slice_span_matches_the_pairing_formula():
+    # the R4 scan takes span(eta, u) from the slice norm and eta's pairing row
+    n = catalog.plane_lattice_N()
+    eta_row = n.dual_pairings(ETA)
+    seen = 0
+    for sl in enumerate_by_norm(n, 8):
+        for u in sl.vectors:
+            e = sum(p * x for p, x in zip(eta_row, u))
+            assert 3 * sl.norm - e * e == 3 * n.norm(u) - n.pair(ETA, u) ** 2
+            seen += 1
+    assert seen > 0
 
 
 def test_saturation_certificate_fails_without_coset_vectors(monkeypatch):

@@ -44,7 +44,7 @@ from property_battery import (
     run_battery,
     shortvec_trials,
 )
-from oracles import lift, pair_rational
+from oracles import lift, pair_rational, smith_normal_form_reference
 
 
 @st.composite
@@ -57,6 +57,32 @@ def square_int_matrices(draw, max_rank=4, bound=6):
 @given(square_int_matrices())
 def test_determinant_invariant_under_transpose(m):
     assert bareiss_det(m) == bareiss_det(transpose(m))
+
+
+@st.composite
+def snf_inputs(draw):
+    """Square or rectangular integer matrices: random, rank-deficient (the
+    last row a combination of the others), zero, or diagonal (which needs
+    the divisibility fix-up whenever one entry does not divide the next)."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("random", "rank-deficient", "zero", "diagonal")))
+    if kind in ("zero", "diagonal"):
+        return [[draw(st.integers(0, 12)) if i == j and kind == "diagonal" else 0
+                 for j in range(cols)] for i in range(rows)]
+    a = [[draw(st.integers(-9, 9)) for _ in range(cols)] for _ in range(rows)]
+    if kind == "rank-deficient":
+        coeffs = [draw(st.integers(-3, 3)) for _ in range(rows - 1)]
+        a[-1] = [sum(c * row[j] for c, row in zip(coeffs, a)) for j in range(cols)]
+    return a
+
+
+@settings(deadline=None, max_examples=300)
+@given(snf_inputs())
+def test_smith_normal_form_matches_the_reference(a):
+    d, u, v = smith_normal_form(a)
+    assert (d, u, v) == smith_normal_form_reference(a)
+    assert mat_mul(mat_mul(u, a), v) == d
+    assert abs(bareiss_det(u)) == abs(bareiss_det(v)) == 1
 
 
 @given(square_int_matrices(max_rank=3, bound=4))
