@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
@@ -125,13 +125,6 @@ def _coords(v, rank: int) -> tuple[int, ...]:
     if vc != tuple(v):
         raise ValueError(f"vector {tuple(v)} has non-integral coordinates")
     return vc
-
-
-def _numerators(v) -> tuple[list[int], int]:
-    """(integer numerators, common denominator) of a vector of ints and
-    Fractions."""
-    den = exact.lcm_list(x.denominator for x in v)
-    return [x.numerator * (den // x.denominator) for x in v], den
 
 
 def _gram_product(gram, u, v) -> int:
@@ -300,7 +293,7 @@ class DiscriminantGroup:
     def class_of_rational(self, y: Sequence[Fraction]) -> tuple[int, ...]:
         """Class of a dual vector given in rational lattice-basis coordinates,
         by integer Gram-row products over its cleared denominators."""
-        num, den = _numerators(y)
+        num, den = exact.numerators(y)
         z = []
         for pairing in self.lattice.dual_pairings(num):
             c, r = divmod(pairing, den)
@@ -340,12 +333,12 @@ class _FormBase:
         self.group = group
         L = group.lattice
         # all lifts over one common denominator den: pairings are x / den^2
-        flat, den = _numerators([x for lift in group.lifts for x in lift])
+        flat, den = exact.numerators([x for lift in group.lifts for x in lift])
         lifts = [flat[i * L.rank:(i + 1) * L.rank] for i in range(len(group.lifts))]
         images = [L.dual_pairings(b) for b in lifts]
         pair = [[sum(map(mul, a, gb)) for gb in images] for a in lifts]
         d2 = den * den
-        scale = exact.lcm_list(d2 // gcd(x, d2) for row in pair for x in row)
+        scale = lcm(*(d2 // gcd(x, d2) for row in pair for x in row))
         self._scale = scale
         self._pair_scaled = [[x * scale // d2 % (2 * scale) for x in row]
                              for row in pair]
@@ -426,7 +419,7 @@ def divisibility(L: IntegralLattice, v) -> int:
     vc = _coords(v, L.rank)
     if all(x == 0 for x in vc):
         raise ZeroVector("divisibility of the zero vector is undefined")
-    return exact.gcd_list(L.dual_pairings(vc))
+    return gcd(*L.dual_pairings(vc))
 
 
 def rescale(L: IntegralLattice, r) -> IntegralLattice:
@@ -466,15 +459,21 @@ def direct_sum(*lattices: IntegralLattice) -> IntegralLattice:
     return IntegralLattice(gram, labels=labels, name=name)
 
 
+def _sublattice(L: IntegralLattice, basis, prefix: str) -> Sublattice:
+    """The sublattice of L on ``basis``, labelled prefix1, prefix2, ..."""
+    gram = [[_gram_product(L.gram, a, b) for b in basis] for a in basis]
+    sub = IntegralLattice(gram, labels=[f"{prefix}{i+1}" for i in range(len(basis))])
+    return Sublattice(sub, basis)
+
+
 def orthogonal_complement(L: IntegralLattice, vectors) -> Sublattice:
     vs = [list(_coords(v, L.rank)) for v in vectors]
-    if vs and exact.rational_rank(vs) < len(vs):
-        raise DependentSpan("spanning vectors are linearly dependent")
     constraints = [list(L.dual_pairings(v)) for v in vs]
     basis = exact.integer_kernel(constraints) if vs else exact.identity(L.rank)
-    gram = [[_gram_product(L.gram, a, b) for b in basis] for a in basis]
-    sub = IntegralLattice(gram, labels=[f"c{i+1}" for i in range(len(basis))])
-    return Sublattice(sub, basis)
+    # the Gram is nondegenerate, so the constraints have the span's rank
+    if len(basis) > L.rank - len(vs):
+        raise DependentSpan("spanning vectors are linearly dependent")
+    return _sublattice(L, basis, "c")
 
 
 def saturation(L: IntegralLattice, vectors) -> Sublattice:
@@ -488,9 +487,7 @@ def saturation(L: IntegralLattice, vectors) -> Sublattice:
         raise DependentSpan("spanning vectors are linearly dependent")
     basis = (exact.integer_kernel([list(f) for f in funcs]) if funcs
              else exact.identity(L.rank))
-    gram = [[_gram_product(L.gram, a, b) for b in basis] for a in basis]
-    sub = IntegralLattice(gram, labels=[f"s{i+1}" for i in range(len(basis))])
-    return Sublattice(sub, basis)
+    return _sublattice(L, basis, "s")
 
 
 def lattice_to_json(L: IntegralLattice) -> str:

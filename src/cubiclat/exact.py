@@ -7,7 +7,7 @@ row-major; "columns of V" etc. always means ``[row[j] for row in V]``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 IntMatrix = list[list[int]]
 FracMatrix = list[list[Fraction]]
@@ -34,7 +34,7 @@ def column(a, j):
     return [row[j] for row in a]
 
 
-def bareiss(a, ncols: int | None = None, jordan: bool = False,
+def bareiss(a, jordan: bool = False,
             symmetric: bool = False) -> tuple[IntMatrix, list[int], int]:
     """Fraction-free (Bareiss) elimination of an integer matrix.
 
@@ -44,7 +44,6 @@ def bareiss(a, ncols: int | None = None, jordan: bool = False,
     previous pivot is exact.  Pivot k is the minor on the first k+1 rows and
     the columns pivots[:k+1]; for a nonsingular square input sign * (last
     pivot) is the determinant.
-    Pivots are sought in the first ``ncols`` columns (default: all).
 
     ``jordan`` also clears above each pivot (Gauss-Jordan).  Only columns to
     the right of each pivot are updated, so for a full-rank leading n x n
@@ -62,7 +61,7 @@ def bareiss(a, ncols: int | None = None, jordan: bool = False,
     pivots: list[int] = []
     sign = 1
     prev = 1
-    for c in range(width if ncols is None else ncols):
+    for c in range(width):
         r = len(pivots)
         if r == rows:
             break
@@ -112,13 +111,11 @@ def _congruence_pivot(m: IntMatrix, k: int) -> bool:
     return True
 
 
-def _integer_rows(a) -> IntMatrix:
-    """A rational matrix with each row scaled by its denominators' lcm."""
-    out = []
-    for row in a:
-        den = lcm_list(x.denominator for x in row)
-        out.append([int(x * den) for x in row])
-    return out
+def numerators(v) -> tuple[list[int], int]:
+    """(integer numerators, common denominator) of a vector of ints and
+    Fractions; the empty vector gives ([], 1)."""
+    den = lcm(*{x.denominator for x in v})
+    return [x.numerator * (den // x.denominator) for x in v], den
 
 
 def bareiss_det(a: IntMatrix) -> int:
@@ -133,9 +130,10 @@ def bareiss_det(a: IntMatrix) -> int:
 def _jordan(rows, n: int) -> tuple[IntMatrix, int]:
     """(p * a^-1 * rhs, p) for the rows [a | rhs] of an n x n block a, where
     p is the last pivot (+-det of a with its rows cleared of denominators);
-    ZeroDivisionError when a is singular."""
-    m, pivots, _ = bareiss(_integer_rows(rows), ncols=n, jordan=True)
-    if len(pivots) < n:
+    ZeroDivisionError when a is singular, as then its pivots are not the
+    block's n columns."""
+    m, pivots, _ = bareiss([numerators(row)[0] for row in rows], jordan=True)
+    if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return [row[n:] for row in m], m[n - 1][n - 1] if n else 1
 
@@ -151,7 +149,7 @@ def frac_inverse(a) -> FracMatrix:
 
 def rational_rank(a) -> int:
     """Rank over Q of a rational matrix."""
-    return len(bareiss(_integer_rows(a))[1])
+    return len(bareiss([numerators(row)[0] for row in a])[1])
 
 
 def solve_exact(a, b):
@@ -314,19 +312,3 @@ def hermite_column_basis(a) -> IntMatrix:
                     for i in range(m):
                         c[i] -= q * b[i]
     return basis
-
-
-def gcd_list(values) -> int:
-    g = 0
-    for x in values:
-        g = gcd(g, x)
-    return g
-
-
-def lcm_list(values) -> int:
-    out = 1
-    for x in values:
-        x = abs(x)
-        if x:
-            out = out * x // gcd(out, x)
-    return out

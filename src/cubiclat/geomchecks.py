@@ -35,7 +35,7 @@ class Violation:
 
 
 def _check_eta(L: IntegralLattice, eta) -> tuple[int, ...]:
-    ec = tuple(int(x) for x in eta)
+    ec = _coords(eta, L.rank)
     if L.norm(ec) != 3:
         raise ValueError(f"eta must have norm 3, got {L.norm(ec)}")
     return ec

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import exact
 from .core import (
@@ -134,7 +135,7 @@ def overlattice_from_glue(L: IntegralLattice, H: GlueSubgroup) -> Overlattice:
     """The extension of L generated by the lifts of H, re-based integrally."""
     H.validate()
     n = L.rank
-    den = exact.lcm_list([f.denominator for lift in H.lifts for f in lift] or [1])
+    den = lcm(*(f.denominator for lift in H.lifts for f in lift))
     cols: list[list[int]] = [[den * int(i == j) for i in range(n)] for j in range(n)]
     for lift in H.lifts:
         cols.append([int(den * f) for f in lift])
@@ -177,10 +178,10 @@ def glue_group(L: IntegralLattice, s1, s2) -> tuple[int, ...]:
             if L.pair(v, w) != 0:
                 raise BadSplitting(f"spans are not orthogonal: {v} . {w} != 0")
     combined = [*s1, *s2]
-    if len(combined) != L.rank or exact.rational_rank(combined) != L.rank:
-        raise BadSplitting(
-            f"spans have combined rank {exact.rational_rank(combined)}, "
-            f"need {L.rank}")
-    bmat = [[combined[j][i] for j in range(L.rank)] for i in range(L.rank)]
-    d, _, _ = exact.smith_normal_form(bmat)
+    # the spans as columns; their rank is the number of nonzero diagonal
+    # entries of the Smith form
+    d, _, _ = exact.smith_normal_form(exact.transpose(combined))
+    rank = sum(1 for i in range(min(len(d), len(combined))) if d[i][i])
+    if len(combined) != L.rank or rank != L.rank:
+        raise BadSplitting(f"spans have combined rank {rank}, need {L.rank}")
     return tuple(d[i][i] for i in range(L.rank) if d[i][i] > 1)

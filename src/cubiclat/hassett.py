@@ -18,17 +18,22 @@ from .core import NoRepresentation, NotAHassettDiscriminant, saturation
 from .report import certificate
 
 
-def _four_square_reps(n: int):
-    """Every n = x^2+y^2+z^2+u^2 with x >= y >= z >= u >= 0, in descending
-    lexicographic order."""
-    for x in range(isqrt(n), -1, -1):
-        r1 = n - x * x
-        for y in range(min(x, isqrt(r1)), -1, -1):
-            r2 = r1 - y * y
-            for z in range(min(y, isqrt(r2)), -1, -1):
-                r3 = r2 - z * z
-                u = isqrt(r3)
-                if u * u == r3 and u <= z:
+def _square_reps(n: int, a: int = 1, b: int = 1):
+    """Every n = a(x^2+y^2+z^2) + b u^2 with x >= y >= z >= 0 and u >= 0, in
+    descending lexicographic order of (x, y, z).
+
+    For a = b = 1 the first representation, and the first one with an even
+    coordinate, already have u <= z: when u > z, the sorted permutation of
+    (x, y, z, u) has the same coordinates and a larger leading triple, so it
+    comes earlier in the order."""
+    for x in range(isqrt(n // a), -1, -1):
+        r1 = n - a * x * x
+        for y in range(min(x, isqrt(r1 // a)), -1, -1):
+            r2 = r1 - a * y * y
+            for z in range(min(y, isqrt(r2 // a)), -1, -1):
+                r3 = r2 - a * z * z
+                u = isqrt(r3 // b)
+                if b * u * u == r3:
                     yield (x, y, z, u)
 
 
@@ -37,24 +42,17 @@ def four_squares(n: int) -> tuple[int, int, int, int]:
     leading square first (one exists for every n >= 0, by Lagrange)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return next(_four_square_reps(n))
+    return next(_square_reps(n))
 
 
 def ramanujan_rep(n: int) -> tuple[int, int, int, int]:
     """A representation n = 2x^2+2y^2+2z^2+3u^2; impossible exactly for 1, 17."""
     if n < 1:
         raise ValueError("n must be positive")
-    for x in range(isqrt(n // 2), -1, -1):
-        r1 = n - 2 * x * x
-        for y in range(min(x, isqrt(r1 // 2)), -1, -1):
-            r2 = r1 - 2 * y * y
-            for z in range(min(y, isqrt(r2 // 2)), -1, -1):
-                r3 = r2 - 2 * z * z
-                if r3 % 3 == 0:
-                    u = isqrt(r3 // 3)
-                    if 3 * u * u == r3:
-                        return (x, y, z, u)
-    raise NoRepresentation(f"{n} is not of the form 2x^2+2y^2+2z^2+3u^2")
+    rep = next(_square_reps(n, 2, 3), None)
+    if rep is None:
+        raise NoRepresentation(f"{n} is not of the form 2x^2+2y^2+2z^2+3u^2")
+    return rep
 
 
 def is_admissible(d: int) -> bool:
@@ -93,7 +91,7 @@ def _four_squares_even(m: int) -> tuple[int, int, int, int]:
     One always exists: a zero coordinate counts, m = 4^a(8b+7) has one via
     m - 4 (three squares), and multiples of 4 via doubling a representation
     of m/4."""
-    return next(r for r in _four_square_reps(m) if any(c % 2 == 0 for c in r))
+    return next(r for r in _square_reps(m) if any(c % 2 == 0 for c in r))
 
 
 def _witness_rank0(k: int) -> tuple[int, int, int, int, int]:

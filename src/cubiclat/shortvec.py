@@ -31,7 +31,7 @@ from math import gcd, isqrt, lcm
 from operator import mul, sub
 
 from .core import (ENUMERATION_GUARD, IndefiniteLattice, IntegralLattice,
-                   NotRootGenerated, TooManyVectors, _numerators)
+                   NotRootGenerated, TooManyVectors)
 from . import exact
 
 
@@ -174,7 +174,7 @@ def enumerate_by_norm(L: IntegralLattice, max_norm,
     if not levels:
         return []
     bound = Fraction(max_norm)
-    c, w_den = ([0] * L.rank, 1) if center is None else _numerators(center)
+    c, w_den = ([0] * L.rank, 1) if center is None else exact.numerators(center)
     # with 2 * center integral the walk keeps y = x + center >lex 0 and y = 0;
     # the partner of x is -x - 2 * center
     minus = [-ci * (2 // w_den) for ci in c] if w_den <= 2 else None

@@ -2,14 +2,16 @@
 overlattices; ``geomchecks.coset_rule`` reads index-2 cosets directly), the
 Fraction lift of a discriminant class, the pairing of two rational vectors
 (the package pairs order-2 classes as doubled integer lifts), the ambient
-coordinates of an overlattice vector, N's Gram and inverse by hand, and a
-reference Smith normal form."""
+coordinates of an overlattice vector, N's Gram and inverse by hand, a
+reference Smith normal form, and the separate four-square and
+2x^2+2y^2+2z^2+3u^2 search loops that ``hassett._square_reps`` replaces."""
 from fractions import Fraction
+from math import isqrt
 
-from cubiclat.core import (DiscriminantGroup, IntegralLattice, ParityError,
-                           _coords, _gram_product, _numerators,
-                           discriminant_form)
-from cubiclat.exact import _xgcd, copy_matrix, identity
+from cubiclat.core import (DiscriminantGroup, IntegralLattice,
+                           NoRepresentation, ParityError, _coords,
+                           _gram_product, discriminant_form)
+from cubiclat.exact import _xgcd, copy_matrix, identity, numerators
 from cubiclat.glue import (AnyForm, GlueSubgroup, Overlattice, _closure,
                            isotropic_elements, overlattice_from_glue)
 
@@ -27,8 +29,8 @@ def lift(group: DiscriminantGroup, coeffs) -> tuple[Fraction, ...]:
 def pair_rational(L: IntegralLattice, u, v) -> Fraction:
     """u^T gram v for rational coordinate vectors, as one integer Gram
     product over the two vectors' cleared denominators."""
-    un, uden = _numerators(u)
-    vn, vden = _numerators(v)
+    un, uden = numerators(u)
+    vn, vden = numerators(v)
     return Fraction(_gram_product(L.gram, _coords(un, L.rank),
                                   _coords(vn, L.rank)), uden * vden)
 
@@ -193,3 +195,34 @@ def smith_normal_form_reference(a):
             d[i][i] = -d[i][i]
             u[i] = [-x for x in u[i]]
     return d, u, v
+
+
+def _four_square_reps(n: int):
+    """Every n = x^2+y^2+z^2+u^2 with x >= y >= z >= u >= 0, in descending
+    lexicographic order."""
+    for x in range(isqrt(n), -1, -1):
+        r1 = n - x * x
+        for y in range(min(x, isqrt(r1)), -1, -1):
+            r2 = r1 - y * y
+            for z in range(min(y, isqrt(r2)), -1, -1):
+                r3 = r2 - z * z
+                u = isqrt(r3)
+                if u * u == r3 and u <= z:
+                    yield (x, y, z, u)
+
+
+def ramanujan_rep(n: int) -> tuple[int, int, int, int]:
+    """A representation n = 2x^2+2y^2+2z^2+3u^2; impossible exactly for 1, 17."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    for x in range(isqrt(n // 2), -1, -1):
+        r1 = n - 2 * x * x
+        for y in range(min(x, isqrt(r1 // 2)), -1, -1):
+            r2 = r1 - 2 * y * y
+            for z in range(min(y, isqrt(r2 // 2)), -1, -1):
+                r3 = r2 - 2 * z * z
+                if r3 % 3 == 0:
+                    u = isqrt(r3 // 3)
+                    if 3 * u * u == r3:
+                        return (x, y, z, u)
+    raise NoRepresentation(f"{n} is not of the form 2x^2+2y^2+2z^2+3u^2")

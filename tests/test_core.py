@@ -226,6 +226,20 @@ def test_orthogonal_complement():
         orthogonal_complement(A2, [(1, 0), (2, 0)])
 
 
+def test_orthogonal_complement_reads_the_span_rank_off_its_kernel(
+        monkeypatch):
+    def no_rank(a):
+        raise RuntimeError("rational_rank called")
+
+    monkeypatch.setattr(exact, "rational_rank", no_rank)
+    assert orthogonal_complement(A2, [(1, 0)]).lattice.gram == ((6,),)
+    assert orthogonal_complement(A2, []).lattice.gram == A2.gram
+    assert orthogonal_complement(A2, [(1, 0), (0, 1)]).lattice.rank == 0
+    for vs in ([(1, 0), (2, 0)], [(0, 0)], [(1, 0), (0, 1), (1, 1)]):
+        with pytest.raises(DependentSpan):
+            orthogonal_complement(A2, vs)
+
+
 def test_saturation():
     z2 = IntegralLattice([[1, 0], [0, 1]])
     sat = saturation(z2, [(2, 4)])

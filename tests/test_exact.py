@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -39,6 +40,14 @@ def test_solve_exact():
     x = exact.solve_exact(a, [5, 10])
     assert [sum(a[i][j] * x[j] for j in range(2)) for i in range(2)] == [5, 10]
     assert all(isinstance(c, Fraction) for c in x)
+
+
+def test_solve_exact_rejects_a_singular_matrix():
+    # the elimination runs over [a | b]: a singular a pivots in b or stops short
+    with pytest.raises(ZeroDivisionError):
+        exact.solve_exact([[1, 1], [1, 1]], [1, 2])
+    with pytest.raises(ZeroDivisionError):
+        exact.solve_exact([[1, 1], [1, 1]], [1, 1])
 
 
 def test_rational_rank():
@@ -82,7 +91,7 @@ def test_integer_kernel():
     # saturation: the kernel of [2 4] is generated by (2, -1), not (4, -2)
     k = exact.integer_kernel([[2, 4]])
     assert len(k) == 1
-    assert exact.gcd_list(k[0]) == 1
+    assert gcd(*k[0]) == 1
 
 
 def test_hermite_column_basis():
@@ -114,10 +123,9 @@ def test_matrix_helpers():
     assert exact.mat_mul(a, exact.identity(2)) == a
 
 
-def test_gcd_lcm_lists():
-    assert exact.gcd_list([12, 18, 30]) == 6
-    assert exact.gcd_list([]) == 0
-    assert exact.gcd_list([-4, 6]) == 2
-    assert exact.lcm_list([4, 6]) == 12
-    assert exact.lcm_list([]) == 1
-    assert exact.lcm_list([0, 5]) == 5
+def test_numerators_clear_denominators():
+    assert exact.numerators([3, -2, 0]) == ([3, -2, 0], 1)
+    assert exact.numerators([Fraction(1, 2), Fraction(-2, 3), 5]) == (
+        [3, -4, 30], 6)
+    assert exact.numerators([Fraction(4, 2), Fraction(0)]) == ([2, 0], 1)
+    assert exact.numerators([]) == ([], 1)

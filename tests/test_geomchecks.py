@@ -52,6 +52,13 @@ def test_plane_enumeration_validates_eta():
         enumerate_planes(IntegralLattice([[1]]), (1,))
 
 
+def test_plane_enumeration_rejects_a_non_integral_eta():
+    n = catalog.plane_lattice_N()
+    for first in (Fraction(3, 2), 1.7):
+        with pytest.raises(ValueError, match="non-integral"):
+            enumerate_planes(n, (first,) + (0,) * 10)
+
+
 def test_rule_table():
     assert sorted(RULES) == ["R1", "R2", "R3", "R4"]
 

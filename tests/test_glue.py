@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from cubiclat import catalog
+from cubiclat import catalog, exact
+from cubiclat.checks import run_checks
 from cubiclat.core import (BadSplitting, IntegralLattice, NotIsotropic,
                            discriminant_form, discriminant_bilinear_form)
 from cubiclat.glue import (glue_group, glue_subgroup, isotropic_elements,
@@ -87,6 +88,21 @@ def test_glue_group_rejects_bad_splittings():
         glue_group(u, [(1, 0)], [(1, 1)])
     with pytest.raises(BadSplitting, match="rank"):
         glue_group(u, [(1, 1)], [])
+
+
+def test_glue_group_reads_the_rank_off_its_smith_form(monkeypatch):
+    def no_rank(a):
+        raise RuntimeError("rational_rank called")
+
+    monkeypatch.setattr(exact, "rational_rank", no_rank)
+    u = IntegralLattice([[0, 1], [1, 0]])
+    assert glue_group(u, [(1, 1)], [(1, -1)]) == (2,)
+    for s1, s2, rank in (([(1, 1)], [], 1), ([], [], 0),
+                         ([(1, 0)], [(2, 0)], 1)):
+        with pytest.raises(BadSplitting,
+                           match=f"combined rank {rank}, need 2"):
+            glue_group(u, s1, s2)
+    assert run_checks(["M.glue"])[0].ok
 
 
 def test_enumerate_even_overlattices_d8():

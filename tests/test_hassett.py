@@ -18,6 +18,7 @@ from cubiclat.hassett import (
     labeling_for_d,
     ramanujan_rep,
 )
+import oracles
 
 
 def test_four_squares_known_values():
@@ -56,6 +57,29 @@ def test_ramanujan_rep_resums():
             continue
         x, y, z, u = ramanujan_rep(n)
         assert 2 * x * x + 2 * y * y + 2 * z * z + 3 * u * u == n
+
+
+def _outcome(search, n):
+    try:
+        return search(n)
+    except NoRepresentation as exc:
+        return type(exc)
+
+
+def test_square_searches_match_the_separate_loops():
+    # the one generator of a(x^2+y^2+z^2) + b u^2, which has no u <= z
+    # filter, against separate loops, the four-square one filtering u <= z
+    for n in range(20001):
+        reps = oracles._four_square_reps(n)
+        assert four_squares(n) == next(reps)
+        assert _four_squares_even(n) == next(
+            r for r in oracles._four_square_reps(n)
+            if any(c % 2 == 0 for c in r))
+        if n:
+            assert (_outcome(ramanujan_rep, n)
+                    == _outcome(oracles.ramanujan_rep, n))
+    assert _outcome(ramanujan_rep, 1) is NoRepresentation
+    assert _outcome(ramanujan_rep, 17) is NoRepresentation
 
 
 def test_ramanujan_exceptions():
