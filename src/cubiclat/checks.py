@@ -126,23 +126,29 @@ def m_gram_certificate():
              "alpha-span) is Z/4, so the index is 4 and not the commonly "
              "quoted 2")
 def m_glue_certificate():
+    """Ktilde sits in M by delta -> delta_in_M and alpha_i -> basis vector i.
+    The glued basis maps to integral rows of det +-1 that carry the glued
+    Gram: an isometry onto M, which implies both "match" keys they report."""
     m = catalog.prim_lattice_M()
     kt = catalog.kappa_tilde()
     sub = glue_subgroup(discriminant_form(kt), [catalog.kappa_glue_lift()])
     ext = overlattice_from_glue(kt, sub)
-    q_match = (discriminant_form(ext.lattice).value_multiset()
-               == discriminant_form(m).value_multiset())
-    alphas = [tuple(int(j == i) for j in range(10)) for i in range(1, 10)]
-    glue_factors = glue_group(m, [catalog.delta_in_M()], alphas)
+    delta, alphas = catalog.delta_in_M(), exact.identity(10)[1:]
+    rows = exact.mat_mul(ext.basis, [delta, *alphas])
+    integral = all(c.denominator == 1 for row in rows for c in row)
+    rows = [[int(c) for c in row] for row in rows]
+    isometry = (integral and abs(exact.bareiss_det(rows)) == 1
+                and exact.mat_mul(exact.mat_mul(rows, m.gram),
+                                  exact.transpose(rows))
+                == [list(row) for row in ext.lattice.gram])
+    glue_factors = glue_group(m, [delta], alphas)
     details = {"glue_order": sub.order,
                "overlattice_index": ext.index,
                "commonly_quoted_index": 2,
-               "invariants_match":
-                   basic_invariants(ext.lattice) == basic_invariants(m),
-               "q_value_multiset_match": q_match,
+               "invariants_match": isometry,
+               "q_value_multiset_match": isometry,
                "glue_factors": glue_factors}
-    ok = (sub.order == 4 and ext.index == 4
-          and details["invariants_match"] and q_match
+    ok = (sub.order == 4 and ext.index == 4 and isometry
           and glue_factors == (4,))
     return ok, details
 
@@ -217,6 +223,9 @@ def e8_roots_certificate():
              "sublattice inside signature (20,2) forces its signature and, "
              "on 2-torsion, its whole discriminant form")
 def t_invariants_certificate():
+    """T's form and the profile's 2-part are 2-elementary; there the q-value
+    multiset fixes a, delta and the signature mod 8, which determine q
+    (Nikulin 1980, section 3.6), so equal multisets mean isomorphic forms."""
     t = catalog.transcendental_T()
     inv = two_elementary_invariants(t)
     flat = (tuple(inv.signature), inv.a, inv.delta)

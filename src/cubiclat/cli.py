@@ -112,9 +112,9 @@ def _eta_vector(L: IntegralLattice) -> tuple[int, ...]:
 @click.option("--invariants", is_flag=True, help="Determinant, signature, parity.")
 @click.option("--disc", is_flag=True, help="Discriminant group and bilinear form.")
 @click.option("--roots", type=click.IntRange(min=0), default=None, metavar="N",
-              help="Count vectors of norm N.")
+              help="Count vectors of norm N (-N if negative definite).")
 @click.option("--vectors", type=click.IntRange(min=0), default=None,
-              metavar="N", help="List all vectors of norm up to N.")
+              metavar="N", help="List all vectors with |norm| up to N.")
 @click.option("--planes", is_flag=True, help="Enumerate norm-3 degree-1 classes.")
 def lat_show(target: str, invariants: bool, disc: bool, roots: int | None,
              vectors: int | None, planes: bool):
@@ -138,10 +138,12 @@ def lat_show(target: str, invariants: bool, disc: bool, roots: int | None,
                 for grow in form.bilinear_matrix():
                     click.echo("  " + "  ".join(str(x) for x in grow))
         if roots is not None:
-            click.echo(f"vectors of norm {roots}: {root_count(L, roots)}")
+            norm = -roots if L.signature.negative else roots
+            click.echo(f"vectors of norm {norm}: {root_count(L, roots)}")
         if vectors is not None:
             for piece in enumerate_by_norm(L, vectors):
-                click.echo(f"norm {piece.norm} ({len(piece.vectors)}):")
+                norm = -piece.norm if piece.negated else piece.norm
+                click.echo(f"norm {norm} ({len(piece.vectors)}):")
                 for v in piece.vectors:
                     click.echo("  " + " ".join(str(x) for x in v))
         if planes:

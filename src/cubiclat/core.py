@@ -178,13 +178,6 @@ class IntegralLattice:
             raise DegenerateLattice("gram matrix has determinant zero")
         self.det = m[n - 1][n - 1] if n else 1
 
-    def __eq__(self, other):
-        return (isinstance(other, IntegralLattice)
-                and self.gram == other.gram and self.labels == other.labels)
-
-    def __hash__(self):
-        return hash((self.gram, self.labels))
-
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"<IntegralLattice{tag} rank {self.rank} det {self.det}>"

@@ -78,8 +78,7 @@ def _minus(a, *labels):
 def _frame_vectors():
     """N, eta, y, (alpha_1, alpha_3, alpha_5, alpha_7), beta and gamma."""
     eta, y = catalog.n_class("eta"), catalog.n_class("y")
-    alphas = tuple(_minus(catalog.n_class(f"F{i}"), f"F{i + 1}")
-                   for i in (1, 3, 5, 7))
+    alphas = tuple(catalog.m_basis_in_N()[1:8:2])
     beta = _minus(tuple(e - p for e, p in zip(eta, catalog.p_in_N())), "F9")
     gamma = _minus(y, "F5", "F6", "F7", "F8", "F9")
     return catalog.plane_lattice_N(), eta, y, alphas, beta, gamma

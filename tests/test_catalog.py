@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubiclat import catalog
+from cubiclat import catalog, exact
 from cubiclat.core import (
     CrossCheckFailed,
     DegenerateLattice,
@@ -160,6 +160,20 @@ def test_m_cross_check_raises_on_a_wrong_gram(monkeypatch):
         monkeypatch.undo()
         catalog.prim_lattice_M.cache_clear()
     assert catalog.prim_lattice_M().gram == tuple(map(tuple, catalog._GM))
+
+
+def test_m_builds_without_an_overlattice(monkeypatch):
+    # M's Gram is checked against N alone; the Ktilde glue is M.glue's claim
+    def no_hnf(a):
+        raise RuntimeError("hermite_column_basis called")
+
+    monkeypatch.setattr(exact, "hermite_column_basis", no_hnf)
+    catalog.prim_lattice_M.cache_clear()
+    try:
+        assert catalog.prim_lattice_M().gram == tuple(map(tuple, catalog._GM))
+    finally:
+        monkeypatch.undo()
+        catalog.prim_lattice_M.cache_clear()
 
 
 def test_kappa_tilde_and_glue_lift():

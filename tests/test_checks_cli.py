@@ -155,6 +155,17 @@ def test_cli_lat_show_vectors():
     assert "norm 2 (6):" in result.output
 
 
+def test_cli_lat_show_negative_definite_norms():
+    # a negative definite lattice is enumerated on its negation; the output
+    # gives the true, negative norms
+    result = CliRunner().invoke(
+        main, ["lat", "show", "A2(-1)", "--vectors", "2", "--roots", "2"])
+    assert result.exit_code == 0
+    assert "vectors of norm -2: 6" in result.output
+    assert "norm -2 (6):" in result.output
+    assert "norm 2" not in result.output
+
+
 def test_cli_lat_show_disc():
     trivial = CliRunner().invoke(main, ["lat", "show", "U", "--disc"])
     assert trivial.exit_code == 0

@@ -149,7 +149,8 @@ def test_phi2_negative_control_flips_verdict(monkeypatch):
     real = classify.discriminant_form
     monkeypatch.setattr(
         classify, "discriminant_form",
-        lambda L: real(catalog.standard("A2") if L == candidate else L))
+        lambda L: real(catalog.standard("A2") if L.gram == candidate.gram
+                       else L))
     rep = phi2_no_associated_k3()
     assert not rep.ok
     assert rep.details["three_parts_differ"] is False

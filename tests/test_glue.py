@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cubiclat import catalog, exact
 from cubiclat.checks import run_checks
 from cubiclat.core import (BadSplitting, IntegralLattice, NotIsotropic,
-                           discriminant_form, discriminant_bilinear_form)
+                           basic_invariants, discriminant_form,
+                           discriminant_bilinear_form)
 from cubiclat.glue import (glue_group, glue_subgroup, isotropic_elements,
                            overlattice_from_glue)
 from cubiclat.shortvec import identify_root_lattice, root_count
@@ -121,3 +126,45 @@ def test_kappa_tilde_glue_reaches_m():
     assert sub.order == 4
     assert ext.index == 4
     assert ext.lattice.det == catalog.prim_lattice_M().det == 3072
+
+
+# another order-4 isotropic class of A_Ktilde, on Ktilde's basis; its
+# overlattice has M's invariants and q-value multiset but is not M
+LOOKALIKE_LIFT = ("1/4", "1/2", "0", "1/2", "0", "1/2", "0", "1/2", "1/4",
+                  "3/4")
+
+
+def test_m_glue_fails_on_a_lookalike_glue_class(monkeypatch):
+    lookalike = tuple(map(Fraction, LOOKALIKE_LIFT))
+    kt, m = catalog.kappa_tilde(), catalog.prim_lattice_M()
+    ext = overlattice_from_glue(
+        kt, glue_subgroup(discriminant_form(kt), [lookalike]))
+    assert ext.index == 4
+    assert basic_invariants(ext.lattice) == basic_invariants(m)
+    assert (discriminant_form(ext.lattice).value_multiset()
+            == discriminant_form(m).value_multiset())
+    monkeypatch.setattr(catalog, "kappa_glue_lift", lambda: lookalike)
+    rep = run_checks(["M.glue"])[0]
+    assert rep.status == "fail"
+    assert rep.details["invariants_match"] is False
+    assert rep.details["q_value_multiset_match"] is False
+
+
+def test_m_glue_fails_on_a_lookalike_glue_class_under_optimize():
+    # the isometry check must not be an assert, which python -O strips
+    script = (
+        "from fractions import Fraction\n"
+        "from cubiclat import catalog\n"
+        "from cubiclat.checks import run_checks\n"
+        f"lift = tuple(map(Fraction, {LOOKALIKE_LIFT!r}))\n"
+        "catalog.kappa_glue_lift = lambda: lift\n"
+        "rep = run_checks(['M.glue'])[0]\n"
+        "print(rep.status, rep.details['invariants_match'],\n"
+        "      rep.details['q_value_multiset_match'])\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["fail", "False", "False"]
