@@ -139,7 +139,7 @@ def lat_show(target: str, invariants: bool, disc: bool, roots: int | None,
                     click.echo("  " + "  ".join(str(x) for x in grow))
         if roots is not None:
             norm = -roots if L.signature.negative else roots
-            click.echo(f"vectors of norm {norm}: {root_count(L, roots)}")
+            click.echo(f"vectors of norm {norm}: {root_count(L, norm)}")
         if vectors is not None:
             for piece in enumerate_by_norm(L, vectors):
                 norm = -piece.norm if piece.negated else piece.norm

@@ -206,8 +206,10 @@ def enumerate_by_norm(L: IntegralLattice, max_norm,
 
 
 def vectors_of_norm(L: IntegralLattice, norm: int) -> list[tuple[int, ...]]:
-    for sl in enumerate_by_norm(L, norm):
-        if sl.norm == norm:
+    """All vectors whose norm under L's own form is ``norm``: a negative
+    definite lattice has them only at negative norms."""
+    for sl in enumerate_by_norm(L, abs(norm)):
+        if (-sl.norm if sl.negated else sl.norm) == norm:
             return sl.vectors
     return []
 

@@ -3,15 +3,20 @@ overlattices; ``geomchecks.coset_rule`` reads index-2 cosets directly), the
 Fraction lift of a discriminant class, the pairing of two rational vectors
 (the package pairs order-2 classes as doubled integer lifts), the ambient
 coordinates of an overlattice vector, N's Gram and inverse by hand, a
-reference Smith normal form, and the separate four-square and
-2x^2+2y^2+2z^2+3u^2 search loops that ``hassett._square_reps`` replaces."""
+reference Smith normal form, the separate four-square and
+2x^2+2y^2+2z^2+3u^2 search loops that ``hassett._square_reps`` replaces, and
+the one-scan-per-class form of ``sat.511``, which the certificate replaces by
+one scan per S_9 orbit."""
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt
 
+from cubiclat import catalog
 from cubiclat.core import (DiscriminantGroup, IntegralLattice,
                            NoRepresentation, ParityError, _coords,
                            _gram_product, discriminant_form)
 from cubiclat.exact import _xgcd, copy_matrix, identity, numerators
+from cubiclat.geomchecks import coset_rule
 from cubiclat.glue import (AnyForm, GlueSubgroup, Overlattice, _closure,
                            isotropic_elements, overlattice_from_glue)
 
@@ -226,3 +231,22 @@ def ramanujan_rep(n: int) -> tuple[int, int, int, int]:
                     if 3 * u * u == r3:
                         return (x, y, z, u)
     raise NoRepresentation(f"{n} is not of the form 2x^2+2y^2+2z^2+3u^2")
+
+
+def coset_rules_by_class() -> dict[tuple[int, ...], tuple[str, str | None]]:
+    """(support family, ``coset_rule``) for each of the 511 isotropic classes
+    of A_N, one centred coset scan per class, keyed by the class's symbols
+    (0 for eta*, i for F_i*) in the order ``sat.511`` meets them."""
+    n = catalog.plane_lattice_N()
+    eta = catalog.n_class("eta")
+    _, dual2, _ = catalog.n_dual_classes()
+    out = {}
+    for size in range(1, 11):
+        for symbols in combinations(range(10), size):
+            lift2 = [sum(c) for c in zip(*(dual2[s] for s in symbols))]
+            if _gram_product(n.gram, lift2, lift2) % 4:
+                continue
+            fibres = len(symbols) - (0 in symbols)
+            key = f"eta+{fibres}F" if 0 in symbols else f"{fibres}F"
+            out[symbols] = key, coset_rule(n, eta, lift2)
+    return out

@@ -1,7 +1,12 @@
 """Tests for plane enumeration, the admissibility rules, and the geometric
 parity certificates."""
 
+import os
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +29,7 @@ from cubiclat.geomchecks import (
 )
 from cubiclat.glue import glue_subgroup, overlattice_from_glue
 from cubiclat.shortvec import enumerate_by_norm
-from oracles import pair_rational
+from oracles import coset_rules_by_class, pair_rational
 
 ETA = (1,) + (0,) * 10
 
@@ -143,6 +148,16 @@ def test_coset_rule_matches_overlattice_scan(family):
     assert rule == _overlattice_rule(n, ETA, lift)
 
 
+def test_coset_rule_is_constant_on_each_support_family():
+    # the direct evidence for the orbit argument of sat.511: one scan per
+    # class gives each class its family representative's rule
+    rules = coset_rules_by_class()
+    assert len(rules) == 511
+    for symbols, (family, rule) in rules.items():
+        assert rule == rules[FAMILY_REPRESENTATIVES[family]][1], symbols
+    assert Counter(rule for _, rule in rules.values()) == {"R1": 240, "R2": 271}
+
+
 def test_coset_rule_r4_branch(monkeypatch):
     # L passes the bound-3 scan; the class lam = (0, 1/2) has norm 1
     L = IntegralLattice([[3, 2], [2, 4]])
@@ -236,6 +251,52 @@ def test_saturation_certificate_fails_on_witness_outside(monkeypatch):
     rep = saturation_certificate()
     assert rep.status == "fail"
     assert {p["error"] for p in rep.details["problems"]} == {"witness outside"}
+
+
+# generator tables that must make sat.511 fail: y <-> F_1 (norms 21 and 3)
+# is not an isometry; eta <-> F_1 is an isometry of N (eta and each F_i have
+# norm 3, pair 1 with each other and 5 with y) that moves eta; the
+# transposition alone does not generate S_9, so the families are not orbits
+CYCLE = geomchecks._S9_GENERATORS[1]
+BAD_GENERATORS = {
+    "not an isometry": (((0, 2, 1) + tuple(range(3, 11)), CYCLE),
+                        {"generator": 0, "error": "not an isometry"}),
+    "moves eta": (((2, 1, 0) + tuple(range(3, 11)), CYCLE),
+                  {"generator": 0, "error": "moves eta"}),
+    "transposition alone": ((geomchecks._S9_GENERATORS[0],),
+                            {"family": "2F", "error": "not one orbit"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GENERATORS))
+def test_saturation_certificate_fails_on_bad_generators(monkeypatch, case):
+    generators, problem = BAD_GENERATORS[case]
+    monkeypatch.setattr(geomchecks, "_S9_GENERATORS", generators)
+    rep = saturation_certificate()
+    assert rep.status == "fail"
+    assert problem in rep.details["problems"]
+    if case != "not an isometry":
+        assert {"generator": 0, "error": "not an isometry"} \
+            not in rep.details["problems"]
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GENERATORS))
+def test_saturation_certificate_fails_on_bad_generators_under_optimize(case):
+    # the generator and orbit checks must not be asserts, which python -O
+    # strips
+    generators, problem = BAD_GENERATORS[case]
+    script = (
+        "from cubiclat import geomchecks\n"
+        f"geomchecks._S9_GENERATORS = {generators!r}\n"
+        "rep = geomchecks.saturation_certificate()\n"
+        f"print(rep.status, {problem!r} in rep.details['problems'])\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["fail", "True"]
 
 
 def test_scroll_screen():
