@@ -175,18 +175,22 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def smith_normal_form(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+def smith_normal_form(a, left: bool = True
+                      ) -> tuple[IntMatrix, IntMatrix | None, IntMatrix]:
     """Smith normal form of an integer m x n matrix.
 
     Returns (d, u, v) with u @ a @ v = d, u and v unimodular, d diagonal with
-    nonnegative entries d[0][0] | d[1][1] | ...  An elimination changes only
+    nonnegative entries d[0][0] | d[1][1] | ...; with ``left`` false u is
+    not built and is None.  u rides as m trailing columns of d (the identity
+    appended to a), so a row operation is one pass over one list; column
+    operations read only the first n columns.  An elimination changes only
     the entries of its target row or column whose source entry is nonzero,
-    and a swap does no arithmetic.
+    an xgcd combination skips pairs of zero entries, and a swap does no
+    arithmetic.
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    d = copy_matrix(a)
-    u = identity(m)
+    d = [list(r) + e for r, e in zip(a, identity(m) if left else [[]] * m)]
     v = identity(n)
 
     t = 0
@@ -198,36 +202,36 @@ def smith_normal_form(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         pi, pj = pivot
         if pi != t:
             d[t], d[pi] = d[pi], d[t]
-            u[t], u[pi] = u[pi], u[t]
         if pj != t:
             for row in d + v:
                 row[t], row[pj] = row[pj], row[t]
         while True:
             # clear column t; plain subtraction when the pivot divides (leaves
             # row t untouched), xgcd combine otherwise (shrinks the pivot)
+            src = d[t]
             for i in range(t + 1, m):
-                f = d[i][t]
+                dst = d[i]
+                f = dst[t]
                 if f:
-                    p = d[t][t]
+                    p = src[t]
                     if f % p == 0:
                         q = f // p
-                        for src, dst in ((d[t], d[i]), (u[t], u[i])):
-                            for k, e in enumerate(src):
-                                if e:
-                                    dst[k] -= q * e
+                        for k, e in enumerate(src):
+                            if e:
+                                dst[k] -= q * e
                     else:
                         g, s, w = _xgcd(p, f)
                         x, y = -(f // g), p // g
-                        for ri, rj in ((d[t], d[i]), (u[t], u[i])):
-                            for k in range(len(ri)):
-                                ri[k], rj[k] = (s * ri[k] + w * rj[k],
-                                                x * ri[k] + y * rj[k])
+                        for k, (e, h) in enumerate(zip(src, dst)):
+                            if e or h:
+                                src[k], dst[k] = s * e + w * h, x * e + y * h
             # clear row t in the same way, on d and v; live rows are nonzero at t
             live = [row for row in d + v if row[t]]
+            combined = False
             for j in range(t + 1, n):
-                f = d[t][j]
+                f = src[j]
                 if f:
-                    p = d[t][t]
+                    p = src[t]
                     if f % p == 0:
                         q = f // p
                         for row in live:
@@ -236,10 +240,13 @@ def smith_normal_form(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                         g, s, w = _xgcd(p, f)
                         x, y = -(f // g), p // g
                         for row in d + v:
-                            row[t], row[j] = (s * row[t] + w * row[j],
-                                              x * row[t] + y * row[j])
+                            e, h = row[t], row[j]
+                            if e or h:
+                                row[t], row[j] = s * e + w * h, x * e + y * h
                         live = [row for row in d + v if row[t]]
-            if not any(d[i][t] for i in range(t + 1, m)):
+                        combined = True
+            # only a column xgcd combination can refill column t below the pivot
+            if not (combined and any(d[i][t] for i in range(t + 1, m))):
                 break
         # divisibility fix-up: the pivot must divide every remaining entry
         # (a unit pivot does); otherwise add the first stray row to row t
@@ -248,15 +255,13 @@ def smith_normal_form(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                           if d[i][j] % d[t][t]), None)
             if stray is not None:
                 d[t] = [a + b for a, b in zip(d[t], d[stray])]
-                u[t] = [a + b for a, b in zip(u[t], u[stray])]
                 continue
         t += 1
 
     for i in range(min(m, n)):
         if d[i][i] < 0:
-            d[i][i] = -d[i][i]
-            u[i] = [-x for x in u[i]]
-    return d, u, v
+            d[i] = [-x for x in d[i]]
+    return ([r[:n] for r in d], [r[n:] for r in d], v) if left else (d, None, v)
 
 
 def integer_kernel(a) -> IntMatrix:
@@ -268,7 +273,7 @@ def integer_kernel(a) -> IntMatrix:
     n = len(a[0]) if m else 0
     if m == 0:
         return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    d, _, v = smith_normal_form(a)
+    d, _, v = smith_normal_form(a, left=False)
     rank = sum(1 for i in range(min(m, n)) if d[i][i] != 0)
     return [column(v, j) for j in range(rank, n)]
 

@@ -72,15 +72,18 @@ def admissibility_scan(L: IntegralLattice, eta,
     """First violation of rules R1-R4 (in that order), or None.
 
     The eta-complement is scanned up to norm_bound (R1, and R3 whenever the
-    bound reaches 6).  Rule R4 scans labelings of determinant at most 18
-    through vectors of norm at most min(norm_bound, 8); when the minimal norm
-    of L is 3 that cap is complete (a reduced basis of such a labeling has
-    both norms at most 8), and lattices with smaller minima are flagged by
-    R1, R2, or a norm-1 labeling anyway.
+    bound reaches 6); an even complement has no vector of odd norm for R1, so
+    its scan stops at min(norm_bound, 6), all R3 reads.  Rule R4 scans
+    labelings of determinant at most 18 through vectors of norm at most
+    min(norm_bound, 8); when the minimal norm of L is 3 that cap is complete
+    (a reduced basis of such a labeling has both norms at most 8), and
+    lattices with smaller minima are flagged by R1, R2, or a norm-1 labeling
+    anyway.
     """
     ec = _check_eta(L, eta)
     comp = orthogonal_complement(L, [ec])
-    comp_slices = enumerate_by_norm(comp.lattice, norm_bound)
+    comp_bound = min(norm_bound, 6) if comp.lattice.is_even else norm_bound
+    comp_slices = enumerate_by_norm(comp.lattice, comp_bound)
 
     for sl in comp_slices:
         if sl.norm % 2 == 1:

@@ -180,7 +180,7 @@ def glue_group(L: IntegralLattice, s1, s2) -> tuple[int, ...]:
     combined = [*s1, *s2]
     # the spans as columns; their rank is the number of nonzero diagonal
     # entries of the Smith form
-    d, _, _ = exact.smith_normal_form(exact.transpose(combined))
+    d, _, _ = exact.smith_normal_form(exact.transpose(combined), left=False)
     rank = sum(1 for i in range(min(len(d), len(combined))) if d[i][i])
     if len(combined) != L.rank or rank != L.rank:
         raise BadSplitting(f"spans have combined rank {rank}, need {L.rank}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from operator import mul
 
 from . import catalog
 from .core import NoRepresentation, NotAHassettDiscriminant, saturation
@@ -144,7 +145,8 @@ def labeling_for_d(d: int) -> Labeling:
         v = tuple(sum(c * a[i] for c, a in zip(coeffs, alphas))
                   + s * beta[i] + t * gamma[i] for i in range(n.rank))
 
-    vv, ev = n.norm(v), n.pair(eta, v)
+    gv = n.dual_pairings(v)
+    vv, ev = sum(map(mul, gv, v)), sum(map(mul, gv, eta))
     disc = 3 * vv - ev * ev
     if disc != d:
         raise NoRepresentation(f"witness {witness} gives discriminant {disc}, "

@@ -72,11 +72,30 @@ def test_scan_passes_on_n():
     assert admissibility_scan(catalog.plane_lattice_N(), ETA) is None
 
 
+def test_scan_walks_an_even_complement_only_to_norm_6(monkeypatch):
+    # N's eta-complement is even: R1 cannot fire there, and R3 reads only the
+    # norm-6 slice
+    bounds = []
+    walk = geomchecks.enumerate_by_norm
+    monkeypatch.setattr(geomchecks, "enumerate_by_norm", lambda L, bound, **kw:
+                        bounds.append((L.rank, bound)) or walk(L, bound, **kw))
+    assert admissibility_scan(catalog.plane_lattice_N(), ETA) is None
+    assert bounds == [(10, 6), (11, 8)]
+
+
 def test_scan_flags_odd_complement_norm():
     hit = admissibility_scan(IntegralLattice([[3, 0], [0, 1]]), (1, 0))
     assert hit is not None
     assert hit.rule == "R1"
     assert hit.data == {"norm": 1}
+
+
+def test_scan_walks_an_odd_complement_to_the_full_bound():
+    # the complement <7> is odd but has no odd norm below 7
+    hit = admissibility_scan(IntegralLattice([[3, 0], [0, 7]]), (1, 0))
+    assert hit is not None
+    assert hit.rule == "R1"
+    assert hit.data == {"norm": 7}
 
 
 def test_scan_flags_norm_two_class():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cubiclat import catalog
+from cubiclat import catalog, exact
 from cubiclat.core import NoRepresentation, NotAHassettDiscriminant, saturation
 from cubiclat.hassett import (
     _four_squares_even,
@@ -127,6 +127,24 @@ def test_labelings_span_primitively():
         # saturating does not shrink the determinant, so the span is primitive
         assert sat.lattice.rank == 2
         assert raw_det == sat.lattice.det == d
+
+
+def test_labeling_smith_forms_match_the_reference(monkeypatch):
+    # the saturation's two kernels take a 2 x 11 matrix and a sparse 9 x 11
+    # one with a zero first column, shapes the hypothesis strategy never draws
+    seen = []
+    snf = exact.smith_normal_form
+    monkeypatch.setattr(exact, "smith_normal_form", lambda a, **kw:
+                        seen.append([list(r) for r in a]) or snf(a, **kw))
+    ds = [38, 9998, 999998] + [d for d in range(60) if is_admissible(d)]
+    for d in ds:
+        labeling_for_d(d)
+    assert [(len(a), len(a[0])) for a in seen] == [(2, 11), (9, 11)] * len(ds)
+    assert all(row[0] == 0 for a in seen[1::2] for row in a)
+    for a in seen:
+        d, u, v = oracles.smith_normal_form_reference(a)
+        assert snf(a) == (d, u, v)
+        assert snf(a, left=False) == (d, None, v)
 
 
 def test_labeling_rejects_inadmissible():

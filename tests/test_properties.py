@@ -81,6 +81,7 @@ def snf_inputs(draw):
 def test_smith_normal_form_matches_the_reference(a):
     d, u, v = smith_normal_form(a)
     assert (d, u, v) == smith_normal_form_reference(a)
+    assert smith_normal_form(a, left=False) == (d, None, v)
     assert mat_mul(mat_mul(u, a), v) == d
     assert abs(bareiss_det(u)) == abs(bareiss_det(v)) == 1
 
