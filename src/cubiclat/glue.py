@@ -132,8 +132,8 @@ class Overlattice:
 
 
 def overlattice_from_glue(L: IntegralLattice, H: GlueSubgroup) -> Overlattice:
-    """The extension of L generated by the lifts of H, re-based integrally."""
-    H.validate()
+    """The extension of L generated by the lifts of H, re-based integrally.
+    NotIsotropic when the lifts pair non-integrally or even L comes out odd."""
     n = L.rank
     den = lcm(*(f.denominator for lift in H.lifts for f in lift))
     cols: list[list[int]] = [[den * int(i == j) for i in range(n)] for j in range(n)]

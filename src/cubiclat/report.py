@@ -23,8 +23,6 @@ def jsonable(value):
         if isinstance(value, (set, frozenset)):
             items = sorted(items, key=repr)
         return [jsonable(v) for v in items]
-    if hasattr(value, "_asdict"):
-        return jsonable(value._asdict())
     return str(value)
 
 

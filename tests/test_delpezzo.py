@@ -1,11 +1,6 @@
 """Tests for the cubic-surface Picard lattice: lines, sixers, double sixes,
 and the twisted-cubic intersection table."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 from cubiclat.delpezzo import (
     double_sixes,
     intersection_lemma_verify,
@@ -100,7 +95,7 @@ def test_intersection_table_certificate():
     assert d["problems"] == []
 
 
-def test_sixer_divisibility_raises_under_optimize():
+def test_sixer_divisibility_raises_under_optimize(run_optimized):
     # with K replaced by (-2, 1, ..., 1) the six e_i stay lines, but their
     # sum minus K is not divisible by 3; python -O would strip an assert
     script = (
@@ -115,10 +110,5 @@ def test_sixer_divisibility_raises_under_optimize():
         "    print('raised', exc)\n"
         "else:\n"
         "    print('passed')\n")
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, env=env, check=False)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised sixer"), proc.stdout
+    stdout = run_optimized(script)
+    assert stdout.startswith("raised sixer"), stdout

@@ -1,12 +1,8 @@
 """Tests for plane enumeration, the admissibility rules, and the geometric
 parity certificates."""
 
-import os
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -272,50 +268,60 @@ def test_saturation_certificate_fails_on_witness_outside(monkeypatch):
     assert {p["error"] for p in rep.details["problems"]} == {"witness outside"}
 
 
-# generator tables that must make sat.511 fail: y <-> F_1 (norms 21 and 3)
-# is not an isometry; eta <-> F_1 is an isometry of N (eta and each F_i have
-# norm 3, pair 1 with each other and 5 with y) that moves eta; the
-# transposition alone does not generate S_9, so the families are not orbits
-CYCLE = geomchecks._S9_GENERATORS[1]
-BAD_GENERATORS = {
-    "not an isometry": (((0, 2, 1) + tuple(range(3, 11)), CYCLE),
-                        {"generator": 0, "error": "not an isometry"}),
-    "moves eta": (((2, 1, 0) + tuple(range(3, 11)), CYCLE),
-                  {"generator": 0, "error": "moves eta"}),
-    "transposition alone": ((geomchecks._S9_GENERATORS[0],),
-                            {"family": "2F", "error": "not one orbit"}),
+def test_s9_symmetry_holds_on_n():
+    assert geomchecks._s9_symmetric(catalog.plane_lattice_N().gram)
+
+
+def _swap_y_f1(g):
+    order = [0, 2, 1] + list(range(3, 11))
+    return [[g[a][b] for b in order] for a in order]
+
+
+def _bump(g, a, b):
+    g = [list(row) for row in g]
+    g[a][b] += 1
+    g[b][a] = g[a][b]
+    return g
+
+
+# perturbed Grams of N that the S_9 check must reject: y <-> F_1 swapped
+# (N re-based, with y of norm 21 among the F coordinates), and one entry
+# changed for each of the four facts the check reads
+ASYMMETRIC_GRAMS = {
+    "y <-> F_1": _swap_y_f1,
+    "F_1.F_1": lambda g: _bump(g, 2, 2),
+    "F_3.F_7": lambda g: _bump(g, 4, 8),
+    "eta.F_1": lambda g: _bump(g, 0, 2),
+    "y.F_1": lambda g: _bump(g, 1, 2),
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_GENERATORS))
-def test_saturation_certificate_fails_on_bad_generators(monkeypatch, case):
-    generators, problem = BAD_GENERATORS[case]
-    monkeypatch.setattr(geomchecks, "_S9_GENERATORS", generators)
+@pytest.mark.parametrize("case", sorted(ASYMMETRIC_GRAMS))
+def test_s9_symmetry_fails_on_a_perturbed_gram(case):
+    gram = ASYMMETRIC_GRAMS[case](catalog.plane_lattice_N().gram)
+    assert not geomchecks._s9_symmetric(gram)
+
+
+S9_PROBLEM = {"class": (), "error": "Gram not S_9-symmetric"}
+
+
+def test_saturation_certificate_fails_without_s9_symmetry(monkeypatch):
+    monkeypatch.setattr(geomchecks, "_s9_symmetric", lambda gram: False)
     rep = saturation_certificate()
     assert rep.status == "fail"
-    assert problem in rep.details["problems"]
-    if case != "not an isometry":
-        assert {"generator": 0, "error": "not an isometry"} \
-            not in rep.details["problems"]
+    assert rep.details["problems"] == [S9_PROBLEM]
 
 
-@pytest.mark.parametrize("case", sorted(BAD_GENERATORS))
-def test_saturation_certificate_fails_on_bad_generators_under_optimize(case):
-    # the generator and orbit checks must not be asserts, which python -O
-    # strips
-    generators, problem = BAD_GENERATORS[case]
+def test_saturation_certificate_fails_without_s9_symmetry_under_optimize(
+        run_optimized):
+    # the symmetry check must not be an assert, which python -O strips
     script = (
         "from cubiclat import geomchecks\n"
-        f"geomchecks._S9_GENERATORS = {generators!r}\n"
+        "geomchecks._s9_symmetric = lambda gram: False\n"
         "rep = geomchecks.saturation_certificate()\n"
-        f"print(rep.status, {problem!r} in rep.details['problems'])\n")
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, env=env, check=False)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["fail", "True"]
+        "print(rep.status, rep.details['problems'] == "
+        f"[{S9_PROBLEM!r}])\n")
+    assert run_optimized(script).split() == ["fail", "True"]
 
 
 def test_scroll_screen():

@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -11,8 +7,8 @@ from cubiclat.checks import run_checks
 from cubiclat.core import (BadSplitting, IntegralLattice, NotIsotropic,
                            basic_invariants, discriminant_form,
                            discriminant_bilinear_form)
-from cubiclat.glue import (glue_group, glue_subgroup, isotropic_elements,
-                           overlattice_from_glue)
+from cubiclat.glue import (GlueSubgroup, _closure, glue_group, glue_subgroup,
+                           isotropic_elements, overlattice_from_glue)
 from cubiclat.shortvec import identify_root_lattice, root_count
 from oracles import enumerate_even_overlattices, lift, to_ambient, trivial_glue
 
@@ -30,6 +26,24 @@ def test_glue_subgroup_validates_isotropy():
     a2 = IntegralLattice([[2, -1], [-1, 2]])
     with pytest.raises(NotIsotropic):
         glue_subgroup(discriminant_form(a2), [(Fraction(2, 3), Fraction(1, 3))])
+
+
+@pytest.mark.parametrize("name, q, message", [
+    ("D8", 1, "came out odd"),
+    ("A2", Fraction(2, 3), "do not pair integrally"),
+], ids=["D8 vector class", "A2 order-3 class"])
+def test_overlattice_from_glue_rejects_a_non_isotropic_class(name, q, message):
+    # a GlueSubgroup built directly skips glue_subgroup's validation; the
+    # glued Gram alone rejects the D8 vector class (the odd Z^8) and the
+    # order-3 class of A2 (norm 2/3)
+    L = catalog.standard(name)
+    form = discriminant_form(L)
+    e = next(e for e in form.group.elements() if form.q(e) == q)
+    elements = _closure([e], form.group.factors)
+    sub = GlueSubgroup(ambient=form, elements=elements, order=len(elements),
+                       lifts=(lift(form.group, e),))
+    with pytest.raises(NotIsotropic, match=message):
+        overlattice_from_glue(L, sub)
 
 
 def test_glue_subgroup_requires_dual_vector():
@@ -150,7 +164,8 @@ def test_m_glue_fails_on_a_lookalike_glue_class(monkeypatch):
     assert rep.details["q_value_multiset_match"] is False
 
 
-def test_m_glue_fails_on_a_lookalike_glue_class_under_optimize():
+def test_m_glue_fails_on_a_lookalike_glue_class_under_optimize(
+        run_optimized):
     # the isometry check must not be an assert, which python -O strips
     script = (
         "from fractions import Fraction\n"
@@ -161,10 +176,4 @@ def test_m_glue_fails_on_a_lookalike_glue_class_under_optimize():
         "rep = run_checks(['M.glue'])[0]\n"
         "print(rep.status, rep.details['invariants_match'],\n"
         "      rep.details['q_value_multiset_match'])\n")
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, env=env, check=False)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["fail", "False", "False"]
+    assert run_optimized(script).split() == ["fail", "False", "False"]

@@ -1,11 +1,6 @@
 """Tests for the discriminant-labeling machinery: quadratic-form
 representations and the rank-2 sublattice sweep."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from cubiclat import catalog, exact
@@ -168,7 +163,7 @@ def test_hassett_sweep_report():
     assert rep.details["labeled"] == rep.details["admissible"] == 31
 
 
-def test_sweep_fails_on_wrong_saturation_under_optimize():
+def test_sweep_fails_on_wrong_saturation_under_optimize(run_optimized):
     # the labeling checks must not be asserts, which python -O strips
     script = (
         "from cubiclat import catalog, hassett\n"
@@ -177,10 +172,4 @@ def test_sweep_fails_on_wrong_saturation_under_optimize():
         "wrong = saturation(n, [(1,) + (0,) * 10, catalog.p_in_N()])\n"
         "hassett.saturation = lambda L, vectors: wrong\n"
         "print(hassett.hassett_sweep(50).status)\n")
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, env=env, check=False)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["fail"]
+    assert run_optimized(script).split() == ["fail"]
