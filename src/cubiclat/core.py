@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import exact
 
@@ -141,8 +141,8 @@ class IntegralLattice:
     ``signature`` and short-vector enumeration read it too.  The reversal
     makes the first coordinate the outermost level of the Fincke-Pohst walk,
     which then meets vectors in lexicographic order.  ``smith`` is
-    ``exact.smith_normal_form`` of the Gram, made on first use; every
-    discriminant group and form of the lattice reads it.
+    ``exact.smith_normal_form`` of the Gram, made on first use by the
+    discriminant group of a lattice with |det| > 1.
     """
 
     def __init__(self, gram: Sequence[Sequence[int]],
@@ -260,13 +260,13 @@ class DiscriminantGroup:
 
     ``lifts[i]`` is the canonical generator of the i-th cyclic factor: a dual
     vector written in rational lattice-basis coordinates, normalized into
-    [0, 1) componentwise.
+    [0, 1) componentwise.  ``_u[i]`` is the matching row of the Smith form's
+    left transform, which reads a class off dual-basis coordinates.
     """
     lattice: IntegralLattice
     factors: tuple[int, ...]
     lifts: tuple[tuple[Fraction, ...], ...]
     _u: tuple[tuple[int, ...], ...]
-    _positions: tuple[int, ...]
 
     @property
     def order(self) -> int:
@@ -280,8 +280,8 @@ class DiscriminantGroup:
 
     def class_of_dual_coords(self, z: Sequence[int]) -> tuple[int, ...]:
         """Class of a dual vector given by its integer dual-basis coordinates."""
-        return tuple(sum(map(mul, self._u[p], z)) % d
-                     for p, d in zip(self._positions, self.factors))
+        return tuple(sum(map(mul, row, z)) % d
+                     for row, d in zip(self._u, self.factors))
 
     def class_of_rational(self, y: Sequence[Fraction]) -> tuple[int, ...]:
         """Class of a dual vector given in rational lattice-basis coordinates,
@@ -297,24 +297,19 @@ class DiscriminantGroup:
 
 
 def discriminant_group(L: IntegralLattice) -> DiscriminantGroup:
+    """A_L from the Smith form u G v = diag(d_i): the factors d_i > 1, each
+    lift column i of v over d_i with numerators mod d_i.  |A_L| = |det L|,
+    so a unimodular lattice gets the trivial group without a Smith form."""
+    if abs(L.det) == 1:
+        return DiscriminantGroup(L, (), (), ())
     d, u, v = L.smith
-    n = L.rank
-    factors = []
-    positions = []
-    lifts = []
-    for i in range(n):
-        di = d[i][i]
-        if di > 1:
-            factors.append(di)
-            positions.append(i)
-            col = [Fraction(v[k][i], di) for k in range(n)]
-            lifts.append(tuple(x - x.__floor__() for x in col))
+    kept = [i for i in range(L.rank) if d[i][i] > 1]
     return DiscriminantGroup(
         lattice=L,
-        factors=tuple(factors),
-        lifts=tuple(lifts),
-        _u=tuple(tuple(row) for row in u),
-        _positions=tuple(positions),
+        factors=tuple(d[i][i] for i in kept),
+        lifts=tuple(tuple(Fraction(row[i] % d[i][i], d[i][i]) for row in v)
+                    for i in kept),
+        _u=tuple(tuple(u[i]) for i in kept),
     )
 
 
@@ -338,6 +333,7 @@ class _FormBase:
 
     def bilinear(self, c1: Sequence[int], c2: Sequence[int]) -> Fraction:
         """b(x, y) in Q/Z, reduced into [0, 1)."""
+        c1, c2 = (_coords(c, len(self.group.factors)) for c in (c1, c2))
         return Fraction(_gram_product(self._pair_scaled, c1, c2) % self._scale,
                         self._scale)
 
@@ -354,32 +350,29 @@ class FiniteBilinearForm(_FormBase):
 class FiniteQuadraticForm(_FormBase):
     """The discriminant quadratic form q_L: A_L -> Q/2Z of an even lattice."""
 
-    def _scaled_values(self, choices) -> list[int]:
+    def _scaled_values(self, choices) -> Iterable[int]:
         """The integer kernel: q(c) * _scale mod 2 * _scale for each c in
-        ``product(*choices)``, in that order, by one depth-first walk.  Level
-        i carries the partial value and each deeper level l's linear term
-        sum_{j<i} c_j P[j][l], so an element costs O(1) amortised, not O(k^2)."""
-        p, mod, k = self._pair_scaled, 2 * self._scale, len(choices)
-        if not k:
-            return [0]
-        out: list[int] = []
-
-        def level(i, partial, lin):
-            diag, twice = p[i][i], 2 * lin[0]
-            if i == k - 1:
-                out.extend([(partial + c * (c * diag + twice)) % mod
-                            for c in choices[i]])
-                return
-            tail = p[i][i + 1:k]
-            for c in choices[i]:
-                level(i + 1, partial + c * (c * diag + twice),
-                      [t + c * r for t, r in zip(lin[1:], tail)])
-
-        level(0, 0, [0] * k)
-        return out
+        ``product(*choices)``, in that order, one generator i at a time: level
+        i extends the values by c_i, reading (then dropping) the list of twice
+        i's linear term sum_{j<i} c_j P[j][i] per prefix, and extends each
+        later list alike, all mod 2 * _scale.  The last level stays lazy."""
+        p, mod = self._pair_scaled, 2 * self._scale
+        values, lins = [0], [[0] for _ in choices]
+        for i, cs in enumerate(choices):
+            diag = p[i][i]
+            values = ((v + c * (c * diag + t)) % mod
+                      for v, t in zip(values, lins.pop(0)) for c in cs)
+            if lins:
+                values = list(values)
+            for j, lin in enumerate(lins):
+                step = 2 * p[i][i + 1 + j]
+                lins[j] = [(t + c * step) % mod for t in lin for c in cs]
+        return values
 
     def q(self, coeffs: Sequence[int]) -> Fraction:
-        return Fraction(self._scaled_values([(c,) for c in coeffs])[0],
+        """q(x) in Q/2Z, reduced into [0, 2): one Gram product c^T P c."""
+        c = _coords(coeffs, len(self.group.factors))
+        return Fraction(_gram_product(self._pair_scaled, c, c) % (2 * self._scale),
                         self._scale)
 
     def value_counts(self, choices) -> dict[Fraction, int]:

@@ -195,11 +195,17 @@ def smith_normal_form(a, left: bool = True
 
     t = 0
     while t < min(m, n):
-        pivot = next(((i, j) for i in range(t, m) for j in range(t, n)
-                      if d[i][j]), None)
-        if pivot is None:
+        # pivot: the first nonzero entry (pi, pj) of d[t:, t:] in row order
+        for pi in range(t, m):
+            row = d[pi]
+            for pj in range(t, n):
+                if row[pj]:
+                    break
+            else:
+                continue
             break
-        pi, pj = pivot
+        else:
+            break  # d[t:, t:] is zero
         if pi != t:
             d[t], d[pi] = d[pi], d[t]
         if pj != t:

@@ -1,9 +1,12 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from cubiclat import core, exact
+from cubiclat import catalog, core, exact
 from cubiclat.core import (
     DegenerateLattice,
     DependentSpan,
@@ -144,6 +147,56 @@ def test_discriminant_group_unimodular_and_2elem():
     d4 = IntegralLattice([[2, 0, -1, 0], [0, 2, -1, 0],
                           [-1, -1, 2, -1], [0, 0, -1, 2]])
     assert discriminant_group(d4).factors == (2, 2)
+
+
+def test_unimodular_lattices_get_the_trivial_group_without_a_smith_form(
+        monkeypatch):
+    lattices = [IntegralLattice(catalog.resolve(name).gram)
+                for name in ("K3", "E8", "U")]
+    lattices.append(direct_sum(IntegralLattice(U.gram),
+                               catalog.standard("E8", -1)))
+    odd = IntegralLattice([[1, 0], [0, -1]])
+
+    def smith_normal_form(*args, **kwargs):
+        raise AssertionError("Smith form of a unimodular lattice")
+
+    monkeypatch.setattr(exact, "smith_normal_form", smith_normal_form)
+    for L in lattices + [odd]:
+        group = discriminant_group(L)
+        assert group.factors == () and group.order == 1
+        assert group.class_of_rational([1] * L.rank) == ()
+        with pytest.raises(ValueError, match="dual"):
+            group.class_of_rational([Fraction(1, 2)] + [0] * (L.rank - 1))
+    for L in lattices:
+        assert discriminant_form(L).value_multiset() == (0,)
+
+
+def test_form_coefficients_must_match_the_factor_count():
+    d4 = IntegralLattice([[2, 0, -1, 0], [0, 2, -1, 0],
+                          [-1, -1, 2, -1], [0, 0, -1, 2]])
+    form = discriminant_form(d4)
+    assert form.group.factors == (2, 2)
+    with pytest.raises(ValueError, match="3 coordinates, not 2"):
+        form.bilinear((1, 0, 1), (0, 1, 1))
+    with pytest.raises(ValueError, match="1 coordinates, not 2"):
+        form.bilinear((1, 0), (1,))
+    with pytest.raises(ValueError, match="1 coordinates, not 2"):
+        form.q((1,))
+    with pytest.raises(ValueError, match="3 coordinates, not 2"):
+        form.q((1, 0, 5))
+    assert form.q((1, 0)) == 1 and form.bilinear((1, 0), (0, 1)) == Fraction(1, 2)
+
+
+def test_value_counts_agree_with_q_on_each_element():
+    # M's ten generators pair with each other, so the kernel's per-level
+    # linear terms must stay aligned with its values; q is one Gram product
+    form = discriminant_form(catalog.resolve("M"))
+    factors = form.group.factors
+    assert factors == (2,) * 9 + (6,)
+    for m in (2, 3, 6):
+        choices = [range(0, d, d // gcd(m, d)) for d in factors]
+        counts = Counter(form.q(e) for e in itertools.product(*choices))
+        assert form.value_counts(choices) == dict(sorted(counts.items()))
 
 
 def test_one_smith_form_serves_the_group_and_both_forms(monkeypatch):
