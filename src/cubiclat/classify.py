@@ -74,38 +74,6 @@ def two_elementary_exists(sig, a: int, delta: int) -> bool:
     return True
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def p_elementary_hyperbolic_exists(p: int, rank: int, a: int) -> bool:
-    """Whether an even hyperbolic p-elementary lattice (p odd) of this rank and
-    discriminant length exists."""
-    if p == 2 or not _is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if a < 0 or rank < 0:
-        raise ValueError("rank and a must be nonnegative")
-    if a > rank or rank % 2 != 0:
-        return False
-    if a % 2 == 0:
-        if rank % 4 != 2:
-            return False
-    else:
-        sign = 1 if (rank // 2 - 1) % 2 == 0 else -1
-        if (p - sign) % 4 != 0:
-            return False
-    if rank % 8 != 2 and not (rank > a > 0):
-        return False
-    return True
-
-
 class ComplementProfile(NamedTuple):
     """Forced invariants of the orthogonal complement of a primitive even
     sublattice of an even unimodular lattice: signature by subtraction, and
@@ -175,12 +143,14 @@ def phi2_no_associated_k3():
     details["odd_half_excluded"] = odd_excluded
     ok = ok and odd_excluded
 
-    unique = p_elementary_hyperbolic_exists(3, 8, 1)
-    details["unique_3elementary_rank8"] = unique
-    ok = ok and unique
+    # Nikulin 1979, Cor. 1.13.3: an even indefinite lattice of rank at least
+    # 2 + l(A) is the only one in its genus, so a halved K is U + E6(-1)
     half = direct_sum(catalog.standard("U"), catalog.standard("E6", -1))
-    ok = ok and half.is_even and half.signature == (1, 7)
-    ok = ok and discriminant_group(half).factors == (3,)
+    half_factors = discriminant_group(half).factors
+    unique = (half.is_even and min(half.signature) > 0
+              and half.rank >= 2 + len(half_factors))
+    details["unique_3elementary_rank8"] = unique
+    ok = ok and unique and half.signature == (1, 7) and half_factors == (3,)
     candidate = rescale(half, 2)
     details["candidate_factors"] = discriminant_group(candidate).factors
     ok = ok and sorted(details["candidate_factors"]) == sorted(factors)

@@ -140,9 +140,10 @@ class IntegralLattice:
     pivot, since the reversal and the congruence pivoting are unimodular;
     ``signature`` and short-vector enumeration read it too.  The reversal
     makes the first coordinate the outermost level of the Fincke-Pohst walk,
-    which then meets vectors in lexicographic order.  ``smith`` is
-    ``exact.smith_normal_form`` of the Gram, made on first use by the
-    discriminant group of a lattice with |det| > 1.
+    which then meets vectors in lexicographic order.  ``disc_form`` is the
+    lattice's one discriminant form, its group included, made on first use
+    and read by ``discriminant_group``, ``discriminant_form`` and
+    ``discriminant_bilinear_form``.
     """
 
     def __init__(self, gram: Sequence[Sequence[int]],
@@ -211,8 +212,8 @@ class IntegralLattice:
         return exact.frac_inverse(self.gram)
 
     @cached_property
-    def smith(self) -> tuple[exact.IntMatrix, exact.IntMatrix, exact.IntMatrix]:
-        return exact.smith_normal_form([list(r) for r in self.gram])
+    def disc_form(self) -> FiniteQuadraticForm:
+        return FiniteQuadraticForm(self)
 
     def is_positive_definite(self) -> bool:
         return self.signature == (self.rank, 0)
@@ -296,33 +297,34 @@ class DiscriminantGroup:
         return self.class_of_dual_coords(z)
 
 
-def discriminant_group(L: IntegralLattice) -> DiscriminantGroup:
-    """A_L from the Smith form u G v = diag(d_i): the factors d_i > 1, each
-    lift column i of v over d_i with numerators mod d_i.  |A_L| = |det L|,
-    so a unimodular lattice gets the trivial group without a Smith form."""
-    if abs(L.det) == 1:
-        return DiscriminantGroup(L, (), (), ())
-    d, u, v = L.smith
-    kept = [i for i in range(L.rank) if d[i][i] > 1]
-    return DiscriminantGroup(
-        lattice=L,
-        factors=tuple(d[i][i] for i in kept),
-        lifts=tuple(tuple(Fraction(row[i] % d[i][i], d[i][i]) for row in v)
-                    for i in kept),
-        _u=tuple(tuple(u[i]) for i in kept),
-    )
+class FiniteQuadraticForm:
+    """The discriminant form of L: b_L: A_L x A_L -> Q/Z, and q_L: A_L -> Q/2Z
+    when L is even; on an odd L, ``q`` and the value counts raise ParityError.
 
+    ``group`` is A_L from the Smith form u G v = diag(d_i): the factors
+    d_i > 1, each lift column i of v over d_i with numerators mod d_i.
+    |A_L| = |det L|, so a unimodular lattice gets the trivial group without a
+    Smith form.  The pairings of the lifts are kept scaled to ints modulo
+    2 * ``_scale``, which fixes b mod Z and q mod 2Z.
+    """
 
-class _FormBase:
-    """Shared machinery: exact pairings of generator lifts, scaled to ints
-    and kept modulo 2 * ``_scale``, which fixes b mod Z and q mod 2Z."""
-
-    def __init__(self, group: DiscriminantGroup):
-        self.group = group
-        L = group.lattice
+    def __init__(self, L: IntegralLattice):
+        d = u = v = kept = ()
+        if abs(L.det) > 1:
+            d, u, v = exact.smith_normal_form([list(r) for r in L.gram])
+            kept = [i for i in range(L.rank) if d[i][i] > 1]
+        factors = tuple(d[i][i] for i in kept)
+        nums = [[row[i] % d[i][i] for row in v] for i in kept]
+        self.group = DiscriminantGroup(
+            lattice=L,
+            factors=factors,
+            lifts=tuple(tuple(Fraction(x, f) for x in num)
+                        for num, f in zip(nums, factors)),
+            _u=tuple(tuple(u[i]) for i in kept),
+        )
         # all lifts over one common denominator den: pairings are x / den^2
-        flat, den = exact.numerators([x for lift in group.lifts for x in lift])
-        lifts = [flat[i * L.rank:(i + 1) * L.rank] for i in range(len(group.lifts))]
+        den = lcm(*factors)
+        lifts = [[x * (den // f) for x in num] for num, f in zip(nums, factors)]
         images = [L.dual_pairings(b) for b in lifts]
         pair = [[sum(map(mul, a, gb)) for gb in images] for a in lifts]
         d2 = den * den
@@ -331,6 +333,15 @@ class _FormBase:
         self._pair_scaled = [[x * scale // d2 % (2 * scale) for x in row]
                              for row in pair]
 
+    def require_even(self) -> None:
+        """ParityError unless the lattice is even, naming an odd basis vector."""
+        L = self.group.lattice
+        if not L.is_even:
+            bad = next(i for i in range(L.rank) if L.gram[i][i] % 2)
+            raise ParityError(
+                f"quadratic discriminant form needs an even lattice; "
+                f"diagonal entry for basis vector {L.labels[bad]!r} is odd")
+
     def bilinear(self, c1: Sequence[int], c2: Sequence[int]) -> Fraction:
         """b(x, y) in Q/Z, reduced into [0, 1)."""
         c1, c2 = (_coords(c, len(self.group.factors)) for c in (c1, c2))
@@ -338,17 +349,9 @@ class _FormBase:
                         self._scale)
 
     def bilinear_matrix(self) -> list[list[Fraction]]:
-        k = len(self.group.factors)
-        eye = [[int(i == j) for j in range(k)] for i in range(k)]
-        return [[self.bilinear(eye[i], eye[j]) for j in range(k)] for i in range(k)]
-
-
-class FiniteBilinearForm(_FormBase):
-    """The discriminant bilinear form b_L: A_L x A_L -> Q/Z."""
-
-
-class FiniteQuadraticForm(_FormBase):
-    """The discriminant quadratic form q_L: A_L -> Q/2Z of an even lattice."""
+        """b on each pair of generators."""
+        s = self._scale
+        return [[Fraction(x % s, s) for x in row] for row in self._pair_scaled]
 
     def _scaled_values(self, choices) -> Iterable[int]:
         """The integer kernel: q(c) * _scale mod 2 * _scale for each c in
@@ -371,6 +374,7 @@ class FiniteQuadraticForm(_FormBase):
 
     def q(self, coeffs: Sequence[int]) -> Fraction:
         """q(x) in Q/2Z, reduced into [0, 2): one Gram product c^T P c."""
+        self.require_even()
         c = _coords(coeffs, len(self.group.factors))
         return Fraction(_gram_product(self._pair_scaled, c, c) % (2 * self._scale),
                         self._scale)
@@ -378,6 +382,7 @@ class FiniteQuadraticForm(_FormBase):
     def value_counts(self, choices) -> dict[Fraction, int]:
         """How often q takes each value over ``product(*choices)``, one
         coefficient list per invariant factor, in increasing order of value."""
+        self.require_even()
         counts = Counter(self._scaled_values(choices))
         return {Fraction(v, self._scale): counts[v] for v in sorted(counts)}
 
@@ -388,17 +393,20 @@ class FiniteQuadraticForm(_FormBase):
             itertools.repeat(v, n) for v, n in counts.items()))
 
 
+def discriminant_group(L: IntegralLattice) -> DiscriminantGroup:
+    """A_L, the group of L's one discriminant form."""
+    return L.disc_form.group
+
+
 def discriminant_form(L: IntegralLattice) -> FiniteQuadraticForm:
-    if not L.is_even:
-        bad = next(i for i in range(L.rank) if L.gram[i][i] % 2)
-        raise ParityError(
-            f"quadratic discriminant form needs an even lattice; "
-            f"diagonal entry for basis vector {L.labels[bad]!r} is odd")
-    return FiniteQuadraticForm(discriminant_group(L))
+    """q_L; ParityError on an odd lattice."""
+    L.disc_form.require_even()
+    return L.disc_form
 
 
-def discriminant_bilinear_form(L: IntegralLattice) -> FiniteBilinearForm:
-    return FiniteBilinearForm(discriminant_group(L))
+def discriminant_bilinear_form(L: IntegralLattice) -> FiniteQuadraticForm:
+    """b_L, read off the same form object as q_L."""
+    return L.disc_form
 
 
 def divisibility(L: IntegralLattice, v) -> int:

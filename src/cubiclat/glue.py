@@ -3,8 +3,10 @@ finite-index extensions they generate.
 
 An even overlattice of L corresponds to an isotropic subgroup H of (A_L, q_L);
 for odd ambients the same construction runs against the bilinear form b_L and
-the resulting overlattice is judged downstream.  det(overlattice) * |H|^2 =
-det(L) holds for every construction and is checked here.
+the resulting overlattice is judged downstream.  Both forms are L's one
+discriminant form object, and each isotropy test reads q or b by the parity
+of L.  det(overlattice) * |H|^2 = det(L) holds for every construction and is
+checked here.
 """
 from __future__ import annotations
 
@@ -16,14 +18,11 @@ from . import exact
 from .core import (
     ENUMERATION_GUARD,
     BadSplitting,
-    FiniteBilinearForm,
     FiniteQuadraticForm,
     IntegralLattice,
     NotIsotropic,
     _coords,
 )
-
-AnyForm = FiniteQuadraticForm | FiniteBilinearForm
 
 
 def _closure(generators, factors) -> frozenset:
@@ -53,14 +52,16 @@ class GlueSubgroup:
     generators of the discriminant group; ``lifts`` are the generating dual
     vectors in rational lattice-basis coordinates.
     """
-    ambient: AnyForm
+    ambient: FiniteQuadraticForm
     elements: frozenset
     order: int
     lifts: tuple[tuple[Fraction, ...], ...]
 
     def validate(self) -> None:
+        """q = 0 on each element of an even ambient, b = 0 on each pair of an
+        odd one."""
         amb = self.ambient
-        if isinstance(amb, FiniteQuadraticForm):
+        if amb.group.lattice.is_even:
             for e in sorted(self.elements):
                 if amb.q(e) != 0:
                     raise NotIsotropic(f"element {e} has q = {amb.q(e)}")
@@ -73,7 +74,7 @@ class GlueSubgroup:
                             f"elements {x}, {y} pair to {amb.bilinear(x, y)}")
 
 
-def glue_subgroup(ambient: AnyForm, lifts) -> GlueSubgroup:
+def glue_subgroup(ambient: FiniteQuadraticForm, lifts) -> GlueSubgroup:
     """Build (and validate) the glue subgroup generated by dual-vector lifts."""
     group = ambient.group
     gens = []
@@ -93,20 +94,12 @@ def glue_subgroup(ambient: AnyForm, lifts) -> GlueSubgroup:
     return sub
 
 
-def isotropic_elements(form: AnyForm) -> list[tuple[int, ...]]:
-    """All nonzero elements with q = 0 mod 2Z (quadratic) or b(x,x) = 0 mod Z."""
-    group = form.group
-    out = []
-    for e in group.elements():
-        if all(c == 0 for c in e):
-            continue
-        if isinstance(form, FiniteQuadraticForm):
-            if form.q(e) == 0:
-                out.append(e)
-        else:
-            if form.bilinear(e, e) == 0:
-                out.append(e)
-    return out
+def isotropic_elements(form: FiniteQuadraticForm) -> list[tuple[int, ...]]:
+    """All nonzero elements with q = 0 mod 2Z on an even lattice, or
+    b(x, x) = 0 mod Z on an odd one."""
+    even = form.group.lattice.is_even
+    return [e for e in form.group.elements() if any(e)
+            and (form.q(e) if even else form.bilinear(e, e)) == 0]
 
 
 @dataclass(frozen=True)

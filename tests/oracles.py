@@ -4,20 +4,24 @@ Fraction lift of a discriminant class, the pairing of two rational vectors
 (the package pairs order-2 classes as doubled integer lifts), the ambient
 coordinates of an overlattice vector, N's Gram and inverse by hand, a
 reference Smith normal form, the separate four-square and
-2x^2+2y^2+2z^2+3u^2 search loops that ``hassett._square_reps`` replaces, and
+2x^2+2y^2+2z^2+3u^2 search loops that ``hassett._square_reps`` replaces,
 the one-scan-per-class form of ``sat.511``, which the certificate replaces by
-one scan per S_9 orbit."""
+one scan per S_9 orbit, Milgram's formula as a check across the discriminant
+form, group and signature, and the p-elementary hyperbolic existence table,
+which tests hold against direct sums of standard pieces."""
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from math import isqrt
+from math import isqrt, lcm
 
 from cubiclat import catalog
-from cubiclat.core import (DiscriminantGroup, IntegralLattice,
-                           NoRepresentation, ParityError, _coords,
-                           _gram_product, discriminant_form)
+from cubiclat.core import (DiscriminantGroup, FiniteQuadraticForm,
+                           IntegralLattice, NoRepresentation, ParityError,
+                           _coords, _gram_product, discriminant_form,
+                           discriminant_group, signature_of_gram)
 from cubiclat.exact import _xgcd, copy_matrix, identity, numerators
 from cubiclat.geomchecks import coset_rule
-from cubiclat.glue import (AnyForm, GlueSubgroup, Overlattice, _closure,
+from cubiclat.glue import (GlueSubgroup, Overlattice, _closure,
                            isotropic_elements, overlattice_from_glue)
 
 
@@ -78,7 +82,7 @@ def plane_gram_N(s) -> list[list[Fraction]]:
              for b in range(11)] for a in range(11)]
 
 
-def trivial_glue(ambient: AnyForm) -> GlueSubgroup:
+def trivial_glue(ambient: FiniteQuadraticForm) -> GlueSubgroup:
     zero = tuple(0 for _ in ambient.group.factors)
     return GlueSubgroup(ambient=ambient, elements=frozenset({zero}), order=1,
                         lifts=())
@@ -122,6 +126,86 @@ def enumerate_even_overlattices(L: IntegralLattice, max_index: int):
                            lifts=lifts)
         out.append((sub, overlattice_from_glue(L, sub)))
     return out
+
+
+def _divmod_monic(p: list[int], f: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of the integer polynomial p by the monic f, both
+    as coefficient lists from the constant term up."""
+    k = len(f) - 1
+    r = list(p)
+    q = [0] * max(len(p) - k, 0)
+    for i in range(len(r) - 1, k - 1, -1):
+        c = r[i]
+        if c:
+            q[i - k] = c
+            for j, x in enumerate(f):
+                r[i - k + j] -= c * x
+    return q, r[:k]
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """Phi_n: x^n - 1 divided by Phi_d for every proper divisor d of n."""
+    p = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            p, rest = _divmod_monic(p, list(_cyclotomic(d)))
+            assert not any(rest)
+    return tuple(p)
+
+
+def milgram_holds(L: IntegralLattice) -> bool:
+    """Milgram's formula squared for an even lattice: G^2 = |A_L| * i^(t+ - t-)
+    for the Gauss sum G = sum over A_L of exp(pi i q(x)).  With every q-value
+    in (1/s)Z and M = lcm(2s, 4), exp(pi i q) is zeta_M^(q M / 2) and i is
+    zeta_M^(M / 4), so the identity is decided in integers: G^2 minus the
+    right side, as a polynomial in zeta_M, must vanish modulo Phi_M."""
+    group = discriminant_group(L)
+    counts = discriminant_form(L).value_counts([range(d) for d in group.factors])
+    m = lcm(2 * lcm(*(v.denominator for v in counts)), 4)
+    gauss = [0] * m
+    for v, n in counts.items():
+        gauss[int(v * m / 2)] += n
+    square = [0] * m
+    for i, a in enumerate(gauss):
+        if a:
+            for j, b in enumerate(gauss):
+                square[(i + j) % m] += a * b
+    pos, neg = signature_of_gram(L.gram)
+    square[(pos - neg) * m // 4 % m] -= group.order
+    return not any(_divmod_monic(square, list(_cyclotomic(m)))[1])
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def p_elementary_hyperbolic_exists(p: int, rank: int, a: int) -> bool:
+    """Whether an even hyperbolic p-elementary lattice (p odd) of this rank and
+    discriminant length exists."""
+    if p == 2 or not _is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if a < 0 or rank < 0:
+        raise ValueError("rank and a must be nonnegative")
+    if a > rank or rank % 2 != 0:
+        return False
+    if a % 2 == 0:
+        if rank % 4 != 2:
+            return False
+    else:
+        sign = 1 if (rank // 2 - 1) % 2 == 0 else -1
+        if (p - sign) % 4 != 0:
+            return False
+    if rank % 8 != 2 and not (rank > a > 0):
+        return False
+    return True
 
 
 def smith_normal_form_reference(a):

@@ -9,6 +9,7 @@ from cubiclat.core import (
     CrossCheckFailed,
     DegenerateLattice,
     NotIntegral,
+    TooLarge,
     UnknownLattice,
     basic_invariants,
     discriminant_group,
@@ -225,6 +226,10 @@ def test_standard_parser_rejections():
     for bad in ["A0", "D3", "E9", "E5", "Q5", "<x>"]:
         with pytest.raises(UnknownLattice):
             catalog.standard(bad)
+    # the family rank cap is inclusive: A128 builds, A129 does not
+    assert catalog.standard("A128").rank == 128
+    with pytest.raises(TooLarge, match="rank 129 is above the limit 128"):
+        catalog.standard("A129")
 
 
 def test_resolve_falls_back_to_parser():

@@ -257,16 +257,21 @@ def test_cli_lat_show_oversized_standard_name(name):
 
 
 def test_cli_lat_show_rejects_a_file_above_the_rank_cap(tmp_path):
-    n = 129
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps({
-        "gram": [[2 * (i == j) - (abs(i - j) == 1) for j in range(n)]
-                 for i in range(n)],
-        "labels": [f"e{i}" for i in range(n)]}))
-    result = CliRunner().invoke(main, ["lat", "show", str(path), "--invariants",
-                                       "--disc"])
-    _assert_usage_error(result, "rank 129 is above the limit 128")
-    assert "Traceback" not in result.output
+    # A_n as a file: rank 128, the cap itself, is shown; 129 is refused
+    results = {}
+    for n in (128, 129):
+        path = tmp_path / f"a{n}.json"
+        path.write_text(json.dumps({
+            "gram": [[2 * (i == j) - (abs(i - j) == 1) for j in range(n)]
+                     for i in range(n)],
+            "labels": [f"e{i}" for i in range(n)]}))
+        results[n] = CliRunner().invoke(main, ["lat", "show", str(path),
+                                               "--invariants", "--disc"])
+    assert results[128].exit_code == 0
+    assert "det 129  signature (128, 0)  even" in results[128].output
+    assert "invariant factors: [129]" in results[128].output
+    _assert_usage_error(results[129], "rank 129 is above the limit 128")
+    assert "Traceback" not in results[129].output
 
 
 def test_cli_lat_show_many_scale_suffixes():

@@ -6,7 +6,6 @@ import pytest
 from cubiclat import catalog, classify
 from cubiclat.classify import (
     _torsion_q_multiset,
-    p_elementary_hyperbolic_exists,
     phi2_no_associated_k3,
     phi3_k3_exists,
     two_elementary_exists,
@@ -15,12 +14,15 @@ from cubiclat.classify import (
 )
 from cubiclat.core import (
     DoesNotFit,
+    IntegralLattice,
     Not2Elementary,
     Signature,
     direct_sum,
     discriminant_form,
+    discriminant_group,
     rescale,
 )
+from oracles import p_elementary_hyperbolic_exists
 
 
 def test_two_elementary_invariants_known_lattices():
@@ -102,6 +104,70 @@ def test_p_elementary_hyperbolic_validates_input():
         p_elementary_hyperbolic_exists(9, 8, 1)
     with pytest.raises(ValueError):
         p_elementary_hyperbolic_exists(3, -2, 1)
+
+
+def _dual_scaled(L, p):
+    """L*(p), the dual lattice with its form times p: integral, and even,
+    when A_L is p-elementary (for p = 2 with q integral on A_L)."""
+    gram = [[p * x for x in row] for row in L.inverse_gram]
+    assert all(x.denominator == 1 for row in gram for x in row)
+    return IntegralLattice([[int(x) for x in row] for row in gram])
+
+
+def _sums(pieces, keep):
+    """Every entrywise sum of one or more of the tuples ``pieces`` that
+    ``keep`` accepts; keep must also accept every partial sum of such a sum."""
+    found = {p for p in pieces if keep(p)}
+    frontier = list(found)
+    while frontier:
+        sums = {tuple(map(sum, zip(s, p))) for s in frontier for p in pieces}
+        frontier = [t for t in sums if keep(t) and t not in found]
+        found.update(frontier)
+    return found
+
+
+def test_two_elementary_table_matches_direct_sums():
+    """Nikulin's table (1979, Thm 3.6.2) against direct sums of U, U(2), A1,
+    E7, E8, E8(2) and D4, D6, ..., D20 in both signs, plus L*(2) for each
+    piece with delta = 0, up to rank 22: the table accepts exactly the
+    (signature, a, delta) triples these sums realize.  A sum proves its True
+    entry; a False entry is only shown consistent with these pieces, not
+    proved."""
+    names = ["U", "U(2)", "A1", "E7", "E8", "E8(2)"] + [f"D{n}" for n in range(4, 21, 2)]
+    lattices = [catalog.standard(name, sign) for name in names for sign in (1, -1)]
+    lattices += [_dual_scaled(L, 2) for L in lattices
+                 if two_elementary_invariants(L).delta == 0]
+    pieces = {(*inv.signature, inv.a, inv.delta)
+              for inv in map(two_elementary_invariants, lattices)}
+    assert len(pieces) == 36
+    # delta of a sum is the largest delta of its summands
+    realized = {(pos, neg, a, min(delta, 1)) for pos, neg, a, delta
+                in _sums(pieces, lambda t: t[0] + t[1] <= 22)}
+    accepted = {(pos, neg, a, delta) for pos in range(23) for neg in range(23 - pos)
+                if pos + neg for a in range(23) for delta in (0, 1)
+                if two_elementary_exists((pos, neg), a, delta)}
+    assert realized == accepted
+
+
+def test_p_elementary_oracle_matches_direct_sums():
+    """The 3-elementary hyperbolic oracle against direct sums of U, U(3), A2,
+    E6, E8 and E8(3) in both signs, plus L*(3) for each, up to rank 24: it
+    accepts exactly the (rank, a) of the hyperbolic sums.  As above, a False
+    entry is only shown consistent, not proved."""
+    names = ["U", "U(3)", "A2", "E6", "E8", "E8(3)"]
+    lattices = [catalog.standard(name, sign) for name in names for sign in (1, -1)]
+    lattices += [_dual_scaled(L, 3) for L in lattices]
+    pieces = set()
+    for L in lattices:
+        factors = discriminant_group(L).factors
+        assert set(factors) <= {3}
+        pieces.add((*L.signature, len(factors)))
+    realized = {(pos + neg, a) for pos, neg, a
+                in _sums(pieces, lambda t: t[0] <= 1 and t[0] + t[1] <= 24)
+                if pos == 1}
+    accepted = {(rank, a) for rank in range(1, 25) for a in range(25)
+                if p_elementary_hyperbolic_exists(3, rank, a)}
+    assert realized == accepted
 
 
 def test_unimodular_complement_profile_of_e8():

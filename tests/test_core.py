@@ -30,7 +30,7 @@ from cubiclat.core import (
     saturation,
 )
 from cubiclat.glue import glue_group
-from oracles import pair_rational
+from oracles import milgram_holds, pair_rational
 
 A2 = IntegralLattice([[2, -1], [-1, 2]], name="A2")
 U = IntegralLattice([[0, 1], [1, 0]], name="U")
@@ -211,6 +211,8 @@ def test_one_smith_form_serves_the_group_and_both_forms(monkeypatch):
     assert discriminant_bilinear_form(d4).bilinear(
         (1, 0), (0, 1)) == Fraction(1, 2)
     assert len(calls) == 1
+    assert discriminant_bilinear_form(d4) is discriminant_form(d4)
+    assert discriminant_form(d4).group is discriminant_group(d4)
 
 
 def test_discriminant_form_values():
@@ -245,6 +247,41 @@ def test_discriminant_bilinear_form():
     b = discriminant_bilinear_form(IntegralLattice([[4]]))
     assert b.bilinear((1,), (1,)) == Fraction(1, 4)
     assert b.bilinear_matrix() == [[Fraction(1, 4)]]
+
+
+def test_odd_lattice_form_has_b_but_no_q():
+    odd = IntegralLattice([[1, 0], [0, 4]], labels=["x", "y"])
+    form = discriminant_bilinear_form(odd)
+    assert form.group.factors == (4,)
+    assert form.bilinear_matrix() == [[Fraction(1, 4)]]
+    for read in (lambda: form.q((1,)), form.value_multiset,
+                 lambda: form.value_counts([range(4)]),
+                 lambda: discriminant_form(odd)):
+        with pytest.raises(ParityError, match="basis vector 'x' is odd"):
+            read()
+
+
+def test_milgram_formula_on_the_even_catalog_lattices(monkeypatch):
+    # G^2 = |A_L| i^(t+ - t-) ties q's value counts, the Smith-form group and
+    # the Bareiss signature, three layers that share no code
+    lattices = [catalog.resolve(name) for name in (
+        "E8(2)", "E6(2)", "D4", "A2", "E7", "A5", "U(2)", "D9", "E8", "K3",
+        "A1", "M", "T", "Ktilde", "NS")]
+    assert all(L.is_even for L in lattices)
+    assert all(milgram_holds(L) for L in lattices)
+    # control: moving one element's q-value by 1/2 breaks it on every one
+    real = FiniteQuadraticForm.value_counts
+
+    def moved(self, choices):
+        counts = dict(real(self, choices))
+        v = next(iter(counts))
+        w = (v + Fraction(1, 2)) % 2
+        counts[v] -= 1
+        counts[w] = counts.get(w, 0) + 1
+        return counts
+
+    monkeypatch.setattr(FiniteQuadraticForm, "value_counts", moved)
+    assert not any(milgram_holds(L) for L in lattices)
 
 
 def test_divisibility():

@@ -92,8 +92,9 @@ def test_overlattice_coordinate_round_trip():
 def test_isotropic_elements_d8():
     iso = isotropic_elements(discriminant_form(D8))
     assert len(iso) == 2  # the two spinor classes; the vector class has q = 1
-    bil = isotropic_elements(discriminant_bilinear_form(IntegralLattice([[4]])))
-    assert bil == [(2,)]
+    # on an odd lattice the test is b(x, x) = 0: A = Z/4 with b = 1/4
+    odd = IntegralLattice([[1, 0], [0, 4]])
+    assert isotropic_elements(discriminant_bilinear_form(odd)) == [(2,)]
 
 
 def test_glue_group_of_split_hyperbolic():

@@ -44,7 +44,8 @@ from property_battery import (
     run_battery,
     shortvec_trials,
 )
-from oracles import lift, pair_rational, smith_normal_form_reference
+from oracles import (lift, milgram_holds, pair_rational,
+                     smith_normal_form_reference)
 
 
 @st.composite
@@ -161,6 +162,27 @@ def test_elimination_kernel_on_congruent_grams(case, data):
     assert rational_rank(product) == k
     assert rational_rank(transpose(product)) == k
     assert rational_rank([[Fraction(x, 3) for x in row] for row in product]) == k
+
+
+@st.composite
+def even_grams(draw):
+    """Symmetric integer Grams of rank 1-5 with even diagonal, entries at most
+    8 in size, nonzero determinant of size at most 2^8."""
+    n = draw(st.integers(1, 5))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = 2 * draw(st.integers(-4, 4))
+        for j in range(i + 1, n):
+            gram[i][j] = gram[j][i] = draw(st.integers(-4, 4))
+    assume(0 < abs(bareiss_det(gram)) <= 2 ** 8)
+    return gram
+
+
+@settings(deadline=None, max_examples=60)
+@given(even_grams())
+def test_milgram_formula_on_random_even_grams(gram):
+    # the Gauss sum of q, |A_L| and the signature, read from three layers
+    assert milgram_holds(IntegralLattice(gram))
 
 
 @st.composite
