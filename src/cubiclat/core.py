@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import exact
 
@@ -353,24 +353,29 @@ class FiniteQuadraticForm:
         s = self._scale
         return [[Fraction(x % s, s) for x in row] for row in self._pair_scaled]
 
-    def _scaled_values(self, choices) -> Iterable[int]:
-        """The integer kernel: q(c) * _scale mod 2 * _scale for each c in
-        ``product(*choices)``, in that order, one generator i at a time: level
-        i extends the values by c_i, reading (then dropping) the list of twice
-        i's linear term sum_{j<i} c_j P[j][i] per prefix, and extends each
-        later list alike, all mod 2 * _scale.  The last level stays lazy."""
+    def _scaled_values(self, choices) -> Counter:
+        """The integer kernel: how often q(c) * _scale mod 2 * _scale takes
+        each value over ``product(*choices)``.  After generator i an element's
+        future is its state: partial value and later generators' linear terms
+        (twice sum_{j<=i} c_j P[j][l]), mod 2 * _scale.  Each level counts
+        states, merging equal ones; the last adds values with their weight."""
         p, mod = self._pair_scaled, 2 * self._scale
-        values, lins = [0], [[0] for _ in choices]
+        states = Counter([(0,) * (len(choices) + 1)])
         for i, cs in enumerate(choices):
-            diag = p[i][i]
-            values = ((v + c * (c * diag + t)) % mod
-                      for v, t in zip(values, lins.pop(0)) for c in cs)
-            if lins:
-                values = list(values)
-            for j, lin in enumerate(lins):
-                step = 2 * p[i][i + 1 + j]
-                lins[j] = [(t + c * step) % mod for t in lin for c in cs]
-        return values
+            diag, steps = p[i][i], [2 * x for x in p[i][i + 1:len(choices)]]
+            merged = Counter()
+            for (v, t, *lin), w in states.items():
+                if lin:
+                    for c in cs:
+                        merged[((v + c * (c * diag + t)) % mod,
+                                *[(x + c * s) % mod for x, s in zip(lin, steps)])] += w
+                elif w == 1:
+                    merged.update((v + c * (c * diag + t)) % mod for c in cs)
+                else:
+                    for c in cs:
+                        merged[(v + c * (c * diag + t)) % mod] += w
+            states = merged
+        return states if choices else Counter([0])
 
     def q(self, coeffs: Sequence[int]) -> Fraction:
         """q(x) in Q/2Z, reduced into [0, 2): one Gram product c^T P c."""
@@ -383,7 +388,7 @@ class FiniteQuadraticForm:
         """How often q takes each value over ``product(*choices)``, one
         coefficient list per invariant factor, in increasing order of value."""
         self.require_even()
-        counts = Counter(self._scaled_values(choices))
+        counts = self._scaled_values(choices)
         return {Fraction(v, self._scale): counts[v] for v in sorted(counts)}
 
     def value_multiset(self) -> tuple[Fraction, ...]:

@@ -34,8 +34,7 @@ def column(a, j):
     return [row[j] for row in a]
 
 
-def bareiss(a, jordan: bool = False,
-            symmetric: bool = False) -> tuple[IntMatrix, list[int], int]:
+def bareiss(a, symmetric: bool = False) -> tuple[IntMatrix, list[int], int]:
     """Fraction-free (Bareiss) elimination of an integer matrix.
 
     Returns (m, pivots, sign): the k-th pivot sits in row k of the reduced
@@ -43,11 +42,8 @@ def bareiss(a, jordan: bool = False,
     of m is an integer minor of the (permuted) input, so each division by the
     previous pivot is exact.  Pivot k is the minor on the first k+1 rows and
     the columns pivots[:k+1]; for a nonsingular square input sign * (last
-    pivot) is the determinant.
-
-    ``jordan`` also clears above each pivot (Gauss-Jordan).  Only columns to
-    the right of each pivot are updated, so for a full-rank leading n x n
-    block the columns past it end as (last pivot) * block^-1 * rest.
+    pivot) is the determinant.  It serves det, rank, the signature and
+    Fincke-Pohst; ``_inverse`` runs its Gauss-Jordan form in place.
 
     ``symmetric`` pivots a symmetric matrix by congruence on the diagonal: a
     zero diagonal entry is swapped with a later nonzero one, or else row and
@@ -78,12 +74,10 @@ def bareiss(a, jordan: bool = False,
         prow = m[r]
         pv = prow[c]
         tail = prow[c + 1:]
-        for i in range(0 if jordan else r + 1, rows):
-            if i != r:
-                row = m[i]
-                f = row[c]
-                row[c:] = [0, *[(x * pv - f * y) // prev
-                                for x, y in zip(row[c + 1:], tail)]]
+        for row in m[r + 1:]:
+            f = row[c]
+            row[c:] = [0, *[(x * pv - f * y) // prev
+                            for x, y in zip(row[c + 1:], tail)]]
         pivots.append(c)
         prev = pv
     return m, pivots, sign
@@ -127,24 +121,40 @@ def bareiss_det(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1] if n else 1
 
 
-def _jordan(rows, n: int) -> tuple[IntMatrix, int]:
-    """(p * a^-1 * rhs, p) for the rows [a | rhs] of an n x n block a, where
-    p is the last pivot (+-det of a with its rows cleared of denominators);
-    ZeroDivisionError when a is singular, as then its pivots are not the
-    block's n columns."""
-    m, pivots, _ = bareiss([numerators(row)[0] for row in rows], jordan=True)
-    if pivots != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in m], m[n - 1][n - 1] if n else 1
+def _inverse(a) -> tuple[IntMatrix, int]:
+    """(m, p) with a^-1 = m / p for a square matrix of ints or Fractions:
+    fraction-free Gauss-Jordan in place, with row swaps, on rows cleared of
+    denominators (row k's scale c).  Step k writes pivot row k's identity
+    column, -f * c off the pivot and prev * c on it, over column k of a, now
+    zero off the pivot; the swaps are undone on the columns at the end."""
+    m = [numerators(row) for row in a]
+    swaps, prev = [], 1
+    for k in range(len(m)):
+        p = next((i for i in range(k, len(m)) if m[i][0][k]), None)
+        if p is None:
+            raise ZeroDivisionError("matrix is singular")
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            swaps.append((k, p))
+        prow, c = m[k]
+        pv = prow[k]
+        for row, _ in m:
+            if row is not prow:
+                f = row[k]
+                row[:] = [(x * pv - f * y) // prev for x, y in zip(row, prow)]
+                row[k] = -f * c
+        prow[k] = prev * c
+        prev = pv
+    for k, p in reversed(swaps):
+        for row, _ in m:
+            row[k], row[p] = row[p], row[k]
+    return [row for row, _ in m], prev
 
 
 def frac_inverse(a) -> FracMatrix:
-    """Inverse of a square matrix over the rationals: fraction-free
-    Gauss-Jordan on [a | I] leaves an integer multiple of a^-1."""
-    n = len(a)
-    adj, det = _jordan([list(row) + [int(i == j) for j in range(n)]
-                        for i, row in enumerate(a)], n)
-    return [[Fraction(x, det) for x in row] for row in adj]
+    """Inverse of a square matrix over the rationals, from ``_inverse``."""
+    m, p = _inverse(a)
+    return [[Fraction(x, p) for x in row] for row in m]
 
 
 def rational_rank(a) -> int:
@@ -153,11 +163,11 @@ def rational_rank(a) -> int:
 
 
 def solve_exact(a, b):
-    """Solve a x = b over Q for square nonsingular a; returns list of Fractions.
-
-    Fraction-free Gauss-Jordan on [a | b]; no inverse is formed."""
-    x, det = _jordan([list(row) + [y] for row, y in zip(a, b)], len(a))
-    return [Fraction(row[0], det) for row in x]
+    """Solve a x = b over Q for square nonsingular a (ints or Fractions);
+    returns a list of Fractions, m b / p from ``_inverse``."""
+    m, p = _inverse(a)
+    num, den = numerators(b)
+    return [Fraction(sum(x * y for x, y in zip(r, num)), p * den) for r in m]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -187,12 +187,22 @@ def test_form_coefficients_must_match_the_factor_count():
     assert form.q((1, 0)) == 1 and form.bilinear((1, 0), (0, 1)) == Fraction(1, 2)
 
 
-def test_value_counts_agree_with_q_on_each_element():
-    # M's ten generators pair with each other, so the kernel's per-level
-    # linear terms must stay aligned with its values; q is one Gram product
-    form = discriminant_form(catalog.resolve("M"))
-    factors = form.group.factors
-    assert factors == (2,) * 9 + (6,)
+@pytest.mark.parametrize("build, factors", [
+    # generators that pair with each other: merged states must carry the
+    # later linear terms with the partial value
+    (lambda: catalog.resolve("M"), (2,) * 9 + (6,)),
+    # one generator: nothing merges, the last level is the whole count
+    (lambda: IntegralLattice([[2 ** 12]]), (2 ** 12,)),
+    # mixed orders: states of unequal weight reach the last level
+    (lambda: IntegralLattice([[2, 0, 0, 0], [0, 4, 0, 0], [0, 0, 8, 0],
+                              [0, 0, 0, 6]]), (2, 2, 4, 24)),
+    # odd factors
+    (lambda: direct_sum(A2, A2, A2, A2), (3, 3, 3, 3)),
+], ids=["M", "cyclic", "mixed", "A2^4"])
+def test_value_counts_agree_with_q_on_each_element(build, factors):
+    # q is one Gram product, read on each element of the torsion choices
+    form = discriminant_form(build())
+    assert form.group.factors == factors
     for m in (2, 3, 6):
         choices = [range(0, d, d // gcd(m, d)) for d in factors]
         counts = Counter(form.q(e) for e in itertools.product(*choices))
@@ -267,6 +277,10 @@ def test_milgram_formula_on_the_even_catalog_lattices(monkeypatch):
     lattices = [catalog.resolve(name) for name in (
         "E8(2)", "E6(2)", "D4", "A2", "E7", "A5", "U(2)", "D9", "E8", "K3",
         "A1", "M", "T", "Ktilde", "NS")]
+    # (Z/2)^20, at the enumeration guard
+    e8_2, u_2 = catalog.resolve("E8(2)"), catalog.resolve("U(2)")
+    lattices.append(direct_sum(e8_2, e8_2, u_2, u_2))
+    assert discriminant_group(lattices[-1]).order == core.ENUMERATION_GUARD
     assert all(L.is_even for L in lattices)
     assert all(milgram_holds(L) for L in lattices)
     # control: moving one element's q-value by 1/2 breaks it on every one

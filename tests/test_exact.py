@@ -29,21 +29,30 @@ def test_bareiss_needs_no_row_swap_luck():
 
 
 def test_frac_inverse():
-    inv = exact.frac_inverse([[2, 1], [1, 1]])
-    assert exact.mat_mul(inv, [[2, 1], [1, 1]]) == exact.identity(2)
+    for a in ([[2, 1], [1, 1]],
+              # zero pivots at steps 0 and 1: swaps (0, 2) then (1, 2), which
+              # must be undone on the columns in reverse order
+              [[0, 1, 2], [0, 0, 3], [2, 1, 1]],
+              [[Fraction(1, 2), Fraction(2, 3)], [Fraction(-3, 4), 5]]):
+        inv = exact.frac_inverse(a)
+        assert exact.mat_mul(inv, a) == exact.identity(len(a))
+        assert exact.mat_mul(a, inv) == exact.identity(len(a))
     with pytest.raises(ZeroDivisionError):
         exact.frac_inverse([[1, 2], [2, 4]])
 
 
 def test_solve_exact():
-    a = [[2, 1], [1, 3]]
-    x = exact.solve_exact(a, [5, 10])
-    assert [sum(a[i][j] * x[j] for j in range(2)) for i in range(2)] == [5, 10]
-    assert all(isinstance(c, Fraction) for c in x)
+    for a, b in (([[2, 1], [1, 3]], [5, 10]),
+                 ([[Fraction(1, 2), 3], [Fraction(2, 3), Fraction(-1, 5)]],
+                  [Fraction(7, 4), Fraction(-2, 9)])):
+        x = exact.solve_exact(a, b)
+        assert [sum(a[i][j] * x[j] for j in range(2)) for i in range(2)] == b
+        assert all(isinstance(c, Fraction) for c in x)
 
 
 def test_solve_exact_rejects_a_singular_matrix():
-    # the elimination runs over [a | b]: a singular a pivots in b or stops short
+    # the elimination runs over a alone: a singular a has a column with no
+    # pivot, whatever b is
     with pytest.raises(ZeroDivisionError):
         exact.solve_exact([[1, 1], [1, 1]], [1, 2])
     with pytest.raises(ZeroDivisionError):
