@@ -15,7 +15,6 @@ determinants, discriminant groups, glue indices, and root counts.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations
@@ -232,16 +231,16 @@ def t_invariants_certificate():
     exists = two_elementary_exists(inv.signature, inv.a, inv.delta)
     profile = unimodular_complement_profile(
         catalog.prim_lattice_M(), (20, 2))
-    t_multiset = Counter(discriminant_form(t).value_multiset())
+    t_multiset = _torsion_q_multiset(discriminant_form(t), 2)
     two_part = _torsion_q_multiset(profile.form, 2)
     details = {"invariants": flat, "exists": exists,
                "det": exact.bareiss_det(t.gram),
                "profile_signature": tuple(profile.signature),
-               "profile_factors": profile.factors,
+               "profile_factors": profile.form.factors,
                "two_part_matches_T": two_part == t_multiset}
     ok = (flat == ((10, 2), 10, 1) and exists
           and tuple(profile.signature) == (10, 2)
-          and profile.factors == (2,) * 9 + (6,)
+          and profile.form.factors == (2,) * 9 + (6,)
           and two_part == t_multiset)
     return ok, details
 

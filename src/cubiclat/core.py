@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
@@ -141,9 +140,9 @@ class IntegralLattice:
     ``signature`` and short-vector enumeration read it too.  The reversal
     makes the first coordinate the outermost level of the Fincke-Pohst walk,
     which then meets vectors in lexicographic order.  ``disc_form`` is the
-    lattice's one discriminant form, its group included, made on first use
-    and read by ``discriminant_group``, ``discriminant_form`` and
-    ``discriminant_bilinear_form``.
+    lattice's one discriminant form, which is also its group A_L, made on
+    first use and returned by ``discriminant_group``, ``discriminant_form``
+    and ``discriminant_bilinear_form``.
     """
 
     def __init__(self, gram: Sequence[Sequence[int]],
@@ -255,19 +254,41 @@ def basic_invariants(L: IntegralLattice) -> Invariants:
     return Invariants(L.det, L.signature, L.parity)
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
-    """The finite group A_L = L*/L presented by invariant factors.
+class FiniteQuadraticForm:
+    """The discriminant form of L: the group A_L = L*/L with b_L: A_L x A_L
+    -> Q/Z, and q_L: A_L -> Q/2Z when L is even; on an odd L, ``q`` and the
+    value counts raise ParityError.
 
-    ``lifts[i]`` is the canonical generator of the i-th cyclic factor: a dual
-    vector written in rational lattice-basis coordinates, normalized into
-    [0, 1) componentwise.  ``_u[i]`` is the matching row of the Smith form's
-    left transform, which reads a class off dual-basis coordinates.
+    A_L comes from the Smith form u G v = diag(d_i): ``factors`` are the
+    d_i > 1, ``lifts[i]`` (a generator in rational lattice-basis coordinates)
+    is column i of v over d_i with numerators mod d_i, and ``_u[i]`` is row i
+    of u, which reads a class off dual-basis coordinates.  |A_L| = |det L|, so
+    a unimodular lattice gets the trivial group without a Smith form.  The
+    pairings of the lifts are kept scaled to ints modulo 2 * ``_scale``, which
+    fixes b mod Z and q mod 2Z.
     """
-    lattice: IntegralLattice
-    factors: tuple[int, ...]
-    lifts: tuple[tuple[Fraction, ...], ...]
-    _u: tuple[tuple[int, ...], ...]
+
+    def __init__(self, L: IntegralLattice):
+        d = u = v = kept = ()
+        if abs(L.det) > 1:
+            d, u, v = exact.smith_normal_form([list(r) for r in L.gram])
+            kept = [i for i in range(L.rank) if d[i][i] > 1]
+        self.lattice = L
+        self.factors = factors = tuple(d[i][i] for i in kept)
+        nums = [[row[i] % d[i][i] for row in v] for i in kept]
+        self.lifts = tuple(tuple(Fraction(x, f) for x in num)
+                           for num, f in zip(nums, factors))
+        self._u = tuple(tuple(u[i]) for i in kept)
+        # all lifts over one common denominator den: pairings are x / den^2
+        den = lcm(*factors)
+        lifts = [[x * (den // f) for x in num] for num, f in zip(nums, factors)]
+        images = [L.dual_pairings(b) for b in lifts]
+        pair = [[sum(map(mul, a, gb)) for gb in images] for a in lifts]
+        d2 = den * den
+        scale = lcm(*(d2 // gcd(x, d2) for row in pair for x in row))
+        self._scale = scale
+        self._pair_scaled = [[x * scale // d2 % (2 * scale) for x in row]
+                             for row in pair]
 
     @property
     def order(self) -> int:
@@ -281,6 +302,9 @@ class DiscriminantGroup:
 
     def class_of_dual_coords(self, z: Sequence[int]) -> tuple[int, ...]:
         """Class of a dual vector given by its integer dual-basis coordinates."""
+        if len(z) != self.lattice.rank:
+            raise ValueError(f"vector has {len(z)} coordinates, "
+                             f"not {self.lattice.rank}")
         return tuple(sum(map(mul, row, z)) % d
                      for row, d in zip(self._u, self.factors))
 
@@ -296,46 +320,9 @@ class DiscriminantGroup:
             z.append(c)
         return self.class_of_dual_coords(z)
 
-
-class FiniteQuadraticForm:
-    """The discriminant form of L: b_L: A_L x A_L -> Q/Z, and q_L: A_L -> Q/2Z
-    when L is even; on an odd L, ``q`` and the value counts raise ParityError.
-
-    ``group`` is A_L from the Smith form u G v = diag(d_i): the factors
-    d_i > 1, each lift column i of v over d_i with numerators mod d_i.
-    |A_L| = |det L|, so a unimodular lattice gets the trivial group without a
-    Smith form.  The pairings of the lifts are kept scaled to ints modulo
-    2 * ``_scale``, which fixes b mod Z and q mod 2Z.
-    """
-
-    def __init__(self, L: IntegralLattice):
-        d = u = v = kept = ()
-        if abs(L.det) > 1:
-            d, u, v = exact.smith_normal_form([list(r) for r in L.gram])
-            kept = [i for i in range(L.rank) if d[i][i] > 1]
-        factors = tuple(d[i][i] for i in kept)
-        nums = [[row[i] % d[i][i] for row in v] for i in kept]
-        self.group = DiscriminantGroup(
-            lattice=L,
-            factors=factors,
-            lifts=tuple(tuple(Fraction(x, f) for x in num)
-                        for num, f in zip(nums, factors)),
-            _u=tuple(tuple(u[i]) for i in kept),
-        )
-        # all lifts over one common denominator den: pairings are x / den^2
-        den = lcm(*factors)
-        lifts = [[x * (den // f) for x in num] for num, f in zip(nums, factors)]
-        images = [L.dual_pairings(b) for b in lifts]
-        pair = [[sum(map(mul, a, gb)) for gb in images] for a in lifts]
-        d2 = den * den
-        scale = lcm(*(d2 // gcd(x, d2) for row in pair for x in row))
-        self._scale = scale
-        self._pair_scaled = [[x * scale // d2 % (2 * scale) for x in row]
-                             for row in pair]
-
     def require_even(self) -> None:
         """ParityError unless the lattice is even, naming an odd basis vector."""
-        L = self.group.lattice
+        L = self.lattice
         if not L.is_even:
             bad = next(i for i in range(L.rank) if L.gram[i][i] % 2)
             raise ParityError(
@@ -344,7 +331,7 @@ class FiniteQuadraticForm:
 
     def bilinear(self, c1: Sequence[int], c2: Sequence[int]) -> Fraction:
         """b(x, y) in Q/Z, reduced into [0, 1)."""
-        c1, c2 = (_coords(c, len(self.group.factors)) for c in (c1, c2))
+        c1, c2 = (_coords(c, len(self.factors)) for c in (c1, c2))
         return Fraction(_gram_product(self._pair_scaled, c1, c2) % self._scale,
                         self._scale)
 
@@ -380,7 +367,7 @@ class FiniteQuadraticForm:
     def q(self, coeffs: Sequence[int]) -> Fraction:
         """q(x) in Q/2Z, reduced into [0, 2): one Gram product c^T P c."""
         self.require_even()
-        c = _coords(coeffs, len(self.group.factors))
+        c = _coords(coeffs, len(self.factors))
         return Fraction(_gram_product(self._pair_scaled, c, c) % (2 * self._scale),
                         self._scale)
 
@@ -392,15 +379,15 @@ class FiniteQuadraticForm:
         return {Fraction(v, self._scale): counts[v] for v in sorted(counts)}
 
     def value_multiset(self) -> tuple[Fraction, ...]:
-        self.group.elements()  # TooLarge before any value is computed
-        counts = self.value_counts([range(d) for d in self.group.factors])
+        self.elements()  # TooLarge before any value is computed
+        counts = self.value_counts([range(d) for d in self.factors])
         return tuple(itertools.chain.from_iterable(
             itertools.repeat(v, n) for v, n in counts.items()))
 
 
-def discriminant_group(L: IntegralLattice) -> DiscriminantGroup:
-    """A_L, the group of L's one discriminant form."""
-    return L.disc_form.group
+def discriminant_group(L: IntegralLattice) -> FiniteQuadraticForm:
+    """A_L, which is L's one discriminant form."""
+    return L.disc_form
 
 
 def discriminant_form(L: IntegralLattice) -> FiniteQuadraticForm:

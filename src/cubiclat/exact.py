@@ -287,8 +287,6 @@ def integer_kernel(a) -> IntMatrix:
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    if m == 0:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
     d, _, v = smith_normal_form(a, left=False)
     rank = sum(1 for i in range(min(m, n)) if d[i][i] != 0)
     return [column(v, j) for j in range(rank, n)]

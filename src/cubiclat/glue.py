@@ -61,7 +61,7 @@ class GlueSubgroup:
         """q = 0 on each element of an even ambient, b = 0 on each pair of an
         odd one."""
         amb = self.ambient
-        if amb.group.lattice.is_even:
+        if amb.lattice.is_even:
             for e in sorted(self.elements):
                 if amb.q(e) != 0:
                     raise NotIsotropic(f"element {e} has q = {amb.q(e)}")
@@ -76,14 +76,13 @@ class GlueSubgroup:
 
 def glue_subgroup(ambient: FiniteQuadraticForm, lifts) -> GlueSubgroup:
     """Build (and validate) the glue subgroup generated by dual-vector lifts."""
-    group = ambient.group
     gens = []
     canon_lifts = []
     for lift in lifts:
         y = tuple(Fraction(x) for x in lift)
-        gens.append(group.class_of_rational(y))
+        gens.append(ambient.class_of_rational(y))
         canon_lifts.append(tuple(t - t.__floor__() for t in y))
-    elements = _closure(gens, group.factors)
+    elements = _closure(gens, ambient.factors)
     sub = GlueSubgroup(
         ambient=ambient,
         elements=elements,
@@ -97,8 +96,8 @@ def glue_subgroup(ambient: FiniteQuadraticForm, lifts) -> GlueSubgroup:
 def isotropic_elements(form: FiniteQuadraticForm) -> list[tuple[int, ...]]:
     """All nonzero elements with q = 0 mod 2Z on an even lattice, or
     b(x, x) = 0 mod Z on an odd one."""
-    even = form.group.lattice.is_even
-    return [e for e in form.group.elements() if any(e)
+    even = form.lattice.is_even
+    return [e for e in form.elements() if any(e)
             and (form.q(e) if even else form.bilinear(e, e)) == 0]
 
 

@@ -170,6 +170,8 @@ def enumerate_by_norm(L: IntegralLattice, max_norm,
     enumeration runs on the negated Gram and each slice carries negated=True
     (norms refer to the negated form).
     """
+    if center is not None and len(center) != L.rank:
+        raise ValueError(f"center has {len(center)} coordinates, not {L.rank}")
     levels, negated = _levels(L)
     if not levels:
         return []

@@ -15,7 +15,7 @@ from itertools import combinations
 from math import isqrt, lcm
 
 from cubiclat import catalog
-from cubiclat.core import (DiscriminantGroup, FiniteQuadraticForm,
+from cubiclat.core import (FiniteQuadraticForm,
                            IntegralLattice, NoRepresentation, ParityError,
                            _coords, _gram_product, discriminant_form,
                            discriminant_group, signature_of_gram)
@@ -25,11 +25,11 @@ from cubiclat.glue import (GlueSubgroup, Overlattice, _closure,
                            isotropic_elements, overlattice_from_glue)
 
 
-def lift(group: DiscriminantGroup, coeffs) -> tuple[Fraction, ...]:
+def lift(form: FiniteQuadraticForm, coeffs) -> tuple[Fraction, ...]:
     """The dual vector sum c_i * lifts[i], reduced into [0, 1) componentwise."""
-    n = group.lattice.rank
+    n = form.lattice.rank
     acc = [Fraction(0)] * n
-    for c, g in zip(coeffs, group.lifts):
+    for c, g in zip(coeffs, form.lifts):
         for i in range(n):
             acc[i] += c * g[i]
     return tuple(x - x.__floor__() for x in acc)
@@ -83,7 +83,7 @@ def plane_gram_N(s) -> list[list[Fraction]]:
 
 
 def trivial_glue(ambient: FiniteQuadraticForm) -> GlueSubgroup:
-    zero = tuple(0 for _ in ambient.group.factors)
+    zero = tuple(0 for _ in ambient.factors)
     return GlueSubgroup(ambient=ambient, elements=frozenset({zero}), order=1,
                         lifts=())
 
@@ -97,10 +97,9 @@ def enumerate_even_overlattices(L: IntegralLattice, max_index: int):
     if not L.is_even:
         raise ParityError("even overlattice enumeration needs an even lattice")
     form = discriminant_form(L)
-    group = form.group
     iso = isotropic_elements(form)
     found: dict[frozenset, tuple[tuple[int, ...], ...]] = {}
-    zero = tuple(0 for _ in group.factors)
+    zero = tuple(0 for _ in form.factors)
     frontier = [(frozenset({zero}), ())]
     found[frozenset({zero})] = ()
     while frontier:
@@ -110,7 +109,7 @@ def enumerate_even_overlattices(L: IntegralLattice, max_index: int):
                 if g in elems:
                     continue
                 new_gens = gens + (g,)
-                new_elems = _closure(new_gens, group.factors)
+                new_elems = _closure(new_gens, form.factors)
                 if len(new_elems) > max_index or new_elems in found:
                     continue
                 if any(form.q(e) != 0 for e in new_elems):
@@ -121,7 +120,7 @@ def enumerate_even_overlattices(L: IntegralLattice, max_index: int):
     out = []
     for elems in sorted(found, key=lambda s: (len(s), sorted(s))):
         gens = found[elems]
-        lifts = tuple(lift(group, g) for g in gens)
+        lifts = tuple(lift(form, g) for g in gens)
         sub = GlueSubgroup(ambient=form, elements=elems, order=len(elems),
                            lifts=lifts)
         out.append((sub, overlattice_from_glue(L, sub)))

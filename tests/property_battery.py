@@ -118,17 +118,16 @@ def disc_lift_trials(rng: random.Random, trials: int) -> int:
     while done < trials:
         L = random_even_lattice(rng)
         form = discriminant_form(L)
-        group = form.group
-        if not group.factors:
+        if not form.factors:
             continue
-        cls = tuple(rng.randrange(f) for f in group.factors)
-        other = tuple(rng.randrange(f) for f in group.factors)
-        v = lift(group, cls)
-        u = lift(group, other)
+        cls = tuple(rng.randrange(f) for f in form.factors)
+        other = tuple(rng.randrange(f) for f in form.factors)
+        v = lift(form, cls)
+        u = lift(form, other)
         w = [rng.randint(-3, 3) for _ in range(L.rank)]
         v2 = tuple(a + b for a, b in zip(v, w))
-        assert group.class_of_rational(v) == cls
-        assert group.class_of_rational(v2) == cls
+        assert form.class_of_rational(v) == cls
+        assert form.class_of_rational(v2) == cls
         assert (pair_rational(L, v, v) - pair_rational(L, v2, v2)) % 2 == 0
         assert (pair_rational(L, v, u) - pair_rational(L, v2, u)) % 1 == 0
         assert (form.q(cls) - pair_rational(L, v, v)) % 2 == 0

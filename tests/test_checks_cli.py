@@ -1,5 +1,6 @@
 """Tests for the check registry, the runner, and the command-line interface."""
 
+import doctest
 import json
 import re
 from pathlib import Path
@@ -29,6 +30,16 @@ def test_manifest_shape():
     table = re.findall(r"^\| `([^`]+)` \|", (REPO / "README.md").read_text(
         encoding="utf-8"), re.MULTILINE)
     assert table == ids
+
+
+def test_readme_quick_tour_runs_as_documented():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    tour = re.search(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    test = doctest.DocTestParser().get_doctest(
+        tour.group(1), {}, "README quick tour", "README.md", 0)
+    assert len(test.examples) == 13
+    result = doctest.DocTestRunner().run(test)
+    assert result.failed == 0
 
 
 def test_run_checks_subset():

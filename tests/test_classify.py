@@ -1,5 +1,6 @@
 """Tests for 2-elementary / p-elementary classification and the embedding
 certificates built on it."""
+from collections import Counter
 
 import pytest
 
@@ -173,13 +174,13 @@ def test_p_elementary_oracle_matches_direct_sums():
 def test_unimodular_complement_profile_of_e8():
     prof = unimodular_complement_profile(catalog.standard("E8"), (8, 0))
     assert tuple(prof.signature) == (0, 0)
-    assert prof.factors == ()
+    assert prof.form.factors == ()
 
 
 def test_unimodular_complement_profile_of_m():
     prof = unimodular_complement_profile(catalog.prim_lattice_M(), (20, 2))
     assert tuple(prof.signature) == (10, 2)
-    assert sorted(prof.factors) == [2] * 9 + [6]
+    assert sorted(prof.form.factors) == [2] * 9 + [6]
 
 
 def test_unimodular_complement_profile_rejects_bad_fit():
@@ -194,6 +195,27 @@ def test_torsion_q_multiset_picks_out_primary_part():
     assert sum(three.values()) == 3
     two = _torsion_q_multiset(form, 2)
     assert sum(two.values()) == 2
+
+
+def test_two_torsion_counts_are_the_whole_form_exactly_when_2_elementary():
+    # T.invariants and phi3.k3-exists compare q's counts on 2-torsion; on
+    # their 2-elementary forms that is every element, and on M's factor 6
+    # it is not
+    t = catalog.transcendental_T()
+    same = [t, rescale(t, -1),
+            direct_sum(catalog.standard("E8", -2), catalog.standard("U"),
+                       catalog.standard("A1"), catalog.standard("A1", -1))]
+    forms = [discriminant_form(L) for L in same]
+    forms.append(unimodular_complement_profile(
+        catalog.nodal_sextic_NS(), (3, 19)).form)
+    m = catalog.prim_lattice_M()
+    other = [discriminant_form(m),
+             unimodular_complement_profile(m, (20, 2)).form]
+    for whole, cases in ((True, forms), (False, other)):
+        for form in cases:
+            assert set(form.factors) == ({2} if whole else {2, 6})
+            assert (_torsion_q_multiset(form, 2)
+                    == Counter(form.value_multiset())) == whole
 
 
 def test_phi2_certificate_passes():

@@ -142,6 +142,16 @@ def test_discriminant_group_small():
         g.class_of_rational((Fraction(1, 2), 0))
 
 
+def test_class_of_dual_coords_needs_one_coordinate_per_basis_vector():
+    # a plain zip against u's rows would read both as the class of e1*
+    group = discriminant_group(catalog.plane_lattice_N())
+    e1 = (1,) + (0,) * 10
+    assert any(group.class_of_dual_coords(e1))
+    for z in ((1,), e1 + (0, 0)):
+        with pytest.raises(ValueError, match=f"{len(z)} coordinates, not 11"):
+            group.class_of_dual_coords(z)
+
+
 def test_discriminant_group_unimodular_and_2elem():
     assert discriminant_group(U).factors == ()
     d4 = IntegralLattice([[2, 0, -1, 0], [0, 2, -1, 0],
@@ -175,7 +185,7 @@ def test_form_coefficients_must_match_the_factor_count():
     d4 = IntegralLattice([[2, 0, -1, 0], [0, 2, -1, 0],
                           [-1, -1, 2, -1], [0, 0, -1, 2]])
     form = discriminant_form(d4)
-    assert form.group.factors == (2, 2)
+    assert form.factors == (2, 2)
     with pytest.raises(ValueError, match="3 coordinates, not 2"):
         form.bilinear((1, 0, 1), (0, 1, 1))
     with pytest.raises(ValueError, match="1 coordinates, not 2"):
@@ -202,7 +212,7 @@ def test_form_coefficients_must_match_the_factor_count():
 def test_value_counts_agree_with_q_on_each_element(build, factors):
     # q is one Gram product, read on each element of the torsion choices
     form = discriminant_form(build())
-    assert form.group.factors == factors
+    assert form.factors == factors
     for m in (2, 3, 6):
         choices = [range(0, d, d // gcd(m, d)) for d in factors]
         counts = Counter(form.q(e) for e in itertools.product(*choices))
@@ -221,8 +231,8 @@ def test_one_smith_form_serves_the_group_and_both_forms(monkeypatch):
     assert discriminant_bilinear_form(d4).bilinear(
         (1, 0), (0, 1)) == Fraction(1, 2)
     assert len(calls) == 1
-    assert discriminant_bilinear_form(d4) is discriminant_form(d4)
-    assert discriminant_form(d4).group is discriminant_group(d4)
+    assert (discriminant_group(d4) is discriminant_form(d4)
+            is discriminant_bilinear_form(d4))
 
 
 def test_discriminant_form_values():
@@ -236,7 +246,7 @@ def test_discriminant_form_values():
 
 def test_value_multiset_guard_comes_before_any_value(monkeypatch):
     form = discriminant_form(direct_sum(A2, A2, IntegralLattice([[4]])))
-    order = form.group.order
+    order = form.order
     assert order == 36
     monkeypatch.setattr(core, "ENUMERATION_GUARD", order)
     expected = form.value_multiset()
@@ -262,7 +272,7 @@ def test_discriminant_bilinear_form():
 def test_odd_lattice_form_has_b_but_no_q():
     odd = IntegralLattice([[1, 0], [0, 4]], labels=["x", "y"])
     form = discriminant_bilinear_form(odd)
-    assert form.group.factors == (4,)
+    assert form.factors == (4,)
     assert form.bilinear_matrix() == [[Fraction(1, 4)]]
     for read in (lambda: form.q((1,)), form.value_multiset,
                  lambda: form.value_counts([range(4)]),

@@ -19,7 +19,7 @@ def _spinor_lift():
     """Dual lift of one of the two isotropic (spinor) classes of A_{D8}."""
     form = discriminant_form(D8)
     iso = isotropic_elements(form)
-    return lift(form.group, iso[0])
+    return lift(form, iso[0])
 
 
 def test_glue_subgroup_validates_isotropy():
@@ -38,10 +38,10 @@ def test_overlattice_from_glue_rejects_a_non_isotropic_class(name, q, message):
     # order-3 class of A2 (norm 2/3)
     L = catalog.standard(name)
     form = discriminant_form(L)
-    e = next(e for e in form.group.elements() if form.q(e) == q)
-    elements = _closure([e], form.group.factors)
+    e = next(e for e in form.elements() if form.q(e) == q)
+    elements = _closure([e], form.factors)
     sub = GlueSubgroup(ambient=form, elements=elements, order=len(elements),
-                       lifts=(lift(form.group, e),))
+                       lifts=(lift(form, e),))
     with pytest.raises(NotIsotropic, match=message):
         overlattice_from_glue(L, sub)
 

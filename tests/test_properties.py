@@ -206,18 +206,17 @@ def even_lattices(draw):
 @given(even_lattices(), st.data())
 def test_integer_forms_match_a_fraction_oracle(L, data):
     form = discriminant_form(L)
-    group = form.group
     # q(e) = lift(e)^T G lift(e) mod 2, computed on Fractions element by
     # element; each lift is built once
-    lifts = {e: lift(group, e) for e in group.elements()}
+    lifts = {e: lift(form, e) for e in form.elements()}
     oracle = {e: pair_rational(L, y, y) % 2 for e, y in lifts.items()}
     assert form.value_multiset() == tuple(sorted(oracle.values()))
     for e, value in oracle.items():
         assert form.q(e) == value
-        assert group.class_of_rational(lifts[e]) == e
+        assert form.class_of_rational(lifts[e]) == e
     for m in (2, 3):
         killed = Counter(v for e, v in oracle.items()
-                         if all(m * c % d == 0 for c, d in zip(e, group.factors)))
+                         if all(m * c % d == 0 for c, d in zip(e, form.factors)))
         assert _torsion_q_multiset(form, m) == dict(killed)
     e, f = (data.draw(st.sampled_from(sorted(oracle))) for _ in range(2))
     assert form.bilinear(e, f) == pair_rational(L, lifts[e], lifts[f]) % 1
@@ -226,7 +225,7 @@ def test_integer_forms_match_a_fraction_oracle(L, data):
     s = 1 + max(abs(row[i]) for row in L.gram)
     off = [x + Fraction(int(j == i), s) for j, x in enumerate(lifts[e])]
     with pytest.raises(ValueError, match="dual"):
-        group.class_of_rational(off)
+        form.class_of_rational(off)
 
 
 @st.composite
@@ -306,7 +305,7 @@ def test_doubled_odd_lattices_have_half_integral_class():
         if basic_invariants(lat).parity != "odd":
             continue
         form = discriminant_form(rescale(lat, 2))
-        factors = form.group.factors
+        factors = form.factors
         hits = 0
         for i, f in enumerate(factors):
             if f % 2 == 0:

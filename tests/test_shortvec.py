@@ -88,6 +88,15 @@ def test_one_elimination_serves_every_walk_and_the_signature(monkeypatch):
     assert [sl.norm for sl in centred] == [Fraction(1, 2)]
 
 
+@pytest.mark.parametrize("center", [
+    (Fraction(1, 3), Fraction(2, 3), 5),
+    (Fraction(1, 3),),
+], ids=["long", "short"])
+def test_enumerate_by_norm_rejects_a_center_of_the_wrong_length(center):
+    with pytest.raises(ValueError, match=f"{len(center)} coordinates, not 2"):
+        enumerate_by_norm(A2, 2, center=center)
+
+
 def test_enumeration_guard_counts_leaves(monkeypatch):
     # E8 up to norm 2 visits 241 leaves: its 240 roots and the zero vector
     e8 = catalog.standard("E8")
