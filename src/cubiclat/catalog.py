@@ -20,10 +20,11 @@ from .core import (
     NotIntegral,
     TooLarge,
     UnknownLattice,
-    _gram_product,
     basic_invariants,
+    combine,
     direct_sum,
     discriminant_group,
+    gram_of,
     orthogonal_complement,
     rescale,
 )
@@ -110,17 +111,12 @@ def plane_lattice_N() -> IntegralLattice:
     # 2 * (eta, y, F_1..F_9) in the symbol basis: integral, as 2y = P + sum F_i
     basis2 = [[2 * (j == a) for j in range(11)] for a in range(11)]
     basis2[1] = [0] + [1] * 10
-    gram = []
-    for a in range(11):
-        row = []
-        for b in range(11):
-            val4 = _gram_product(s, basis2[a], basis2[b])
-            if val4 % 4:
-                raise NotIntegral(
-                    f"N has the non-integral pairing {Fraction(val4, 4)}")
-            row.append(val4 // 4)
-        gram.append(row)
-    return IntegralLattice(gram, labels=_N_LABELS)
+    gram4 = gram_of(s, basis2)
+    bad = next((x for row in gram4 for x in row if x % 4), None)
+    if bad is not None:
+        raise NotIntegral(f"N has the non-integral pairing {Fraction(bad, 4)}")
+    return IntegralLattice([[x // 4 for x in row] for row in gram4],
+                           labels=_N_LABELS)
 
 
 def n_class(label: str) -> tuple[int, ...]:
@@ -156,7 +152,7 @@ def p_in_N() -> tuple[int, ...]:
 
 def delta_in_N() -> tuple[int, ...]:
     """The norm-24 class eta - 3P."""
-    return tuple(e - 3 * q for e, q in zip(n_class("eta"), p_in_N()))
+    return combine((1, -3), (n_class("eta"), p_in_N()))
 
 
 def delta_in_M() -> tuple[int, ...]:
@@ -181,16 +177,13 @@ def m_basis_in_N() -> list[tuple[int, ...]]:
     x = (alpha_1 + alpha_3 + alpha_5 + alpha_7 + F_9 - P)/2.
     """
     f = {i: n_class(f"F{i}") for i in range(1, 10)}
-    alphas = [[a - b for a, b in zip(f[i], f[i + 1])] for i in range(1, 9)]
+    alphas = [combine((1, -1), (f[i], f[i + 1])) for i in range(1, 9)]
     p = p_in_N()
-    alphas.append([pp + x8 + x9 - e for pp, x8, x9, e in
-                   zip(p, f[8], f[9], n_class("eta"))])
-    two_x = [alphas[0][k] + alphas[2][k] + alphas[4][k] + alphas[6][k]
-             + f[9][k] - p[k] for k in range(11)]
+    alphas.append(combine((1, 1, 1, -1), (p, f[8], f[9], n_class("eta"))))
+    two_x = combine((1, 1, 1, 1, 1, -1), (*alphas[0:7:2], f[9], p))
     if any(c % 2 for c in two_x):
         raise NotIntegral("2x is not divisible by 2 in N")
-    x = [c // 2 for c in two_x]
-    return [tuple(x)] + [tuple(a) for a in alphas]
+    return [tuple(c // 2 for c in two_x)] + alphas
 
 
 _GM = [
@@ -249,8 +242,7 @@ def prim_lattice_M() -> IntegralLattice:
     eta = n_class("eta")
     if any(n.pair(v, eta) for v in basis):
         raise CrossCheckFailed("the M-basis is not orthogonal to eta in N")
-    regram = [[n.pair(v, w) for w in basis] for v in basis]
-    if regram != _GM:
+    if gram_of(n.gram, basis) != _GM:
         raise CrossCheckFailed(
             "basis change into N does not reproduce the Gram matrix")
     comp = orthogonal_complement(n, [eta])

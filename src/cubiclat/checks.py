@@ -15,6 +15,7 @@ determinants, discriminant groups, glue indices, and root counts.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations
@@ -23,8 +24,8 @@ from . import catalog, delpezzo, exact, geomchecks, hassett
 from .classify import (_torsion_q_multiset, phi2_no_associated_k3,
                        phi3_k3_exists, two_elementary_exists,
                        two_elementary_invariants, unimodular_complement_profile)
-from .core import (NoRepresentation, basic_invariants, direct_sum,
-                   discriminant_form, discriminant_group, rescale)
+from .core import (NoRepresentation, basic_invariants, combine, direct_sum,
+                   discriminant_form, discriminant_group, gram_of, rescale)
 from .glue import glue_group, glue_subgroup, overlattice_from_glue
 from .report import CheckReport, certificate
 from .shortvec import ade_root_number, identify_root_lattice, root_count
@@ -80,10 +81,7 @@ def n_planes_certificate():
     n = catalog.plane_lattice_N()
     eta = catalog.n_class("eta")
     planes = geomchecks.enumerate_planes(n, eta)
-    products: dict[int, int] = {}
-    for a, b in combinations(planes, 2):
-        p = n.pair(a, b)
-        products[p] = products.get(p, 0) + 1
+    products = Counter(n.pair(a, b) for a, b in combinations(planes, 2))
     details = {"count": len(planes),
                "planes": planes,
                "pair_products": dict(sorted(products.items()))}
@@ -133,13 +131,11 @@ def m_glue_certificate():
     sub = glue_subgroup(discriminant_form(kt), [catalog.kappa_glue_lift()])
     ext = overlattice_from_glue(kt, sub)
     delta, alphas = catalog.delta_in_M(), exact.identity(10)[1:]
-    rows = exact.mat_mul(ext.basis, [delta, *alphas])
+    rows = [combine(b, [delta, *alphas]) for b in ext.basis]
     integral = all(c.denominator == 1 for row in rows for c in row)
     rows = [[int(c) for c in row] for row in rows]
     isometry = (integral and abs(exact.bareiss_det(rows)) == 1
-                and exact.mat_mul(exact.mat_mul(rows, m.gram),
-                                  exact.transpose(rows))
-                == [list(row) for row in ext.lattice.gram])
+                and gram_of(m.gram, rows) == [list(r) for r in ext.lattice.gram])
     glue_factors = glue_group(m, [delta], alphas)
     details = {"glue_order": sub.order,
                "overlattice_index": ext.index,

@@ -131,6 +131,17 @@ def _gram_product(gram, u, v) -> int:
     return sum(a * sum(map(mul, row, v)) for a, row in zip(u, gram) if a)
 
 
+def gram_of(gram, vectors) -> list[list[int]]:
+    """u^T gram v for each pair of the vectors, from one Gram image per v."""
+    images = [[sum(map(mul, row, v)) for row in gram] for v in vectors]
+    return [[sum(map(mul, u, gv)) for gv in images] for u in vectors]
+
+
+def combine(coeffs, vectors) -> tuple:
+    """sum c_i v_i, coordinate by coordinate."""
+    return tuple(sum(map(mul, coeffs, col)) for col in zip(*vectors))
+
+
 class IntegralLattice:
     """A finite-rank lattice given by a symmetric nondegenerate integer Gram.
 
@@ -228,21 +239,18 @@ class Sublattice(NamedTuple):
     basis: list[list[int]]
 
     def to_ambient(self, v) -> tuple[int, ...]:
-        vc = _coords(v, len(self.basis))
-        n = len(self.basis[0]) if self.basis else 0
-        return tuple(sum(vc[a] * self.basis[a][i] for a in range(len(self.basis)))
-                     for i in range(n))
+        return combine(_coords(v, len(self.basis)), self.basis)
 
 
-def signature_of_gram(gram, elimination=None) -> Signature:
+def signature_of_gram(gram, elimination) -> Signature:
     """Exact signature by fraction-free congruence elimination: the k-th
     pivot of the diagonalization is D_k / D_{k-1} for the Bareiss pivots D.
-    ``elimination`` is one the caller already holds: ``exact.bareiss(g,
-    symmetric=True)`` for gram or for any Gram g congruent to it, such as
-    the reversed Gram behind ``IntegralLattice.elimination``; by Sylvester's
-    law of inertia the signature does not depend on the basis."""
+    ``elimination`` is ``exact.bareiss(g, symmetric=True)`` for gram or for
+    any Gram g congruent to it, such as the reversed Gram behind
+    ``IntegralLattice.elimination``; by Sylvester's law of inertia the
+    signature does not depend on the basis."""
     n = len(gram)
-    m, pivots, _ = elimination or exact.bareiss(gram, symmetric=True)
+    m, pivots, _ = elimination
     if len(pivots) < n:
         raise DegenerateLattice("degenerate block in signature computation")
     minors = [1] + [m[k][k] for k in range(n)]
@@ -282,8 +290,7 @@ class FiniteQuadraticForm:
         # all lifts over one common denominator den: pairings are x / den^2
         den = lcm(*factors)
         lifts = [[x * (den // f) for x in num] for num, f in zip(nums, factors)]
-        images = [L.dual_pairings(b) for b in lifts]
-        pair = [[sum(map(mul, a, gb)) for gb in images] for a in lifts]
+        pair = gram_of(L.gram, lifts)
         d2 = den * den
         scale = lcm(*(d2 // gcd(x, d2) for row in pair for x in row))
         self._scale = scale
@@ -349,7 +356,7 @@ class FiniteQuadraticForm:
         p, mod = self._pair_scaled, 2 * self._scale
         states = Counter([(0,) * (len(choices) + 1)])
         for i, cs in enumerate(choices):
-            diag, steps = p[i][i], [2 * x for x in p[i][i + 1:len(choices)]]
+            diag, steps = p[i][i], [2 * x for x in p[i][i + 1:]]
             merged = Counter()
             for (v, t, *lin), w in states.items():
                 if lin:
@@ -375,6 +382,9 @@ class FiniteQuadraticForm:
         """How often q takes each value over ``product(*choices)``, one
         coefficient list per invariant factor, in increasing order of value."""
         self.require_even()
+        if len(choices) != len(self.factors):
+            raise ValueError(f"{len(choices)} coefficient lists, "
+                             f"not {len(self.factors)}")
         counts = self._scaled_values(choices)
         return {Fraction(v, self._scale): counts[v] for v in sorted(counts)}
 
@@ -447,7 +457,7 @@ def direct_sum(*lattices: IntegralLattice) -> IntegralLattice:
 
 def _sublattice(L: IntegralLattice, basis, prefix: str) -> Sublattice:
     """The sublattice of L on ``basis``, labelled prefix1, prefix2, ..."""
-    gram = [[_gram_product(L.gram, a, b) for b in basis] for a in basis]
+    gram = gram_of(L.gram, basis)
     sub = IntegralLattice(gram, labels=[f"{prefix}{i+1}" for i in range(len(basis))])
     return Sublattice(sub, basis)
 

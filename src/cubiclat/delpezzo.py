@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import product
 
 from . import exact
-from .core import IntegralLattice, NotIntegral, rescale
+from .core import IntegralLattice, NotIntegral, gram_of, rescale
 from .report import certificate
 from .shortvec import identify_root_lattice
 
@@ -120,10 +120,8 @@ def double_sixes() -> list[tuple[Sixer, Sixer]]:
 
 def _root_span_labels() -> list[str]:
     """ADE type of the negated span of the sixer roots."""
-    pic = picard_basis()
-    cols = exact.transpose([list(s.root) for s in sixers()])
-    basis = exact.hermite_column_basis(cols)
-    gram = [[pic.lattice.pair(u, v) for v in basis] for u in basis]
+    basis = exact.hermite_column_basis([s.root for s in sixers()])
+    gram = gram_of(picard_basis().lattice.gram, basis)
     return identify_root_lattice(rescale(IntegralLattice(gram), -1))
 
 

@@ -1,8 +1,11 @@
-"""Exact integer and rational matrix helpers.
+"""Exact integer and rational kernels: elimination, inverse and solve, Smith
+form, integer kernels and the Hermite basis of a list of vectors.
 
 Everything in this module works on plain lists of lists holding Python ints
 (or Fractions where stated) and never touches floating point.  Matrices are
-row-major; "columns of V" etc. always means ``[row[j] for row in V]``.
+row-major; "columns of V" etc. always means ``[row[j] for row in V]``.  A
+vector family is paired and combined in ``core`` (``gram_of``, ``combine``),
+not here.
 """
 from __future__ import annotations
 
@@ -15,23 +18,6 @@ FracMatrix = list[list[Fraction]]
 
 def identity(n: int) -> IntMatrix:
     return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
-
-
-def copy_matrix(a):
-    return [list(row) for row in a]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def column(a, j):
-    return [row[j] for row in a]
 
 
 def bareiss(a, symmetric: bool = False) -> tuple[IntMatrix, list[int], int]:
@@ -51,7 +37,7 @@ def bareiss(a, symmetric: bool = False) -> tuple[IntMatrix, list[int], int]:
     of P^T a P for a unimodular P, and it stops at the first zero row of the
     trailing block.
     """
-    m = copy_matrix(a)
+    m = [list(row) for row in a]
     rows = len(m)
     width = len(m[0]) if rows else 0
     pivots: list[int] = []
@@ -289,21 +275,21 @@ def integer_kernel(a) -> IntMatrix:
     n = len(a[0]) if m else 0
     d, _, v = smith_normal_form(a, left=False)
     rank = sum(1 for i in range(min(m, n)) if d[i][i] != 0)
-    return [column(v, j) for j in range(rank, n)]
+    return [[row[j] for row in v] for j in range(rank, n)]
 
 
-def hermite_column_basis(a) -> IntMatrix:
-    """Canonical basis of the column span of an integer matrix.
+def hermite_column_basis(vectors) -> IntMatrix:
+    """Canonical basis of the span of a list of integer vectors.
 
-    Column-style Hermite form: returns a list of linearly independent columns
-    (each a list of length m) in echelon order, each column's first nonzero
-    entry (its pivot) positive, and every other column reduced into
-    [0, pivot) at that pivot's row.
+    Hermite form: returns linearly independent vectors (each a list of
+    length m) in echelon order, each one's first nonzero entry (its pivot)
+    positive, and every other basis vector reduced into [0, pivot) at that
+    pivot's coordinate.
     """
-    m = len(a)
+    m = len(vectors[0]) if vectors else 0
     by_pivot: dict[int, list[int]] = {}
-    for j in range(len(a[0]) if m else 0):
-        c = column(a, j)
+    for v in vectors:
+        c = list(v)
         while True:
             lead = next((i for i in range(m) if c[i] != 0), None)
             if lead is None:

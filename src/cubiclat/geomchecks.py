@@ -20,7 +20,8 @@ from operator import mul
 
 from . import catalog
 from .core import (IntegralLattice, LatticeError, _coords, _gram_product,
-                   discriminant_group, divisibility, orthogonal_complement)
+                   combine, discriminant_group, divisibility, gram_of,
+                   orthogonal_complement)
 from .hassett import is_admissible
 from .report import certificate
 from .shortvec import enumerate_by_norm, vectors_of_norm
@@ -198,35 +199,25 @@ def _family_witness(has_eta: bool, supp: tuple[int, ...], eta, p, fs):
 
     supp holds the 1-based F-indices in the class.
     """
-    def signed_sum(*terms):
-        return tuple(sum(sign * v[i] for sign, v in terms)
-                     for i in range(len(eta)))
-
-    f = {i: fs[i - 1] for i in range(1, 10)}
-    miss = tuple(sorted(set(range(1, 10)) - set(supp)))
+    f_in = [fs[i - 1] for i in supp]
+    f_out = [fs[i - 1] for i in sorted(set(range(1, 10)) - set(supp))]
     if not has_eta:
         if len(supp) == 2:
-            return signed_sum((1, f[supp[0]]), (1, f[supp[1]])), "R2", {"norm": 2}
+            return combine((1, 1), f_in), "R2", {"norm": 2}
         if len(supp) in (4, 6):
-            terms = [((-1) ** k, f[i]) for k, i in enumerate(supp)]
-            w2 = signed_sum(*terms)
+            w2 = combine([(-1) ** k for k in range(len(supp))], f_in)
             kind = "R1" if len(supp) == 6 else "R2"
             return w2, kind, {"norm": 3 if kind == "R1" else 2}
-        r = miss[0]
-        return signed_sum((1, p), (1, f[r])), "R4", {"det": 2}
+        return combine((1, 1), (p, f_out[0])), "R4", {"det": 2}
     if len(supp) == 1:
-        return signed_sum((1, eta), (1, f[supp[0]])), "R2", {"norm": 2}
+        return combine((1, 1), (eta, *f_in)), "R2", {"norm": 2}
     if len(supp) == 3:
-        terms = [(1, eta)] + [(1, f[i]) for i in supp]
-        return signed_sum(*terms), "R4", {"det": 9}
+        return combine((1,) * 4, (eta, *f_in)), "R4", {"det": 9}
     if len(supp) == 5:
-        s = miss[-1]
-        terms = [(1, eta), (-1, p)] + [(-1, f[i]) for i in miss[:-1]] + [(1, f[s])]
-        return signed_sum(*terms), "R2", {"norm": 2}
+        return combine((1, -1, -1, -1, -1, 1), (eta, p, *f_out)), "R2", {"norm": 2}
     if len(supp) == 7:
-        terms = [(1, eta), (-1, p)] + [(-1, f[i]) for i in miss]
-        return signed_sum(*terms), "R1", {"norm": 1}
-    return signed_sum((1, eta), (-1, p)), "R4", {"det": 2}
+        return combine((1, -1, -1, -1), (eta, p, *f_out)), "R1", {"norm": 1}
+    return combine((1, -1), (eta, p)), "R4", {"det": 2}
 
 
 def _s9_symmetric(gram) -> bool:
@@ -281,7 +272,7 @@ def saturation_certificate():
     if not _s9_symmetric(n.gram):
         problems.append({"class": (), "error": "Gram not S_9-symmetric"})
     # the norm of a subset sum of dual2 is the sum of its block of this Gram
-    dual_gram = [[_gram_product(n.gram, u, v) for v in dual2] for u in dual2]
+    dual_gram = gram_of(n.gram, dual2)
     for size in range(1, 11):
         for symbols in combinations(range(10), size):
             if sum(dual_gram[s][t] for s in symbols for t in symbols) % 4:
@@ -364,9 +355,7 @@ def scroll_screen():
                 row["kind"] = "short"
                 ok = ok and k.pair(v, eta) == 0
             else:
-                div = 0
-                for b in comp.basis:
-                    div = gcd(div, k.pair(v, b))
+                div = gcd(*(k.pair(v, b) for b in comp.basis))
                 row["kind"] = "long"
                 row["divisibility"] = div
                 ok = ok and norm == 6 and div == 3 and k.pair(v, eta) == 0

@@ -22,6 +22,7 @@ from .core import (
     IntegralLattice,
     NotIsotropic,
     _coords,
+    gram_of,
 )
 
 
@@ -128,18 +129,15 @@ def overlattice_from_glue(L: IntegralLattice, H: GlueSubgroup) -> Overlattice:
     NotIsotropic when the lifts pair non-integrally or even L comes out odd."""
     n = L.rank
     den = lcm(*(f.denominator for lift in H.lifts for f in lift))
-    cols: list[list[int]] = [[den * int(i == j) for i in range(n)] for j in range(n)]
-    for lift in H.lifts:
-        cols.append([int(den * f) for f in lift])
-    stacked = [[col[i] for col in cols] for i in range(n)]
-    hbasis = exact.hermite_column_basis(stacked)
+    vectors = [[den * int(i == j) for i in range(n)] for j in range(n)]
+    vectors += [[int(den * f) for f in lift] for lift in H.lifts]
+    hbasis = exact.hermite_column_basis(vectors)
     if len(hbasis) != n:
         raise BadSplitting(f"glued basis has rank {len(hbasis)}, expected {n}")
-    basis = tuple(tuple(Fraction(x, den) for x in col) for col in hbasis)
+    basis = tuple(tuple(Fraction(x, den) for x in v) for v in hbasis)
     # den-scaled basis vectors are integral, so the Gram is an integer
     # product divided by den^2
-    scaled = exact.mat_mul([list(col) for col in hbasis], L.gram)
-    scaled = exact.mat_mul(scaled, exact.transpose([list(col) for col in hbasis]))
+    scaled = gram_of(L.gram, hbasis)
     gram = []
     for a in range(n):
         row = []
@@ -170,10 +168,10 @@ def glue_group(L: IntegralLattice, s1, s2) -> tuple[int, ...]:
             if L.pair(v, w) != 0:
                 raise BadSplitting(f"spans are not orthogonal: {v} . {w} != 0")
     combined = [*s1, *s2]
-    # the spans as columns; their rank is the number of nonzero diagonal
-    # entries of the Smith form
-    d, _, _ = exact.smith_normal_form(exact.transpose(combined), left=False)
-    rank = sum(1 for i in range(min(len(d), len(combined))) if d[i][i])
+    # the spans as rows (A and A^T share their invariant factors); their
+    # rank is the number of nonzero diagonal entries of the Smith form
+    d, _, _ = exact.smith_normal_form(combined, left=False)
+    rank = sum(1 for i in range(min(len(d), L.rank)) if d[i][i])
     if len(combined) != L.rank or rank != L.rank:
         raise BadSplitting(f"spans have combined rank {rank}, need {L.rank}")
     return tuple(d[i][i] for i in range(L.rank) if d[i][i] > 1)

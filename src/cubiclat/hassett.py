@@ -15,7 +15,8 @@ from math import isqrt
 from operator import mul
 
 from . import catalog
-from .core import NoRepresentation, NotAHassettDiscriminant, saturation
+from .core import (NoRepresentation, NotAHassettDiscriminant, combine,
+                   saturation)
 from .report import certificate
 
 
@@ -141,9 +142,7 @@ def labeling_for_d(d: int) -> Labeling:
             s = 1
             x1, x3, x5, x7, t = _witness_rank1(k - 1)
         witness = (x1, x3, x5, x7, s, t)
-        coeffs = [x1, x3, x5, x7]
-        v = tuple(sum(c * a[i] for c, a in zip(coeffs, alphas))
-                  + s * beta[i] + t * gamma[i] for i in range(n.rank))
+        v = combine(witness, (*alphas, beta, gamma))
 
     gv = n.dual_pairings(v)
     vv, ev = sum(map(mul, gv, v)), sum(map(mul, gv, eta))

@@ -173,9 +173,9 @@ def enumerate_by_norm(L: IntegralLattice, max_norm,
     if center is not None and len(center) != L.rank:
         raise ValueError(f"center has {len(center)} coordinates, not {L.rank}")
     levels, negated = _levels(L)
-    if not levels:
-        return []
     bound = Fraction(max_norm)
+    if not levels or bound < 0:
+        return []
     c, w_den = ([0] * L.rank, 1) if center is None else exact.numerators(center)
     # with 2 * center integral the walk keeps y = x + center >lex 0 and y = 0;
     # the partner of x is -x - 2 * center

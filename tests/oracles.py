@@ -8,7 +8,8 @@ reference Smith normal form, the separate four-square and
 the one-scan-per-class form of ``sat.511``, which the certificate replaces by
 one scan per S_9 orbit, Milgram's formula as a check across the discriminant
 form, group and signature, and the p-elementary hyperbolic existence table,
-which tests hold against direct sums of standard pieces."""
+which tests hold against direct sums of standard pieces, and the plain
+matrix product and transpose that the package does without."""
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -19,10 +20,19 @@ from cubiclat.core import (FiniteQuadraticForm,
                            IntegralLattice, NoRepresentation, ParityError,
                            _coords, _gram_product, discriminant_form,
                            discriminant_group, signature_of_gram)
-from cubiclat.exact import _xgcd, copy_matrix, identity, numerators
+from cubiclat.exact import _xgcd, bareiss, identity, numerators
 from cubiclat.geomchecks import coset_rule
 from cubiclat.glue import (GlueSubgroup, Overlattice, _closure,
                            isotropic_elements, overlattice_from_glue)
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def mat_mul(a, b):
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def lift(form: FiniteQuadraticForm, coeffs) -> tuple[Fraction, ...]:
@@ -170,7 +180,7 @@ def milgram_holds(L: IntegralLattice) -> bool:
         if a:
             for j, b in enumerate(gauss):
                 square[(i + j) % m] += a * b
-    pos, neg = signature_of_gram(L.gram)
+    pos, neg = signature_of_gram(L.gram, bareiss(L.gram, symmetric=True))
     square[(pos - neg) * m // 4 % m] -= group.order
     return not any(_divmod_monic(square, list(_cyclotomic(m)))[1])
 
@@ -213,7 +223,7 @@ def smith_normal_form_reference(a):
     applied in full to both of its rows or columns."""
     m = len(a)
     n = len(a[0]) if m else 0
-    d = copy_matrix(a)
+    d = [list(row) for row in a]
     u = identity(m)
     v = identity(n)
 

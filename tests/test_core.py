@@ -195,6 +195,12 @@ def test_form_coefficients_must_match_the_factor_count():
     with pytest.raises(ValueError, match="3 coordinates, not 2"):
         form.q((1, 0, 5))
     assert form.q((1, 0)) == 1 and form.bilinear((1, 0), (0, 1)) == Fraction(1, 2)
+    # a short list would count the first generators only, a long one would
+    # run off the pairing matrix
+    m_form = discriminant_form(catalog.resolve("M"))
+    for n in (1, 12):
+        with pytest.raises(ValueError, match=f"^{n} coefficient lists, not 10$"):
+            m_form.value_counts([range(2)] * n)
 
 
 @pytest.mark.parametrize("build, factors", [

@@ -19,21 +19,22 @@ from cubiclat.core import (
     DegenerateLattice,
     IntegralLattice,
     basic_invariants,
+    combine,
     direct_sum,
     discriminant_form,
     discriminant_group,
+    gram_of,
     rescale,
     signature_of_gram,
 )
 from cubiclat.exact import (
+    bareiss,
     bareiss_det,
     frac_inverse,
     identity,
-    mat_mul,
     rational_rank,
     smith_normal_form,
     solve_exact,
-    transpose,
 )
 from cubiclat.hassett import four_squares, ramanujan_rep
 from property_battery import (
@@ -44,8 +45,8 @@ from property_battery import (
     run_battery,
     shortvec_trials,
 )
-from oracles import (lift, milgram_holds, pair_rational,
-                     smith_normal_form_reference)
+from oracles import (lift, mat_mul, milgram_holds, pair_rational,
+                     smith_normal_form_reference, transpose)
 
 
 @st.composite
@@ -58,6 +59,22 @@ def square_int_matrices(draw, max_rank=4, bound=6):
 @given(square_int_matrices())
 def test_determinant_invariant_under_transpose(m):
     assert bareiss_det(m) == bareiss_det(transpose(m))
+
+
+@given(square_int_matrices(max_rank=5), st.data())
+def test_vector_family_kernels_match_the_matrix_oracle(gram, data):
+    # u^T G v for every square G, so the Gram need not be symmetric; the
+    # family may be empty
+    n = len(gram)
+    family = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=n,
+                                         max_size=n), max_size=4))
+    assert gram_of(gram, family) == mat_mul(mat_mul(family, gram),
+                                            transpose(family))
+    for coeff in (st.integers(-6, 6),
+                  st.fractions(-3, 3, max_denominator=4)):
+        c = data.draw(st.lists(coeff, min_size=len(family),
+                               max_size=len(family)))
+        assert list(combine(c, family)) == mat_mul([c], family)[0]
 
 
 @st.composite
@@ -146,7 +163,8 @@ def congruent_grams(draw):
 def test_elimination_kernel_on_congruent_grams(case, data):
     gram, g, signature = case
     n = len(g)
-    assert tuple(signature_of_gram(g)) == tuple(signature_of_gram(gram)) \
+    assert tuple(signature_of_gram(g, bareiss(g, symmetric=True))) \
+        == tuple(signature_of_gram(gram, bareiss(gram, symmetric=True))) \
         == signature
     assert bareiss_det(g) == bareiss_det(gram)
     assert mat_mul(frac_inverse(g), g) == identity(n)

@@ -49,6 +49,13 @@ def test_coset_enumeration():
     assert zero_centered[0].vectors == [(0,)]
 
 
+@pytest.mark.parametrize("center", [
+    None, (Fraction(1, 2), 0), (Fraction(1, 3), Fraction(1, 3))])
+def test_negative_bound_gives_the_empty_list(center):
+    for bound in (-1, Fraction(-1, 2)):
+        assert enumerate_by_norm(A2, bound, center=center) == []
+
+
 def test_negative_definite_enumeration():
     slices = enumerate_by_norm(rescale(A2, -1), 2)
     assert slices[0].negated
