@@ -16,7 +16,6 @@ determinants, discriminant groups, glue indices, and root counts.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations
 
@@ -95,7 +94,7 @@ def n_admissible_certificate():
     eta = catalog.n_class("eta")
     violation = geomchecks.admissibility_scan(n, eta)
     details = {"rules": list(geomchecks.RULES),
-               "violation": asdict(violation) if violation else None}
+               "violation": violation._asdict() if violation else None}
     return violation is None, details
 
 

@@ -13,9 +13,9 @@ import sys
 import click
 
 from . import catalog, checks, delpezzo, geomchecks, hassett
-from .core import (IntegralLattice, LatticeError, UnknownLattice,
-                   basic_invariants, discriminant_bilinear_form,
-                   discriminant_group, lattice_from_json)
+from .core import (MAX_RANK, IntegralLattice, LatticeError, TooLarge,
+                   UnknownLattice, basic_invariants,
+                   discriminant_bilinear_form, discriminant_group)
 from .report import CheckReport, jsonable
 from .shortvec import enumerate_by_norm, root_count
 
@@ -73,6 +73,41 @@ def checks_run(run_all: bool, names: tuple[str, ...], as_json: bool):
 @main.group("lat")
 def lat_group():
     """Inspect catalog lattices and JSON lattice files."""
+
+
+def lattice_to_json(L: IntegralLattice) -> str:
+    payload = {
+        "name": L.name or "",
+        "labels": list(L.labels),
+        "gram": [list(row) for row in L.gram],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def lattice_from_json(text: str) -> IntegralLattice:
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("top-level JSON value must be an object")
+    for key in ("labels", "gram"):
+        if key not in data:
+            raise ValueError(f"missing required key {key!r}")
+    gram = data["gram"]
+    if (not isinstance(gram, list)
+            or any(not isinstance(row, list) for row in gram)
+            or any(not isinstance(x, int) or isinstance(x, bool)
+                   for row in gram for x in row)):
+        raise ValueError("gram must be a matrix of integers")
+    if len(gram) > MAX_RANK:
+        raise TooLarge(f"rank {len(gram)} is above the limit {MAX_RANK}")
+    if not gram:
+        raise ValueError("gram must have at least one row (rank 0 is not a lattice)")
+    labels = data["labels"]
+    if not isinstance(labels, list) or any(not isinstance(s, str) for s in labels):
+        raise ValueError("labels must be a list of strings")
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ValueError("name must be a string")
+    return IntegralLattice(gram, labels=labels, name=name or None)
 
 
 def _resolve_target(target: str) -> IntegralLattice:

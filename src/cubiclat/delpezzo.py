@@ -12,24 +12,22 @@ for C.C' over all pairs of distinct sixers by brute force.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from . import exact
-from .core import IntegralLattice, NotIntegral, gram_of, rescale
+from .core import IntegralLattice, NotIntegral, combine, gram_of, rescale
 from .report import certificate
 from .shortvec import identify_root_lattice
 
 
-@dataclass(frozen=True)
-class PicardBasis:
+class PicardBasis(NamedTuple):
     lattice: IntegralLattice
     canonical: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Sixer:
+class Sixer(NamedTuple):
     """Six pairwise-disjoint lines with their twisted-cubic class and root."""
     lines: tuple[tuple[int, ...], ...]
     cubic: tuple[int, ...]
@@ -94,13 +92,13 @@ def sixers() -> tuple[Sixer, ...]:
     out = []
     for clique in cliques:
         members = [lines[i] for i in clique]
-        total = [sum(v[k] for v in members) for k in range(7)]
-        numer = [t - c for t, c in zip(total, pic.canonical)]
+        total = combine((1,) * 6, members)
+        numer = combine((1, -1), (total, pic.canonical))
         if any(x % 3 for x in numer):
             raise NotIntegral(
                 f"sixer {clique}: sum of lines minus K is not divisible by 3")
         cubic = tuple(x // 3 for x in numer)
-        root = tuple(2 * c - t for c, t in zip(cubic, total))
+        root = combine((2, -1), (cubic, total))
         out.append(Sixer(tuple(members), cubic, root))
     return tuple(out)
 

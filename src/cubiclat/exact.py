@@ -112,7 +112,8 @@ def _inverse(a) -> tuple[IntMatrix, int]:
     fraction-free Gauss-Jordan in place, with row swaps, on rows cleared of
     denominators (row k's scale c).  Step k writes pivot row k's identity
     column, -f * c off the pivot and prev * c on it, over column k of a, now
-    zero off the pivot; the swaps are undone on the columns at the end."""
+    zero off the pivot; a row with f = 0 is only rescaled by pv / prev.  The
+    swaps are undone on the columns at the end."""
     m = [numerators(row) for row in a]
     swaps, prev = [], 1
     for k in range(len(m)):
@@ -125,10 +126,12 @@ def _inverse(a) -> tuple[IntMatrix, int]:
         prow, c = m[k]
         pv = prow[k]
         for row, _ in m:
-            if row is not prow:
-                f = row[k]
+            f = row[k]
+            if f and row is not prow:
                 row[:] = [(x * pv - f * y) // prev for x, y in zip(row, prow)]
                 row[k] = -f * c
+            elif not f and pv != prev:
+                row[:] = [x * pv // prev for x in row]
         prow[k] = prev * c
         prev = pv
     for k, p in reversed(swaps):

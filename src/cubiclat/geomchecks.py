@@ -12,11 +12,11 @@ forbidden determinant.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from . import catalog
 from .core import (IntegralLattice, LatticeError, _coords, _gram_product,
@@ -30,8 +30,7 @@ from .shortvec import enumerate_by_norm, vectors_of_norm
 RULES = ("R1", "R2", "R3", "R4")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule: str
     witness: tuple[int, ...]
     data: dict

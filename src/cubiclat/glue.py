@@ -10,9 +10,9 @@ checked here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from . import exact
 from .core import (
@@ -45,8 +45,7 @@ def _closure(generators, factors) -> frozenset:
     return frozenset(elems)
 
 
-@dataclass(frozen=True)
-class GlueSubgroup:
+class GlueSubgroup(NamedTuple):
     """An isotropic subgroup of a discriminant form with chosen generator lifts.
 
     ``elements`` are coefficient tuples with respect to the canonical
@@ -102,8 +101,7 @@ def isotropic_elements(form: FiniteQuadraticForm) -> list[tuple[int, ...]]:
             and (form.q(e) if even else form.bilinear(e, e)) == 0]
 
 
-@dataclass(frozen=True)
-class Overlattice:
+class Overlattice(NamedTuple):
     """A finite-index extension of an ambient lattice.
 
     ``basis[i]`` holds the rational ambient-basis coordinates of the i-th

@@ -9,10 +9,10 @@ v = sum x_i alpha_i + s beta + t gamma the span <eta, v> has discriminant
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 from operator import mul
+from typing import NamedTuple
 
 from . import catalog
 from .core import (NoRepresentation, NotAHassettDiscriminant, combine,
@@ -61,8 +61,7 @@ def is_admissible(d: int) -> bool:
     return d > 6 and d % 6 in (0, 2)
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(NamedTuple):
     """A verified discriminant-d labeling: v spans with eta a primitive rank-2
     sublattice of N of determinant d."""
     d: int
@@ -72,8 +71,8 @@ class Labeling:
 
 def _minus(a, *labels):
     """The class a minus the basis classes of N with the given labels."""
-    return tuple(x - sum(catalog.n_class(lab)[k] for lab in labels)
-                 for k, x in enumerate(a))
+    return combine((1,) + (-1,) * len(labels),
+                   (a, *map(catalog.n_class, labels)))
 
 
 @lru_cache(maxsize=None)
@@ -81,7 +80,8 @@ def _frame_vectors():
     """N, eta, y, (alpha_1, alpha_3, alpha_5, alpha_7), beta and gamma."""
     eta, y = catalog.n_class("eta"), catalog.n_class("y")
     alphas = tuple(catalog.m_basis_in_N()[1:8:2])
-    beta = _minus(tuple(e - p for e, p in zip(eta, catalog.p_in_N())), "F9")
+    beta = combine((1, -1, -1),
+                   (eta, catalog.p_in_N(), catalog.n_class("F9")))
     gamma = _minus(y, "F5", "F6", "F7", "F8", "F9")
     return catalog.plane_lattice_N(), eta, y, alphas, beta, gamma
 

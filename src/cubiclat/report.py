@@ -2,10 +2,9 @@
 from __future__ import annotations
 
 import functools
-import inspect
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 def jsonable(value):
@@ -26,8 +25,7 @@ def jsonable(value):
     return str(value)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Result of one scripted certificate.
 
     ``claim`` states, in self-contained terms, what a passing run certifies;
@@ -62,17 +60,18 @@ def certificate(check_id: str, summary: str, claim: str):
     ``summary``; nothing is registered here (``checks.REGISTRY`` lists them).
     """
     def declare(body):
-        signature = inspect.signature(body)
+        # bodies take plain positional-or-keyword parameters only
+        names = body.__code__.co_varnames[:body.__code__.co_argcount]
+        defaults = dict(zip(reversed(names), reversed(body.__defaults__ or ())))
 
         @functools.wraps(body)
         def run(*args, **kwargs) -> CheckReport:
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
             t0 = time.perf_counter()
             ok, details = body(*args, **kwargs)
             elapsed = int(round((time.perf_counter() - t0) * 1000))
+            arguments = {**defaults, **dict(zip(names, args)), **kwargs}
             return CheckReport(check_id=check_id,
-                               claim=claim.format(**bound.arguments),
+                               claim=claim.format_map(arguments),
                                status="pass" if ok else "fail",
                                details=details, elapsed_ms=elapsed)
 

@@ -25,21 +25,20 @@ signs counted, raises TooManyVectors.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul, sub
+from typing import NamedTuple
 
 from .core import (ENUMERATION_GUARD, IndefiniteLattice, IntegralLattice,
                    NotRootGenerated, TooManyVectors)
 from . import exact
 
 
-@dataclass
-class NormSlice:
+class NormSlice(NamedTuple):
     """All vectors of one exact norm; both sign partners are listed."""
     norm: Fraction | int
-    vectors: list[tuple[int, ...]] = field(default_factory=list)
+    vectors: list[tuple[int, ...]]
     negated: bool = False
 
 

@@ -10,8 +10,8 @@ from click.testing import CliRunner
 
 from cubiclat import catalog, checks, geomchecks
 from cubiclat.checks import UnknownCheck, run_checks
-from cubiclat.cli import main
-from cubiclat.core import Signature, lattice_to_json
+from cubiclat.cli import lattice_to_json, main
+from cubiclat.core import Signature
 from cubiclat.report import certificate, jsonable
 
 FAST = ["K.d9", "M.gram", "N.gram"]

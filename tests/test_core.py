@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from cubiclat import catalog, core, exact
+from cubiclat.cli import lattice_from_json, lattice_to_json
 from cubiclat.core import (
     DegenerateLattice,
     DependentSpan,
@@ -23,8 +24,6 @@ from cubiclat.core import (
     discriminant_form,
     discriminant_group,
     divisibility,
-    lattice_from_json,
-    lattice_to_json,
     orthogonal_complement,
     rescale,
     saturation,

@@ -154,13 +154,13 @@ def test_admissible_ds_label_in_order():
 
 
 def test_hassett_sweep_report():
-    rep = hassett_sweep(100)
-    assert rep.ok
-    assert rep.check_id == "hassett.sweep"
-    # the claim is formatted with the call's own bound
-    assert rep.claim.startswith("every admissible discriminant d <= 100 (")
-    assert rep.details["failures"] == []
-    assert rep.details["labeled"] == rep.details["admissible"] == 31
+    # the claim is formatted with the call's own bound, passed either way
+    for rep in (hassett_sweep(100), hassett_sweep(d_max=100)):
+        assert rep.ok
+        assert rep.check_id == "hassett.sweep"
+        assert rep.claim.startswith("every admissible discriminant d <= 100 (")
+        assert rep.details["failures"] == []
+        assert rep.details["labeled"] == rep.details["admissible"] == 31
 
 
 def test_sweep_fails_on_wrong_saturation_under_optimize(run_optimized):

@@ -90,3 +90,18 @@ def test_every_imported_name_is_read():
                     unread.append(f"{path.name}:{node.lineno}:{name}")
     assert MODULES
     assert not unread, unread
+
+
+def test_library_imports_no_dataclasses_inspect_or_json(run_optimized):
+    # records are NamedTuples and claims bind from the code object, so the
+    # library loads none of these heavy modules (json is the CLI's alone);
+    # modules already loaded at start-up do not count
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import cubiclat.checks, cubiclat.shortvec, cubiclat.hassett, "
+        "cubiclat.core\n"
+        "print(*sorted(set(sys.modules) - before))\n")
+    added = set(run_optimized(script).split())
+    assert "cubiclat.checks" in added
+    assert not added & {"dataclasses", "inspect", "json"}, added
