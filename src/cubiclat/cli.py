@@ -1,5 +1,7 @@
 """Command-line front end: run certificates, inspect lattices, run sweeps.
 
+``checks run``, ``hassett sweep`` and ``delpezzo verify`` print their reports
+through ``_emit_reports``, as JSON lines with --json or as status lines.
 Exit codes: 0 when everything requested passed, 1 when any certificate
 failed, 2 for usage errors (unknown check ids, unresolvable targets, parse
 failures).
@@ -201,17 +203,7 @@ def hassett_group():
 @click.option("--json", "as_json", is_flag=True, help="Emit the JSON report.")
 def hassett_sweep_cmd(dmax: int, as_json: bool):
     """Label every admissible discriminant up to --dmax and verify it."""
-    report = hassett.hassett_sweep(dmax)
-    if as_json:
-        click.echo(json.dumps(report.to_json(), sort_keys=True))
-    else:
-        d = report.details
-        click.echo(f"admissible discriminants <= {dmax}: {d['admissible']}, "
-                   f"labeled and verified: {d['labeled']}")
-        if d["failures"]:
-            click.echo(f"failures: {d['failures']}")
-        click.echo(f"{report.status} ({report.elapsed_ms} ms)")
-    sys.exit(0 if report.ok else 1)
+    sys.exit(_emit_reports([hassett.hassett_sweep(dmax)], as_json))
 
 
 @main.group("delpezzo")
@@ -223,15 +215,4 @@ def delpezzo_group():
 @click.option("--json", "as_json", is_flag=True, help="Emit the JSON report.")
 def delpezzo_verify(as_json: bool):
     """Check the 27/72/36 counts and the intersection table by brute force."""
-    report = delpezzo.intersection_lemma_verify()
-    if as_json:
-        click.echo(json.dumps(report.to_json(), sort_keys=True))
-    else:
-        d = report.details
-        click.echo(f"lines: {d['lines']}  sixers: {d['sixers']}  "
-                   f"double sixes: {d['double_sixes']}")
-        click.echo(f"pairs: {d['pairs']}  products: {d['distribution']}")
-        click.echo(f"syzygetic root pairings: {d['syzygetic_pairings']}  "
-                   f"root span: {d['root_span']}")
-        click.echo(f"{report.status} ({report.elapsed_ms} ms)")
-    sys.exit(0 if report.ok else 1)
+    sys.exit(_emit_reports([delpezzo.intersection_lemma_verify()], as_json))

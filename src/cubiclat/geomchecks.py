@@ -359,11 +359,11 @@ def scroll_screen():
                 row["divisibility"] = div
                 ok = ok and norm == 6 and div == 3 and k.pair(v, eta) == 0
         else:
-            norms = sorted({sl.norm for sl in
-                            enumerate_by_norm(comp.lattice, 6)})
+            slices = enumerate_by_norm(comp.lattice, 6)
+            norms = [sl.norm for sl in slices]
             row["kind"] = "none"
             row["complement_norms_to_6"] = norms
-            longs = [w for w in vectors_of_norm(comp.lattice, 6)
+            longs = [w for sl in slices if sl.norm == 6 for w in sl.vectors
                      if divisibility(comp.lattice, w) == 3]
             ok = ok and 2 not in norms and not longs
         rows[str(tau)] = row

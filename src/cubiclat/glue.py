@@ -114,9 +114,7 @@ class Overlattice(NamedTuple):
 
     def from_ambient(self, w) -> tuple[int, ...]:
         """Coordinates in the extension basis of a rational ambient vector."""
-        bt = [[self.basis[a][i] for a in range(len(self.basis))]
-              for i in range(self.ambient.rank)]
-        c = exact.solve_exact(bt, [Fraction(x) for x in w])
+        c = exact.solve_exact(list(zip(*self.basis)), [Fraction(x) for x in w])
         if any(x.denominator != 1 for x in c):
             raise ValueError("vector does not lie in the overlattice")
         return tuple(int(x) for x in c)

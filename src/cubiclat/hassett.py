@@ -95,28 +95,19 @@ def _four_squares_even(m: int) -> tuple[int, int, int, int]:
     return next(r for r in _square_reps(m) if any(c % 2 == 0 for c in r))
 
 
-def _witness_rank0(k: int) -> tuple[int, int, int, int, int]:
-    """(x1, x3, x5, x7, t) with k = 2(x1^2+..+x7^2) + 3t^2 for the eta-degree-0
-    branch; a unit leading coordinate keeps the frame vector primitive."""
-    if k % 2 == 0:
-        if k == 2:
-            return (1, 0, 0, 0, 0)
-        x3, x5, x7, t = ramanujan_rep(k - 2)
-        return (1, x3, x5, x7, t)
-    x1, x3, x5, x7 = four_squares((k - 3) // 2)
-    return (x1, x3, x5, x7, 1)
+def _witness(n: int, s: int) -> tuple[int, int, int, int, int]:
+    """(x1, x3, x5, x7, t) with n = 2(x1^2+..+x7^2) + 3t^2 for the
+    eta-degree-s branch (s = 0 or 1), keeping the frame vector primitive.
 
-
-def _witness_rank1(n: int) -> tuple[int, int, int, int, int]:
-    """(x1, x3, x5, x7, t) with n = 2(x1^2+..+x7^2) + 3t^2 for the eta-degree-1
-    branch.  Here primitivity needs t odd or some x_i even: with s = 1 the
-    frame coordinates are x_i + 1 and t, so an all-odd x with even t lands in
-    2N + eta."""
+    Odd n takes t = 1 (Lagrange).  With s = 1 the frame coordinates are
+    x_i + 1 and t, so even n needs an even x_i: an all-odd x with even t
+    lands in 2N + eta.  With s = 0 a unit x1 keeps it primitive and
+    ``ramanujan_rep`` gives the rest."""
     if n % 2 == 1:
-        x1, x3, x5, x7 = four_squares((n - 3) // 2)
-        return (x1, x3, x5, x7, 1)
-    x1, x3, x5, x7 = _four_squares_even(n // 2)
-    return (x1, x3, x5, x7, 0)
+        return (*four_squares((n - 3) // 2), 1)
+    if s == 1:
+        return (*_four_squares_even(n // 2), 0)
+    return (1, *ramanujan_rep(n - 2)) if n > 2 else (1, 0, 0, 0, 0)
 
 
 def labeling_for_d(d: int) -> Labeling:
@@ -135,13 +126,9 @@ def labeling_for_d(d: int) -> Labeling:
         witness = "y-F2-F4-F6-F8"
     else:
         k, r = divmod(d, 6)
-        if r == 0:
-            s = 0
-            x1, x3, x5, x7, t = _witness_rank0(k)
-        else:
-            s = 1
-            x1, x3, x5, x7, t = _witness_rank1(k - 1)
-        witness = (x1, x3, x5, x7, s, t)
+        s = r // 2
+        *xs, t = _witness(k - s, s)
+        witness = (*xs, s, t)
         v = combine(witness, (*alphas, beta, gamma))
 
     gv = n.dual_pairings(v)

@@ -55,23 +55,18 @@ def certificate(check_id: str, summary: str, claim: str):
     """Declare a certificate: the decorated function returns (ok, details),
     and calling it times that body and returns its ``CheckReport``.
 
-    ``claim`` is formatted with the call's arguments, defaults applied (so a
-    literal brace is written doubled).  The function carries ``check_id`` and
-    ``summary``; nothing is registered here (``checks.REGISTRY`` lists them).
+    ``claim`` is formatted with ``details`` (so a literal brace is written
+    doubled).  The function carries ``check_id`` and ``summary``; nothing is
+    registered here (``checks.REGISTRY`` lists them).
     """
     def declare(body):
-        # bodies take plain positional-or-keyword parameters only
-        names = body.__code__.co_varnames[:body.__code__.co_argcount]
-        defaults = dict(zip(reversed(names), reversed(body.__defaults__ or ())))
-
         @functools.wraps(body)
         def run(*args, **kwargs) -> CheckReport:
             t0 = time.perf_counter()
             ok, details = body(*args, **kwargs)
             elapsed = int(round((time.perf_counter() - t0) * 1000))
-            arguments = {**defaults, **dict(zip(names, args)), **kwargs}
             return CheckReport(check_id=check_id,
-                               claim=claim.format_map(arguments),
+                               claim=claim.format_map(details),
                                status="pass" if ok else "fail",
                                details=details, elapsed_ms=elapsed)
 

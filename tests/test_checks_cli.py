@@ -127,6 +127,15 @@ def test_cli_checks_run_reports_failure(monkeypatch):
     assert "details" in result.output
 
 
+def test_claim_is_formatted_from_the_details():
+    # the claim names a details key, not a parameter of the body
+    @certificate("tmp.count", "counts", "n is {n}")
+    def count():
+        return True, {"n": 3}
+
+    assert count().claim == "n is 3"
+
+
 def test_jsonable_writes_a_named_tuple_as_a_list():
     # a NamedTuple is a tuple, so it serializes as a sequence
     assert jsonable(Signature(10, 2)) == [10, 2]
@@ -319,8 +328,10 @@ def test_cli_lat_show_unknown_target():
 def test_cli_hassett_sweep():
     result = CliRunner().invoke(main, ["hassett", "sweep", "--dmax", "30"])
     assert result.exit_code == 0
-    assert "admissible discriminants <= 30: 8" in result.output
-    assert "labeled and verified: 8" in result.output
+    line, *rest = result.output.splitlines()
+    assert line.startswith("pass hassett.sweep")
+    assert "every admissible discriminant d <= 30 (d > 6" in line
+    assert rest == ["1 checks: 1 passed, 0 failed"]
 
 
 @pytest.mark.parametrize("dmax", ["-5", "0"])
@@ -331,17 +342,20 @@ def test_cli_hassett_sweep_rejects_dmax_below_8(dmax):
 
 def test_cli_hassett_sweep_json():
     result = CliRunner().invoke(
-        main, ["hassett", "sweep", "--dmax", "20", "--json"])
+        main, ["hassett", "sweep", "--dmax", "30", "--json"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["check_id"] == "hassett.sweep"
     assert payload["status"] == "pass"
+    assert payload["details"]["labeled"] == 8
 
 
 def test_cli_delpezzo_verify():
     result = CliRunner().invoke(main, ["delpezzo", "verify"])
     assert result.exit_code == 0
-    assert "lines: 27  sixers: 72  double sixes: 36" in result.output
+    line = result.output.splitlines()[0]
+    assert line.startswith("pass delpezzo.lemma")
+    assert "27 lines, 72 sixers and 36 double sixes" in line
 
 
 def _golden_lines(output: str) -> str:

@@ -154,7 +154,7 @@ def test_admissible_ds_label_in_order():
 
 
 def test_hassett_sweep_report():
-    # the claim is formatted with the call's own bound, passed either way
+    # the claim is formatted from details' d_max, the bound passed either way
     for rep in (hassett_sweep(100), hassett_sweep(d_max=100)):
         assert rep.ok
         assert rep.check_id == "hassett.sweep"

@@ -92,8 +92,23 @@ def test_every_imported_name_is_read():
     assert not unread, unread
 
 
+def test_reports_are_serialized_only_by_the_cli_emitter():
+    # every command prints its reports through cli._emit_reports, so no
+    # other package code calls .to_json()
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in MODULES}
+    emit = next(node for node in trees["cli.py"].body
+                if getattr(node, "name", None) == "_emit_reports")
+    calls = [(name, node.lineno) for name, tree in trees.items()
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "to_json"]
+    assert calls and all(
+        name == "cli.py" and emit.lineno <= line <= emit.end_lineno
+        for name, line in calls), calls
+
+
 def test_library_imports_no_dataclasses_inspect_or_json(run_optimized):
-    # records are NamedTuples and claims bind from the code object, so the
+    # records are NamedTuples and claims are formatted from details, so the
     # library loads none of these heavy modules (json is the CLI's alone);
     # modules already loaded at start-up do not count
     script = (
