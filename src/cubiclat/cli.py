@@ -50,7 +50,8 @@ def _emit_reports(reports: list[CheckReport], as_json: bool) -> int:
                        f"{r.claim}")
             if not r.ok:
                 click.echo(f"     details: {jsonable(r.details)}")
-        click.echo(f"{len(reports)} checks: {len(reports) - len(failed)} "
+        noun = "check" if len(reports) == 1 else "checks"
+        click.echo(f"{len(reports)} {noun}: {len(reports) - len(failed)} "
                    f"passed, {len(failed)} failed")
     return 1 if failed else 0
 

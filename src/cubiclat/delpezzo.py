@@ -157,12 +157,15 @@ def intersection_lemma_verify():
     negation_closed = all(tuple(-c for c in r) in roots for r in roots)
     dsx = double_sixes()
 
+    # C.C' and (alpha, beta) for every sixer pair, one table each
+    cubic_gram = gram_of(lat.gram, [s.cubic for s in sxs])
+    root_gram = gram_of(lat.gram, [s.root for s in sxs])
     distribution: Counter[int] = Counter()
     even_pairings: set[int] = set()
     for i in range(len(sxs)):
         for j in range(i + 1, len(sxs)):
-            m = lat.pair(sxs[i].cubic, sxs[j].cubic)
-            p = lat.pair(sxs[i].root, sxs[j].root)
+            m = cubic_gram[i][j]
+            p = root_gram[i][j]
             double = sxs[j].root == tuple(-c for c in sxs[i].root)
             cases = {2: p == -1, 3: p % 2 == 0 and not double,
                      4: p == 1, 5: double}

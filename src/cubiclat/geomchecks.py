@@ -1,7 +1,7 @@
 """Vector-level certificates: plane enumeration, admissibility rules, the
-saturation argument over the 511 index-2 extensions (one coset scan per S_9
-orbit, the symmetry read off N's Gram), scroll root screens, and the parity
-arguments.
+saturation argument over the 511 index-2 extensions (one extension glued and
+scanned per S_9 orbit, the symmetry read off N's Gram), scroll root screens,
+and the parity arguments.
 
 A lattice bundled with a distinguished norm-3 class eta is "admissible" when
 it could be the algebraic lattice of a smooth cubic: no odd-norm class
@@ -22,6 +22,7 @@ from . import catalog
 from .core import (IntegralLattice, LatticeError, _coords, _gram_product,
                    combine, discriminant_group, divisibility, gram_of,
                    orthogonal_complement)
+from .glue import glue_subgroup, overlattice_from_glue
 from .hassett import is_admissible
 from .report import certificate
 from .shortvec import enumerate_by_norm, vectors_of_norm
@@ -117,63 +118,6 @@ def admissibility_scan(L: IntegralLattice, eta,
     return None
 
 
-def coset_rule(L: IntegralLattice, eta, lift2) -> str | None:
-    """The rule ``admissibility_scan(..., norm_bound=3)`` reports for the
-    index-2 extension E = L + (lam + L), read off the coset lam + L alone;
-    None when E passes.
-
-    ``lift2`` is the doubled lift 2 lam, an integer vector with an odd
-    coordinate, so lam has order 2 modulo L; lam must be a dual vector of
-    integral norm (even pairings, norm of lift2 divisible by 4, else
-    ValueError), so E is integral (Nikulin 1979).  Premise, which the caller
-    checks: L itself passes ``admissibility_scan(L, eta, norm_bound=3)``.
-    Then no vector of L can make E fail first at bound 3:
-      * R1 and R2 judge a vector of L the same way in E as in L;
-      * R3 needs norm 6, beyond the bound;
-      * R4: for u in L of norm <= 3, span(eta, u) = 3 u.u - (eta.u)^2 <= 9,
-        so L passing forces d_L(u) in {0, 8}, and 8 needs u.u = 3,
-        eta.u = +-1 and <eta, u> saturated in L.  Saturating in E instead
-        adds index 1 or 2, dividing d by 1 or 4; d = 2 needs lam + L to
-        meet Q<eta, u>, and of the three new classes eta/2, u/2 and
-        (eta +- u)/2 only the last has integral norm, 2 for one sign, so
-        R1 or R2 fires before R4.
-    So only the coset vectors w = x + lam of norm <= 3 matter, each found by
-    one enumeration centred at lift2 / 2 (Fincke-Pohst 1985) and kept
-    doubled, 2w = 2x + lift2 in L.  Saturation of <eta, w> in E has index
-    exactly 2 over its saturation in L, which contains 2w, so
-    d_E(w) = d_L(2w) / 4, with span(eta, 2w) = 12 w.w - (eta.2w)^2.  At this
-    bound R4 in fact never fires first: a w with an inadmissible d <= 18 has
-    eta.w = +-1 or +-2, and then eta -+ w or (eta +- w)/2 has norm 2.  R4 is
-    still tested, in the scan's order.
-    """
-    ec = _check_eta(L, eta)
-    lam2 = _coords(lift2, L.rank)
-    if not any(c % 2 for c in lam2):
-        raise ValueError("lift must have order 2 modulo the lattice")
-    if any(p % 2 for p in L.dual_pairings(lam2)) or L.norm(lam2) % 4:
-        raise ValueError("half the lift must be a dual vector of integral norm")
-    # eta.2w = 2 eta.x + eta.lift2; R1 reads odd-norm slices, R2 the norms
-    eta_dual = L.dual_pairings(ec)
-    eta_lam2 = sum(map(mul, eta_dual, lam2))
-    coset = enumerate_by_norm(L, 3, center=[Fraction(c, 2) for c in lam2])
-    if any(2 * sum(map(mul, eta_dual, x)) + eta_lam2 == 0
-           for sl in coset if sl.norm % 2 for x in sl.vectors):
-        return "R1"
-    if any(sl.norm == 2 for sl in coset):
-        return "R2"
-    for sl in coset:
-        for x in sl.vectors:
-            e2 = 2 * sum(map(mul, eta_dual, x)) + eta_lam2
-            w2 = tuple(2 * a + c for a, c in zip(x, lam2))
-            d, rem = divmod(_labeling_det(12 * sl.norm - e2 * e2, ec, w2), 4)
-            if rem:
-                raise LatticeError(f"labeling determinant {4 * d + rem} of 2w is "
-                                   "not divisible by 4; the extension is not integral")
-            if 0 < d <= 18 and not is_admissible(d):
-                return "R4"
-    return None
-
-
 def _plane_family():
     """eta, P, and F_1..F_9 as coordinate tuples in the plane lattice."""
     fs = [catalog.n_class(f"F{i}") for i in range(1, 10)]
@@ -239,11 +183,11 @@ def saturation_certificate():
 
     The discriminant group is (Z/2)^10 on the duals of eta and the fibre
     classes; a class is isotropic exactly when its support is even.  Each of
-    the 511 nonzero even-support classes yields an index-2 extension, which
-    the bound-3 admissibility scan rejects; the rule is read off one centred
-    enumeration of a coset (``coset_rule``; no overlattice is built), once
-    per support family, and the explicit rejecting class for each family is
-    re-verified for every class directly.
+    the 511 nonzero even-support classes lam yields an index-2 extension
+    E = N + (lam + N) (Nikulin 1979), which the bound-3 admissibility scan
+    rejects; E is glued and scanned once per support family, and the
+    explicit rejecting class for each family is re-verified for every class
+    directly.
 
     One scan per family suffices because the families are the S_9 orbits.
     The body checks that N's Gram G is fixed by every permutation pi of the
@@ -251,23 +195,17 @@ def saturation_certificate():
     and y, whose coordinates 0 and 1 never move.  P G P^T = G gives
     P G^-1 P^T = G^-1, so pi carries the doubled dual class of each F_i to
     that of pi(F_i), and S_9, transitive on the k-subsets of {F_1..F_9},
-    moves each class through exactly its family.  Such an isometry maps the
-    coset lam + N onto pi(lam) + N, keeping every norm and every pairing
-    with eta, which is all that R1 and R2 read; R4's gcd of the minors of
-    (eta, 2w) is unchanged too, since eta = e_0, pi fixes coordinate 0 and
-    permutes the others, so the minors are only permuted.  So
-    ``coset_rule`` is constant on each family.
+    moves each class through exactly its family.  An isometry of N fixing
+    eta carries E_lam onto E_pi(lam) and fixes eta, so the scan's rule is
+    constant on each family.
     """
     n, eta, p, fs = _plane_family()
     # dual2[0] = 2 eta*, dual2[i] = 2 F_i*: columns of 2 G^-1
-    _, dual2, independent = catalog.n_dual_classes()
+    form, dual2, independent = catalog.n_dual_classes()
     family_scan = {}
     supports: Counter = Counter()
     scan_rules: Counter = Counter()
     problems = []
-    # coset_rule's premise: N itself passes the bound-3 scan
-    if admissibility_scan(n, eta, norm_bound=3) is not None:
-        problems.append({"class": (), "error": "scan flagged N itself"})
     if not _s9_symmetric(n.gram):
         problems.append({"class": (), "error": "Gram not S_9-symmetric"})
     # the norm of a subset sum of dual2 is the sum of its block of this Gram
@@ -286,7 +224,11 @@ def saturation_certificate():
             # of norm at most 3 (witness table below); the family's first
             # class stands for its orbit
             if key not in family_scan:
-                family_scan[key] = coset_rule(n, eta, lift2)
+                ext = overlattice_from_glue(n, glue_subgroup(
+                    form, [[Fraction(c, 2) for c in lift2]]))
+                hit = admissibility_scan(ext.lattice, ext.from_ambient(eta),
+                                         norm_bound=3)
+                family_scan[key] = hit and hit.rule
             rule = family_scan[key]
             if rule is None:
                 problems.append({"class": symbols, "error": "scan passed"})

@@ -1,15 +1,15 @@
 """Oracles that only tests use: glue generators (no certificate enumerates
-overlattices; ``geomchecks.coset_rule`` reads index-2 cosets directly), the
+overlattices; ``sat.511`` glues one index-2 extension per S_9 orbit), the
 Fraction lift of a discriminant class, the pairing of two rational vectors
 (the package pairs order-2 classes as doubled integer lifts), the ambient
 coordinates of an overlattice vector, N's Gram and inverse by hand, a
 reference Smith normal form, the separate four-square and
 2x^2+2y^2+2z^2+3u^2 search loops that ``hassett._square_reps`` replaces,
-the one-scan-per-class form of ``sat.511``, which the certificate replaces by
-one scan per S_9 orbit, Milgram's formula as a check across the discriminant
-form, group and signature, and the p-elementary hyperbolic existence table,
-which tests hold against direct sums of standard pieces, and the plain
-matrix product and transpose that the package does without."""
+the one-extension-per-class form of ``sat.511``, which the certificate
+replaces by one extension per S_9 orbit, Milgram's formula as a check across
+the discriminant form, group and signature, and the p-elementary hyperbolic
+existence table, which tests hold against direct sums of standard pieces,
+and the plain matrix product and transpose that the package does without."""
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -21,9 +21,10 @@ from cubiclat.core import (FiniteQuadraticForm,
                            _coords, _gram_product, discriminant_form,
                            discriminant_group, signature_of_gram)
 from cubiclat.exact import _xgcd, bareiss, identity, numerators
-from cubiclat.geomchecks import coset_rule
+from cubiclat.geomchecks import admissibility_scan
 from cubiclat.glue import (GlueSubgroup, Overlattice, _closure,
-                           isotropic_elements, overlattice_from_glue)
+                           glue_subgroup, isotropic_elements,
+                           overlattice_from_glue)
 
 
 def transpose(a):
@@ -327,12 +328,13 @@ def ramanujan_rep(n: int) -> tuple[int, int, int, int]:
 
 
 def coset_rules_by_class() -> dict[tuple[int, ...], tuple[str, str | None]]:
-    """(support family, ``coset_rule``) for each of the 511 isotropic classes
-    of A_N, one centred coset scan per class, keyed by the class's symbols
-    (0 for eta*, i for F_i*) in the order ``sat.511`` meets them."""
+    """(support family, bound-3 scan rule) for each of the 511 isotropic
+    classes lam of A_N, one glued extension N + (lam + N) per class, keyed by
+    the class's symbols (0 for eta*, i for F_i*) in the order ``sat.511``
+    meets them."""
     n = catalog.plane_lattice_N()
     eta = catalog.n_class("eta")
-    _, dual2, _ = catalog.n_dual_classes()
+    form, dual2, _ = catalog.n_dual_classes()
     out = {}
     for size in range(1, 11):
         for symbols in combinations(range(10), size):
@@ -341,5 +343,9 @@ def coset_rules_by_class() -> dict[tuple[int, ...], tuple[str, str | None]]:
                 continue
             fibres = len(symbols) - (0 in symbols)
             key = f"eta+{fibres}F" if 0 in symbols else f"{fibres}F"
-            out[symbols] = key, coset_rule(n, eta, lift2)
+            ext = overlattice_from_glue(
+                n, glue_subgroup(form, [[Fraction(c, 2) for c in lift2]]))
+            hit = admissibility_scan(ext.lattice, ext.from_ambient(eta),
+                                     norm_bound=3)
+            out[symbols] = key, hit and hit.rule
     return out

@@ -87,7 +87,10 @@ def test_cli_checks_run_single():
     result = CliRunner().invoke(main, ["checks", "run", "--name", "N.gram"])
     assert result.exit_code == 0
     assert "pass" in result.output
-    assert "1 checks: 1 passed, 0 failed" in result.output
+    assert "1 check: 1 passed, 0 failed" in result.output
+    two = CliRunner().invoke(
+        main, ["checks", "run", "--name", "N.gram", "--name", "M.gram"])
+    assert two.output.splitlines()[-1] == "2 checks: 2 passed, 0 failed"
 
 
 def test_cli_checks_run_json_sorted():
@@ -331,7 +334,7 @@ def test_cli_hassett_sweep():
     line, *rest = result.output.splitlines()
     assert line.startswith("pass hassett.sweep")
     assert "every admissible discriminant d <= 30 (d > 6" in line
-    assert rest == ["1 checks: 1 passed, 0 failed"]
+    assert rest == ["1 check: 1 passed, 0 failed"]
 
 
 @pytest.mark.parametrize("dmax", ["-5", "0"])

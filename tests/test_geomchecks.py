@@ -7,14 +7,12 @@ from fractions import Fraction
 import pytest
 
 from cubiclat import catalog, geomchecks
-from cubiclat.core import (IntegralLattice, LatticeError,
-                           discriminant_bilinear_form)
+from cubiclat.core import IntegralLattice, LatticeError
 from cubiclat.geomchecks import (
     RULES,
     Violation,
     _labeling_det,
     admissibility_scan,
-    coset_rule,
     enumerate_planes,
     no_plane_order3_certificate,
     oadp_certificate,
@@ -23,9 +21,8 @@ from cubiclat.geomchecks import (
     scroll_screen,
     trivial_rationality_certificate,
 )
-from cubiclat.glue import glue_subgroup, overlattice_from_glue
 from cubiclat.shortvec import enumerate_by_norm
-from oracles import coset_rules_by_class, pair_rational
+from oracles import coset_rules_by_class
 
 ETA = (1,) + (0,) * 10
 
@@ -133,14 +130,6 @@ def test_saturation_certificate():
     assert sum(d["families"].values()) == 511
 
 
-def _overlattice_rule(L, eta, lift):
-    """Oracle for coset_rule: build the index-2 overlattice and scan it."""
-    ext = overlattice_from_glue(
-        L, glue_subgroup(discriminant_bilinear_form(L), [lift]))
-    hit = admissibility_scan(ext.lattice, ext.from_ambient(eta), norm_bound=3)
-    return hit and hit.rule
-
-
 # one class per support family of A_N: symbol 0 is eta*, symbol i is F_i*
 FAMILY_REPRESENTATIVES = {
     "2F": (1, 2), "4F": (1, 2, 3, 4), "6F": (1, 2, 3, 4, 5, 6),
@@ -150,63 +139,15 @@ FAMILY_REPRESENTATIVES = {
 }
 
 
-@pytest.mark.parametrize("family", sorted(FAMILY_REPRESENTATIVES))
-def test_coset_rule_matches_overlattice_scan(family):
-    n = catalog.plane_lattice_N()
-    ginv = n.inverse_gram
-    symbols = FAMILY_REPRESENTATIVES[family]
-    lift = tuple(sum(ginv[i][1 + s if s else 0] for s in symbols)
-                 for i in range(n.rank))
-    assert pair_rational(n, lift, lift).denominator == 1
-    rule = coset_rule(n, ETA, [2 * c for c in lift])
-    assert rule in ("R1", "R2")
-    assert rule == _overlattice_rule(n, ETA, lift)
-
-
 def test_coset_rule_is_constant_on_each_support_family():
-    # the direct evidence for the orbit argument of sat.511: one scan per
-    # class gives each class its family representative's rule
+    # the direct evidence for the orbit argument of sat.511: one glued
+    # extension and scan per class gives each class its family
+    # representative's rule
     rules = coset_rules_by_class()
     assert len(rules) == 511
     for symbols, (family, rule) in rules.items():
         assert rule == rules[FAMILY_REPRESENTATIVES[family]][1], symbols
     assert Counter(rule for _, rule in rules.values()) == {"R1": 240, "R2": 271}
-
-
-def test_coset_rule_r4_branch(monkeypatch):
-    # L passes the bound-3 scan; the class lam = (0, 1/2) has norm 1
-    L = IntegralLattice([[3, 2], [2, 4]])
-    eta, lam = (1, 0), (Fraction(0), Fraction(1, 2))
-    assert admissibility_scan(L, eta, norm_bound=3) is None
-    # the full coset holds eta - lam of norm 2, so R2 comes first
-    lam2 = (0, 1)
-    assert coset_rule(L, eta, lam2) == "R2" == _overlattice_rule(L, eta, lam)
-    # hand-built coset: its norm-1 slice alone, w = +-lam with eta.w = +-1;
-    # the saturation of <eta, w> in the extension has determinant 2
-    norm_one = [sl for sl in enumerate_by_norm(L, 3, center=lam) if sl.norm == 1]
-    assert norm_one[0].vectors == [(0, -1), (0, 0)]
-    monkeypatch.setattr(geomchecks, "enumerate_by_norm",
-                        lambda *args, **kwargs: norm_one)
-    assert coset_rule(L, eta, lam2) == "R4"
-
-
-def test_coset_rule_rejects_a_class_not_of_order_two():
-    # (0, 0) is twice the zero class
-    with pytest.raises(ValueError, match="order 2"):
-        coset_rule(IntegralLattice([[3, 2], [2, 4]]), (1, 0), (0, 0))
-    # the lift is passed doubled; an undoubled half-integer lift is rejected
-    with pytest.raises(ValueError, match="non-integral"):
-        coset_rule(IntegralLattice([[3, 2], [2, 4]]), (1, 0),
-                   (0, Fraction(1, 2)))
-
-
-def test_coset_rule_rejects_an_extension_that_is_not_a_lattice():
-    # lam = (1/2, 0) pairs to 3/2 with e_1: not a dual vector
-    with pytest.raises(ValueError, match="dual vector of integral norm"):
-        coset_rule(IntegralLattice([[3, 2], [2, 4]]), (1, 0), (1, 0))
-    # lam = (0, 1/2) is a dual vector of norm 1/2
-    with pytest.raises(ValueError, match="dual vector of integral norm"):
-        coset_rule(IntegralLattice([[3, 0], [0, 2]]), (1, 0), (0, 1))
 
 
 def test_labeling_det_raises_on_inconsistent_span():
@@ -240,17 +181,28 @@ def test_saturation_certificate_fails_without_coset_vectors(monkeypatch):
     assert {p["error"] for p in rep.details["problems"]} == {"scan passed"}
 
 
-def test_saturation_certificate_checks_its_premise(monkeypatch):
-    flagged = Violation("R2", (0,) * 11, {"norm": 2})
-    monkeypatch.setattr(geomchecks, "admissibility_scan",
-                        lambda *args, **kwargs: flagged)
-    # no coset vectors either, which keeps the run short
-    monkeypatch.setattr(geomchecks, "enumerate_by_norm",
-                        lambda *args, **kwargs: [])
-    rep = saturation_certificate()
-    assert rep.status == "fail"
-    assert rep.details["problems"][0] == {"class": (),
-                                          "error": "scan flagged N itself"}
+def test_saturation_certificate_scans_one_extension_per_family(monkeypatch):
+    # the S_9 orbit reduction: one glued extension per support family, each
+    # scanned once
+    glue = geomchecks.overlattice_from_glue
+    scan = geomchecks.admissibility_scan
+    glued, scanned = [], []
+
+    def counting_glue(L, H):
+        ext = glue(L, H)
+        glued.append(ext.lattice)
+        return ext
+
+    def counting_scan(L, eta, norm_bound=12):
+        scanned.append(L)
+        return scan(L, eta, norm_bound)
+
+    monkeypatch.setattr(geomchecks, "overlattice_from_glue", counting_glue)
+    monkeypatch.setattr(geomchecks, "admissibility_scan", counting_scan)
+    assert saturation_certificate().ok
+    assert len(glued) == 9
+    assert len(scanned) == 9
+    assert all(any(L is E for E in glued) for L in scanned)
 
 
 def test_saturation_certificate_fails_on_witness_outside(monkeypatch):
