@@ -78,15 +78,6 @@ def lat_group():
     """Inspect catalog lattices and JSON lattice files."""
 
 
-def lattice_to_json(L: IntegralLattice) -> str:
-    payload = {
-        "name": L.name or "",
-        "labels": list(L.labels),
-        "gram": [list(row) for row in L.gram],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 def lattice_from_json(text: str) -> IntegralLattice:
     data = json.loads(text)
     if not isinstance(data, dict):

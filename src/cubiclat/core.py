@@ -10,9 +10,7 @@ floats nowhere.
 
 Conventions:
   - discriminant quadratic values live in Q/2Z, reduced into [0, 2);
-  - discriminant bilinear values live in Q/Z, reduced into [0, 1);
-  - discriminant-group generator lifts are the unique dual-lattice
-    representatives with all coordinates in [0, 1).
+  - discriminant bilinear values live in Q/Z, reduced into [0, 1).
 """
 from __future__ import annotations
 
@@ -267,12 +265,11 @@ class FiniteQuadraticForm:
     value counts raise ParityError.
 
     A_L comes from the Smith form u G v = diag(d_i): ``factors`` are the
-    d_i > 1, ``lifts[i]`` (a generator in rational lattice-basis coordinates)
-    is column i of v over d_i with numerators mod d_i, and ``_u[i]`` is row i
-    of u, which reads a class off dual-basis coordinates.  |A_L| = |det L|, so
-    a unimodular lattice gets the trivial group without a Smith form.  The
-    pairings of the lifts are kept scaled to ints modulo 2 * ``_scale``, which
-    fixes b mod Z and q mod 2Z.
+    d_i > 1, generator i is the dual vector column i of v over d_i, and
+    ``_u[i]`` is row i of u, which reads a class off dual-basis coordinates.
+    |A_L| = |det L|, so a unimodular lattice gets the trivial group without a
+    Smith form.  The pairings of the generators are kept scaled to ints
+    modulo 2 * ``_scale``, which fixes b mod Z and q mod 2Z.
     """
 
     def __init__(self, L: IntegralLattice):
@@ -283,10 +280,8 @@ class FiniteQuadraticForm:
         self.lattice = L
         self.factors = factors = tuple(d[i][i] for i in kept)
         nums = [[row[i] % d[i][i] for row in v] for i in kept]
-        self.lifts = tuple(tuple(Fraction(x, f) for x in num)
-                           for num, f in zip(nums, factors))
         self._u = tuple(tuple(u[i]) for i in kept)
-        # all lifts over one common denominator den: pairings are x / den^2
+        # generators over one common denominator den: pairings are x / den^2
         den = lcm(*factors)
         lifts = [[x * (den // f) for x in num] for num, f in zip(nums, factors)]
         pair = gram_of(L.gram, lifts)
@@ -454,11 +449,9 @@ def direct_sum(*lattices: IntegralLattice) -> IntegralLattice:
     return IntegralLattice(gram, labels=labels, name=name)
 
 
-def _sublattice(L: IntegralLattice, basis, prefix: str) -> Sublattice:
-    """The sublattice of L on ``basis``, labelled prefix1, prefix2, ..."""
-    gram = gram_of(L.gram, basis)
-    sub = IntegralLattice(gram, labels=[f"{prefix}{i+1}" for i in range(len(basis))])
-    return Sublattice(sub, basis)
+def _sublattice(L: IntegralLattice, basis) -> Sublattice:
+    """The sublattice of L on ``basis``."""
+    return Sublattice(IntegralLattice(gram_of(L.gram, basis)), basis)
 
 
 def orthogonal_complement(L: IntegralLattice, vectors) -> Sublattice:
@@ -468,7 +461,7 @@ def orthogonal_complement(L: IntegralLattice, vectors) -> Sublattice:
     # the Gram is nondegenerate, so the constraints have the span's rank
     if len(basis) > L.rank - len(vs):
         raise DependentSpan("spanning vectors are linearly dependent")
-    return _sublattice(L, basis, "c")
+    return _sublattice(L, basis)
 
 
 def saturation(L: IntegralLattice, vectors) -> Sublattice:
@@ -480,6 +473,5 @@ def saturation(L: IntegralLattice, vectors) -> Sublattice:
     funcs = exact.integer_kernel(vs)
     if L.rank - len(funcs) < len(vs):
         raise DependentSpan("spanning vectors are linearly dependent")
-    basis = (exact.integer_kernel([list(f) for f in funcs]) if funcs
-             else exact.identity(L.rank))
-    return _sublattice(L, basis, "s")
+    basis = exact.integer_kernel(funcs) if funcs else exact.identity(L.rank)
+    return _sublattice(L, basis)

@@ -102,13 +102,13 @@ def isotropic_elements(form: FiniteQuadraticForm) -> list[tuple[int, ...]]:
 
 
 class Overlattice(NamedTuple):
-    """A finite-index extension of an ambient lattice.
+    """A finite-index extension of an ambient lattice L.
 
-    ``basis[i]`` holds the rational ambient-basis coordinates of the i-th
-    basis vector of the extension; ``index`` is the extension index.
+    ``basis[i]`` holds the rational L-basis coordinates of the i-th basis
+    vector of the extension, so the rank is ``len(basis)``; ``index`` is the
+    extension index.
     """
     lattice: IntegralLattice
-    ambient: IntegralLattice
     basis: tuple[tuple[Fraction, ...], ...]
     index: int
 
@@ -145,13 +145,13 @@ def overlattice_from_glue(L: IntegralLattice, H: GlueSubgroup) -> Overlattice:
                     f"({a},{b}) = {Fraction(scaled[a][b], den * den)}")
             row.append(num)
         gram.append(row)
-    out = IntegralLattice(gram, labels=[f"b{i+1}" for i in range(n)])
+    out = IntegralLattice(gram)
     if L.is_even and not out.is_even:
         raise NotIsotropic("even ambient glued by a non-isotropic class came out odd")
     if L.det != out.det * H.order ** 2:
         raise BadSplitting(f"det {L.det} != {out.det} * {H.order}^2 for the "
                            "overlattice of the glue subgroup")
-    return Overlattice(lattice=out, ambient=L, basis=basis, index=H.order)
+    return Overlattice(lattice=out, basis=basis, index=H.order)
 
 
 def glue_group(L: IntegralLattice, s1, s2) -> tuple[int, ...]:

@@ -34,6 +34,8 @@ def _square_reps(n: int, a: int = 1, b: int = 1):
             r2 = r1 - a * y * y
             for z in range(min(y, isqrt(r2 // a)), -1, -1):
                 r3 = r2 - a * z * z
+                if r3 % b:
+                    continue
                 u = isqrt(r3 // b)
                 if b * u * u == r3:
                     yield (x, y, z, u)

@@ -1,15 +1,19 @@
 """Oracles that only tests use: glue generators (no certificate enumerates
 overlattices; ``sat.511`` glues one index-2 extension per S_9 orbit), the
-Fraction lift of a discriminant class, the pairing of two rational vectors
-(the package pairs order-2 classes as doubled integer lifts), the ambient
-coordinates of an overlattice vector, N's Gram and inverse by hand, a
-reference Smith normal form, the separate four-square and
-2x^2+2y^2+2z^2+3u^2 search loops that ``hassett._square_reps`` replaces,
-the one-extension-per-class form of ``sat.511``, which the certificate
-replaces by one extension per S_9 orbit, Milgram's formula as a check across
-the discriminant form, group and signature, and the p-elementary hyperbolic
-existence table, which tests hold against direct sums of standard pieces,
-and the plain matrix product and transpose that the package does without."""
+Fraction lift of a discriminant class (the generator lifts are the unique
+dual-lattice representatives with all coordinates in [0, 1), read off a
+reference Smith form of the Gram), the pairing of two rational vectors (the
+package pairs order-2 classes as doubled integer lifts), the ambient
+coordinates of an overlattice vector, the JSON text of a lattice file (the
+package only reads them), N's Gram and inverse by hand, a reference Smith
+normal form, the separate four-square and 2x^2+2y^2+2z^2+3u^2 search loops
+that ``hassett._square_reps`` replaces, the one-extension-per-class form of
+``sat.511``, which the certificate replaces by one extension per S_9 orbit,
+Milgram's formula as a check across the discriminant form, group and
+signature, and the p-elementary hyperbolic existence table, which tests hold
+against direct sums of standard pieces, and the plain matrix product and
+transpose that the package does without."""
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -36,13 +40,22 @@ def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
+@lru_cache(maxsize=None)
+def _generator_lifts(gram) -> tuple[tuple[Fraction, ...], ...]:
+    """Column i of v over d_i, reduced into [0, 1), for each invariant factor
+    d_i > 1 of the Smith form u G v = diag(d_i), in the order of
+    ``FiniteQuadraticForm.factors``."""
+    d, _, v = smith_normal_form_reference([list(r) for r in gram])
+    return tuple(tuple(Fraction(row[i] % d[i][i], d[i][i]) for row in v)
+                 for i in range(len(gram)) if d[i][i] > 1)
+
+
 def lift(form: FiniteQuadraticForm, coeffs) -> tuple[Fraction, ...]:
-    """The dual vector sum c_i * lifts[i], reduced into [0, 1) componentwise."""
-    n = form.lattice.rank
-    acc = [Fraction(0)] * n
-    for c, g in zip(coeffs, form.lifts):
-        for i in range(n):
-            acc[i] += c * g[i]
+    """The dual vector sum c_i g_i over the generator lifts g_i, reduced into
+    [0, 1) componentwise."""
+    gens = _generator_lifts(form.lattice.gram)
+    acc = [sum((c * g[k] for c, g in zip(coeffs, gens)), Fraction(0))
+           for k in range(form.lattice.rank)]
     return tuple(x - x.__floor__() for x in acc)
 
 
@@ -58,9 +71,16 @@ def pair_rational(L: IntegralLattice, u, v) -> Fraction:
 def to_ambient(ext: Overlattice, v) -> tuple[Fraction, ...]:
     """Rational ambient-basis coordinates of the extension vector v; the
     inverse of ``Overlattice.from_ambient``."""
-    n = ext.ambient.rank
+    n = len(ext.basis)
     return tuple(sum(Fraction(v[a]) * ext.basis[a][i] for a in range(n))
                  for i in range(n))
+
+
+def lattice_json(L: IntegralLattice) -> str:
+    """L as the text of a lattice file that ``cli.lattice_from_json`` reads."""
+    return json.dumps({"name": L.name or "", "labels": list(L.labels),
+                       "gram": [list(row) for row in L.gram]},
+                      indent=2, sort_keys=True)
 
 
 ETA_F = [0] + list(range(2, 11))  # eta, F_1..F_9 in the (eta, y, F_i) basis

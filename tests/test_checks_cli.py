@@ -10,9 +10,10 @@ from click.testing import CliRunner
 
 from cubiclat import catalog, checks, geomchecks
 from cubiclat.checks import UnknownCheck, run_checks
-from cubiclat.cli import lattice_to_json, main
-from cubiclat.core import Signature
+from cubiclat.cli import main
+from cubiclat.core import Signature, direct_sum
 from cubiclat.report import certificate, jsonable
+from oracles import lattice_json
 
 FAST = ["K.d9", "M.gram", "N.gram"]
 REPO = Path(__file__).resolve().parents[1]
@@ -54,8 +55,8 @@ def test_run_checks_subset():
 def test_run_checks_unknown_id():
     with pytest.raises(UnknownCheck) as exc:
         run_checks(["N.gram", "bogus"])
-    assert exc.value.name == "bogus"
-    assert "N.gram" in exc.value.valid
+    assert "'bogus'" in str(exc.value)
+    assert "N.gram" in str(exc.value)
 
 
 def _without_elapsed(payloads) -> str:
@@ -155,6 +156,52 @@ def test_failing_admissibility_keeps_its_structured_witness(monkeypatch):
         "rule": "R2", "witness": [1, 0, 0], "data": {"norm": 2}}
 
 
+def _n_disc_with_eta_first(monkeypatch):
+    real = catalog.n_dual_classes
+
+    def swapped():
+        dg, dual2, independent = real()
+        return dg, [list(catalog.n_class("eta")), *dual2[1:]], independent
+    monkeypatch.setattr(catalog, "n_dual_classes", swapped)
+
+
+def _t_with_u2(monkeypatch):
+    monkeypatch.setattr(catalog, "transcendental_T", lambda: direct_sum(
+        catalog.standard("E8", 2), catalog.standard("A1"),
+        catalog.standard("A1", -1), catalog.standard("U", 2)))
+
+
+def _e8_2_as_e6_2(monkeypatch):
+    real = catalog.standard
+    monkeypatch.setattr(catalog, "standard", lambda name, scale=1: real(
+        "E6" if (name, scale) == ("E8", 2) else name, scale))
+
+
+# one mutated catalog builder per certificate, under which it must fail
+CONTROLS = {
+    "N.disc": _n_disc_with_eta_first,
+    "T.invariants": _t_with_u2,
+    "phi2.no-plane": _e8_2_as_e6_2,
+}
+CACHED_BUILDERS = (catalog.plane_lattice_N, catalog.kappa_tilde,
+                   catalog.prim_lattice_M, catalog.transcendental_T,
+                   catalog.k3_lattice)
+
+
+@pytest.mark.parametrize("check_id", sorted(CONTROLS))
+def test_certificate_fails_under_its_control(monkeypatch, check_id):
+    CONTROLS[check_id](monkeypatch)
+    try:
+        for builder in CACHED_BUILDERS:
+            builder.cache_clear()
+        assert run_checks([check_id])[0].status == "fail"
+    finally:
+        monkeypatch.undo()
+        for builder in CACHED_BUILDERS:
+            builder.cache_clear()
+    assert run_checks([check_id])[0].status == "pass"
+
+
 def test_cli_lat_show_catalog_entry():
     result = CliRunner().invoke(main, ["lat", "show", "M", "--invariants"])
     assert result.exit_code == 0
@@ -210,7 +257,7 @@ def test_cli_lat_show_vectors_rejects_indefinite():
 
 def test_cli_lat_show_file_target(tmp_path):
     path = tmp_path / "a2.json"
-    path.write_text(lattice_to_json(catalog.standard("A2")))
+    path.write_text(lattice_json(catalog.standard("A2")))
     result = CliRunner().invoke(main, ["lat", "show", str(path), "--invariants"])
     assert result.exit_code == 0
     assert "rank 2" in result.output
