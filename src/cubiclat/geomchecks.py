@@ -129,16 +129,11 @@ _FAMILY_COUNTS = {
     "2F": 36, "4F": 126, "6F": 84, "8F": 9, "eta+1F": 9,
     "eta+3F": 84, "eta+5F": 126, "eta+7F": 36, "eta+9F": 1,
 }
-_FAMILY_RULE = {
-    "2F": "R2", "4F": "R2", "6F": "R1", "8F": "R4", "eta+1F": "R2",
-    "eta+3F": "R4", "eta+5F": "R2", "eta+7F": "R1", "eta+9F": "R4",
-}
 
 
 def _family_witness(has_eta: bool, supp: tuple[int, ...], eta, p, fs):
     """Twice the explicit half-integer class rejecting this support family,
-    as an integer signed sum, with its claimed rule and the data the
-    rejection rests on.
+    as an integer signed sum.
 
     supp holds the 1-based F-indices in the class.
     """
@@ -146,21 +141,34 @@ def _family_witness(has_eta: bool, supp: tuple[int, ...], eta, p, fs):
     f_out = [fs[i - 1] for i in sorted(set(range(1, 10)) - set(supp))]
     if not has_eta:
         if len(supp) == 2:
-            return combine((1, 1), f_in), "R2", {"norm": 2}
+            return combine((1, 1), f_in)
         if len(supp) in (4, 6):
-            w2 = combine([(-1) ** k for k in range(len(supp))], f_in)
-            kind = "R1" if len(supp) == 6 else "R2"
-            return w2, kind, {"norm": 3 if kind == "R1" else 2}
-        return combine((1, 1), (p, f_out[0])), "R4", {"det": 2}
+            return combine([(-1) ** k for k in range(len(supp))], f_in)
+        return combine((1, 1), (p, f_out[0]))
     if len(supp) == 1:
-        return combine((1, 1), (eta, *f_in)), "R2", {"norm": 2}
+        return combine((1, 1), (eta, *f_in))
     if len(supp) == 3:
-        return combine((1,) * 4, (eta, *f_in)), "R4", {"det": 9}
+        return combine((1,) * 4, (eta, *f_in))
     if len(supp) == 5:
-        return combine((1, -1, -1, -1, -1, 1), (eta, p, *f_out)), "R2", {"norm": 2}
+        return combine((1, -1, -1, -1, -1, 1), (eta, p, *f_out))
     if len(supp) == 7:
-        return combine((1, -1, -1, -1), (eta, p, *f_out)), "R1", {"norm": 1}
-    return combine((1, -1), (eta, p)), "R4", {"det": 2}
+        return combine((1, -1, -1, -1), (eta, p, *f_out))
+    return combine((1, -1), (eta, p))
+
+
+def _witness_rule(norm: Fraction, degree: Fraction) -> str | None:
+    """The rule broken by a class of this norm and eta-degree: R2, then R1
+    (the two never both hold), then R4 on the span determinant; None if it
+    breaks none; no witness needs R3.  A span at most 18 over g^2 > 1 is at
+    most 4, so the saturation of an inadmissible span is inadmissible."""
+    if norm == 2:
+        return "R2"
+    if norm % 2 == 1 and degree == 0:
+        return "R1"
+    span = 3 * norm - degree * degree
+    if 0 < span <= 18 and not is_admissible(span):
+        return "R4"
+    return None
 
 
 def _s9_symmetric(gram) -> bool:
@@ -203,6 +211,7 @@ def saturation_certificate():
     # dual2[0] = 2 eta*, dual2[i] = 2 F_i*: columns of 2 G^-1
     form, dual2, independent = catalog.n_dual_classes()
     family_scan = {}
+    family_rule = {}
     supports: Counter = Counter()
     scan_rules: Counter = Counter()
     problems = []
@@ -221,7 +230,7 @@ def saturation_certificate():
             supports[key] += 1
 
             # bound 3 suffices here: every family is rejected by a class
-            # of norm at most 3 (witness table below); the family's first
+            # of norm at most 3 (the witnesses below); the family's first
             # class stands for its orbit
             if key not in family_scan:
                 ext = overlattice_from_glue(n, glue_subgroup(
@@ -236,22 +245,15 @@ def saturation_certificate():
             scan_rules[rule] += 1
 
             # w lies in N or in lam + N: 2w = 0 or 2 lam mod 2
-            w2, rule, data = _family_witness(has_eta, supp, eta, p, fs)
+            w2 = _family_witness(has_eta, supp, eta, p, fs)
             if not (all(x % 2 == 0 for x in w2)
                     or all((x - c) % 2 == 0 for x, c in zip(w2, lift2))):
                 problems.append({"class": symbols, "error": "witness outside"})
                 continue
             wn = Fraction(_gram_product(n.gram, w2, w2), 4)
             we = Fraction(n.pair(w2, eta), 2)
-            ok = rule == _FAMILY_RULE[key]
-            if rule == "R2":
-                ok = ok and wn == 2
-            elif rule == "R1":
-                ok = ok and wn == data["norm"] and wn % 2 == 1 and we == 0
-            else:
-                ok = ok and 3 * wn - we * we == data["det"] \
-                    and not is_admissible(data["det"])
-            if not ok:
+            rule = _witness_rule(wn, we)
+            if rule is None or rule != family_rule.setdefault(key, rule):
                 problems.append({"class": symbols, "error": "witness data",
                                  "norm": wn, "eta": we})
     families = dict(sorted(supports.items()))
@@ -260,7 +262,7 @@ def saturation_certificate():
         "isotropic_classes": isotropic,
         "generators_independent": independent,
         "families": families,
-        "family_rule": _FAMILY_RULE,
+        "family_rule": dict(sorted(family_rule.items())),
         "scan_rules": dict(sorted(scan_rules.items())),
         "problems": problems,
     }

@@ -113,10 +113,8 @@ def plane_gram_N(s) -> list[list[Fraction]]:
              for b in range(11)] for a in range(11)]
 
 
-def trivial_glue(ambient: FiniteQuadraticForm) -> GlueSubgroup:
-    zero = tuple(0 for _ in ambient.factors)
-    return GlueSubgroup(ambient=ambient, elements=frozenset({zero}), order=1,
-                        lifts=())
+def trivial_glue() -> GlueSubgroup:
+    return GlueSubgroup(order=1, lifts=())
 
 
 def enumerate_even_overlattices(L: IntegralLattice, max_index: int):
@@ -152,8 +150,7 @@ def enumerate_even_overlattices(L: IntegralLattice, max_index: int):
     for elems in sorted(found, key=lambda s: (len(s), sorted(s))):
         gens = found[elems]
         lifts = tuple(lift(form, g) for g in gens)
-        sub = GlueSubgroup(ambient=form, elements=elems, order=len(elems),
-                           lifts=lifts)
+        sub = GlueSubgroup(order=len(elems), lifts=lifts)
         out.append((sub, overlattice_from_glue(L, sub)))
     return out
 

@@ -177,11 +177,69 @@ def _e8_2_as_e6_2(monkeypatch):
         "E6" if (name, scale) == ("E8", 2) else name, scale))
 
 
+def _d9_2_as_a9_2(monkeypatch):
+    monkeypatch.setattr(catalog, "alpha_d9_2",
+                        lambda: catalog.standard("A9", 2))
+
+
+def _delta_plus_alpha_1(monkeypatch):
+    real = catalog.delta_in_M
+
+    def shifted():
+        delta = real()
+        return delta[:1] + (delta[1] + 1,) + delta[2:]
+    monkeypatch.setattr(catalog, "delta_in_M", shifted)
+
+
+def _p_minus_f1(monkeypatch):
+    real = catalog.p_in_N
+
+    def shifted():
+        p = real()
+        return p[:2] + (p[2] - 1,) + p[3:]
+    monkeypatch.setattr(catalog, "p_in_N", shifted)
+
+
+def _d8_with_240_roots(monkeypatch):
+    real = checks.ade_root_number
+    monkeypatch.setattr(checks, "ade_root_number",
+                        lambda label: 240 if label == "D8" else real(label))
+
+
+def _scroll_tau_1_as_2(monkeypatch):
+    real = catalog.scroll_lattice_K
+    monkeypatch.setattr(catalog, "scroll_lattice_K",
+                        lambda tau: real(2 if tau == 1 else tau))
+
+
+def _first_plane_dropped(monkeypatch):
+    real = geomchecks.enumerate_planes
+    monkeypatch.setattr(geomchecks, "enumerate_planes",
+                        lambda L, eta: real(L, eta)[1:])
+
+
+def _eta_f1_pairing_3(monkeypatch):
+    real = catalog._symbol_pairing
+
+    def bumped():
+        s = real()
+        s[0][2] = s[2][0] = 3
+        return s
+    monkeypatch.setattr(catalog, "_symbol_pairing", bumped)
+
+
 # one mutated catalog builder per certificate, under which it must fail
 CONTROLS = {
     "N.disc": _n_disc_with_eta_first,
     "T.invariants": _t_with_u2,
     "phi2.no-plane": _e8_2_as_e6_2,
+    "K.d9": _d9_2_as_a9_2,
+    "pfaffian": _delta_plus_alpha_1,
+    "rationality.section": _p_minus_f1,
+    "E8.roots": _d8_with_240_roots,
+    "scroll.screen": _scroll_tau_1_as_2,
+    "N.planes": _first_plane_dropped,
+    "N.gram": _eta_f1_pairing_3,
 }
 CACHED_BUILDERS = (catalog.plane_lattice_N, catalog.kappa_tilde,
                    catalog.prim_lattice_M, catalog.transcendental_T,

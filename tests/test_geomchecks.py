@@ -211,13 +211,25 @@ def test_saturation_certificate_fails_on_witness_outside(monkeypatch):
     family_witness = geomchecks._family_witness
 
     def shifted(*args):
-        w2, rule, data = family_witness(*args)
-        return (w2[0] + 1,) + w2[1:], rule, data
+        w2 = family_witness(*args)
+        return (w2[0] + 1,) + w2[1:]
 
     monkeypatch.setattr(geomchecks, "_family_witness", shifted)
     rep = saturation_certificate()
     assert rep.status == "fail"
     assert {p["error"] for p in rep.details["problems"]} == {"witness outside"}
+
+
+def test_saturation_certificate_fails_on_witness_data(monkeypatch):
+    # 2 eta lies in N, but eta (norm 3, eta-degree 3, span determinant 0)
+    # breaks no rule
+    two_eta = tuple(2 * x for x in catalog.n_class("eta"))
+    monkeypatch.setattr(geomchecks, "_family_witness", lambda *args: two_eta)
+    rep = saturation_certificate()
+    assert rep.status == "fail"
+    problems = rep.details["problems"]
+    assert len(problems) == 511
+    assert {p["error"] for p in problems} == {"witness data"}
 
 
 def test_s9_symmetry_holds_on_n():

@@ -23,9 +23,12 @@ def _spinor_lift():
 
 
 def test_glue_subgroup_validates_isotropy():
+    # glue_subgroup builds the subgroup of A2's order-3 class untested; the
+    # glued Gram rejects it
     a2 = IntegralLattice([[2, -1], [-1, 2]])
+    sub = glue_subgroup(discriminant_form(a2), [(Fraction(2, 3), Fraction(1, 3))])
     with pytest.raises(NotIsotropic):
-        glue_subgroup(discriminant_form(a2), [(Fraction(2, 3), Fraction(1, 3))])
+        overlattice_from_glue(a2, sub)
 
 
 @pytest.mark.parametrize("name, q, message", [
@@ -33,17 +36,41 @@ def test_glue_subgroup_validates_isotropy():
     ("A2", Fraction(2, 3), "do not pair integrally"),
 ], ids=["D8 vector class", "A2 order-3 class"])
 def test_overlattice_from_glue_rejects_a_non_isotropic_class(name, q, message):
-    # a GlueSubgroup built directly skips glue_subgroup's validation; the
-    # glued Gram alone rejects the D8 vector class (the odd Z^8) and the
+    # the glued Gram alone rejects the D8 vector class (the odd Z^8) and the
     # order-3 class of A2 (norm 2/3)
     L = catalog.standard(name)
     form = discriminant_form(L)
     e = next(e for e in form.elements() if form.q(e) == q)
-    elements = _closure([e], form.factors)
-    sub = GlueSubgroup(ambient=form, elements=elements, order=len(elements),
+    sub = GlueSubgroup(order=len(_closure([e], form.factors)),
                        lifts=(lift(form, e),))
     with pytest.raises(NotIsotropic, match=message):
         overlattice_from_glue(L, sub)
+
+
+def test_glued_gram_decides_isotropy_exactly():
+    """A nonzero class glues exactly when isotropic_elements lists it: by q
+    on the even forms, by b on the odd <1> + <4> + A1."""
+    names = ("D4", "D8", "A2", "A3", "A7", "U(2)", "E6(2)", "<4>", "<8>",
+             "<-12>")
+    lattices = [catalog.standard(name) for name in names]
+    lattices.append(IntegralLattice([[1, 0, 0], [0, 4, 0], [0, 0, 2]]))
+    classes = glued = 0
+    for L in lattices:
+        form = (discriminant_form(L) if L.is_even
+                else discriminant_bilinear_form(L))
+        iso = set(isotropic_elements(form))
+        for e in form.elements():
+            if not any(e):
+                continue
+            classes += 1
+            try:
+                overlattice_from_glue(L, glue_subgroup(form, [lift(form, e)]))
+            except NotIsotropic:
+                assert e not in iso, (L.gram, e)
+            else:
+                assert e in iso, (L.gram, e)
+                glued += 1
+    assert (classes, glued) == (240, 34)
 
 
 def test_glue_subgroup_requires_dual_vector():
@@ -52,7 +79,7 @@ def test_glue_subgroup_requires_dual_vector():
 
 
 def test_trivial_glue():
-    sub = trivial_glue(discriminant_form(D8))
+    sub = trivial_glue()
     assert sub.order == 1
     ext = overlattice_from_glue(D8, sub)
     assert ext.index == 1
