@@ -128,8 +128,8 @@ def n_class(label: str) -> tuple[int, ...]:
 def n_dual_classes():
     """A_N, the dual classes eta*, F_1*..F_9* doubled (twice columns 0 and
     2..10 of N's inverse Gram, as integer lists), and whether they generate
-    A_N = (Z/2)^10 independently: their classes have odd determinant mod 2,
-    so distinct supports give distinct classes."""
+    A_N = (Z/2)^10 independently: ten classes that generate a group of order
+    2^10 are a basis, so distinct supports give distinct classes."""
     n = plane_lattice_N()
     dg = discriminant_group(n)
     labels = ("eta", *_N_LABELS[2:])
@@ -138,10 +138,9 @@ def n_dual_classes():
     if any(c.denominator != 1 for d in dual2 for c in d):
         raise NotIntegral("twice a dual class of N is not integral")
     # the dual coordinates of e_i* are the unit vector e_i
-    rows = [[c % 2 for c in dg.class_of_dual_coords(n_class(a))]
-            for a in labels]
-    independent = (all(f == 2 for f in dg.factors)
-                   and exact.bareiss_det(rows) % 2 == 1)
+    classes = [dg.class_of_dual_coords(n_class(a)) for a in labels]
+    independent = (dg.factors == (2,) * 10
+                   and dg.subgroup_order(classes) == dg.order)
     return dg, [[int(c) for c in d] for d in dual2], independent
 
 

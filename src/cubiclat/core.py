@@ -301,6 +301,16 @@ class FiniteQuadraticForm:
                            f"(guard {ENUMERATION_GUARD})")
         return itertools.product(*(range(d) for d in self.factors))
 
+    def subgroup_order(self, classes) -> int:
+        """Order of the subgroup the classes generate: |A_L| over the index
+        in Z^k of the span of the classes and the relations d_i e_i, which is
+        the product of its Hermite pivots."""
+        k = len(self.factors)
+        rows = [_coords(c, k) for c in classes]
+        rows += [[d * (i == j) for i in range(k)] for j, d in enumerate(self.factors)]
+        basis = exact.hermite_column_basis(rows)
+        return self.order // prod(next(x for x in b if x) for b in basis)
+
     def class_of_dual_coords(self, z: Sequence[int]) -> tuple[int, ...]:
         """Class of a dual vector given by its integer dual-basis coordinates."""
         if len(z) != self.lattice.rank:

@@ -6,7 +6,7 @@ An even overlattice of L corresponds to an isotropic subgroup H of (A_L, q_L)
 exactly when b vanishes on H x H, and for even L it is even exactly when q
 also vanishes on H; only ``isotropic_elements`` reads L's parity.
 det(overlattice) * |H|^2 = det(L) holds for every construction and is checked
-here.
+here: |H| is a Hermite index over classes, det that of the glued Gram.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 from . import exact
 from .core import (
-    ENUMERATION_GUARD,
     BadSplitting,
     FiniteQuadraticForm,
     IntegralLattice,
@@ -26,29 +25,11 @@ from .core import (
 )
 
 
-def _closure(generators, factors) -> frozenset:
-    """All elements of the subgroup generated by the given coefficient tuples."""
-    zero = tuple(0 for _ in factors)
-    elems = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in generators:
-                s = tuple((a + b) % d for a, b, d in zip(e, g, factors))
-                if s not in elems:
-                    elems.add(s)
-                    nxt.append(s)
-                    if len(elems) > ENUMERATION_GUARD:
-                        raise BadSplitting("subgroup closure exceeded guard")
-        frontier = nxt
-    return frozenset(elems)
-
-
 class GlueSubgroup(NamedTuple):
-    """A subgroup of a discriminant form, of the given order, generated by
-    the classes of ``lifts``: dual vectors in rational lattice-basis
-    coordinates.  ``overlattice_from_glue`` decides whether it is isotropic.
+    """A subgroup of a discriminant form, of the order that
+    ``FiniteQuadraticForm.subgroup_order`` gives, generated by the classes of
+    ``lifts``: dual vectors in rational lattice-basis coordinates.
+    ``overlattice_from_glue`` decides whether it is isotropic.
     """
     order: int
     lifts: tuple[tuple[Fraction, ...], ...]
@@ -57,9 +38,9 @@ class GlueSubgroup(NamedTuple):
 def glue_subgroup(ambient: FiniteQuadraticForm, lifts) -> GlueSubgroup:
     """The subgroup of ambient generated by the classes of dual-vector lifts."""
     lifts = tuple(tuple(Fraction(x) for x in lift) for lift in lifts)
-    gens = [ambient.class_of_rational(y) for y in lifts]
-    return GlueSubgroup(order=len(_closure(gens, ambient.factors)),
-                        lifts=lifts)
+    return GlueSubgroup(
+        order=ambient.subgroup_order([ambient.class_of_rational(y) for y in lifts]),
+        lifts=lifts)
 
 
 def isotropic_elements(form: FiniteQuadraticForm) -> list[tuple[int, ...]]:

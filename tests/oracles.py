@@ -1,5 +1,7 @@
 """Oracles that only tests use: glue generators (no certificate enumerates
 overlattices; ``sat.511`` glues one index-2 extension per S_9 orbit), the
+element list of a generated subgroup (the package counts it by a Hermite
+index, ``FiniteQuadraticForm.subgroup_order``), the
 Fraction lift of a discriminant class (the generator lifts are the unique
 dual-lattice representatives with all coordinates in [0, 1), read off a
 reference Smith form of the Gram), the pairing of two rational vectors (the
@@ -26,9 +28,8 @@ from cubiclat.core import (FiniteQuadraticForm,
                            discriminant_group, signature_of_gram)
 from cubiclat.exact import _xgcd, bareiss, identity, numerators
 from cubiclat.geomchecks import admissibility_scan
-from cubiclat.glue import (GlueSubgroup, Overlattice, _closure,
-                           glue_subgroup, isotropic_elements,
-                           overlattice_from_glue)
+from cubiclat.glue import (GlueSubgroup, Overlattice, glue_subgroup,
+                           isotropic_elements, overlattice_from_glue)
 
 
 def transpose(a):
@@ -115,6 +116,24 @@ def plane_gram_N(s) -> list[list[Fraction]]:
 
 def trivial_glue() -> GlueSubgroup:
     return GlueSubgroup(order=1, lifts=())
+
+
+def _closure(generators, factors) -> frozenset:
+    """All elements of the subgroup generated by the given coefficient tuples,
+    by breadth-first search: the reference for ``subgroup_order``."""
+    zero = tuple(0 for _ in factors)
+    elems = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in generators:
+                s = tuple((a + b) % d for a, b, d in zip(e, g, factors))
+                if s not in elems:
+                    elems.add(s)
+                    nxt.append(s)
+        frontier = nxt
+    return frozenset(elems)
 
 
 def enumerate_even_overlattices(L: IntegralLattice, max_index: int):

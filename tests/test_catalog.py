@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubiclat import catalog, exact
+from cubiclat import catalog, checks, exact
 from cubiclat.core import (
     CrossCheckFailed,
     DegenerateLattice,
@@ -110,6 +110,19 @@ def test_n_dual_classes_reject_a_non_integral_doubled_class(monkeypatch):
     monkeypatch.setattr(catalog, "plane_lattice_N", lambda: n3)
     with pytest.raises(NotIntegral, match="not integral"):
         catalog.n_dual_classes()
+
+
+def test_n_dual_classes_report_a_dependent_family(monkeypatch):
+    # with F_9 read as F_8 the ten classes span only 2^9 elements, so they
+    # are not independent and N.disc fails on that alone
+    real = catalog.n_class
+    monkeypatch.setattr(catalog, "n_class",
+                        lambda label: real("F8" if label == "F9" else label))
+    assert catalog.n_dual_classes()[2] is False
+    report = checks.n_disc_certificate()
+    assert report.status == "fail"
+    assert report.details["generators_independent"] is False
+    assert report.details["diagonal_half"] and report.details["off_diagonal_zero"]
 
 
 def test_delta_class():

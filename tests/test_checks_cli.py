@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cubiclat import catalog, checks, geomchecks
+from cubiclat import catalog, checks, delpezzo, geomchecks, hassett
 from cubiclat.checks import UnknownCheck, run_checks
 from cubiclat.cli import main
-from cubiclat.core import Signature, direct_sum
+from cubiclat.core import NoRepresentation, Signature, direct_sum, rescale
 from cubiclat.report import certificate, jsonable
 from oracles import lattice_json
 
@@ -228,7 +230,42 @@ def _eta_f1_pairing_3(monkeypatch):
     monkeypatch.setattr(catalog, "_symbol_pairing", bumped)
 
 
-# one mutated catalog builder per certificate, under which it must fail
+def _m_negated(monkeypatch):
+    real = catalog.prim_lattice_M
+    monkeypatch.setattr(catalog, "prim_lattice_M", lambda: rescale(real(), -1))
+
+
+def _f1_as_eta(monkeypatch):
+    real = geomchecks._plane_family
+
+    def swapped():
+        n, eta, p, fs = real()
+        return n, fs[0], p, fs
+    monkeypatch.setattr(geomchecks, "_plane_family", swapped)
+
+
+def _ns_as_u_e8_minus_2(monkeypatch):
+    monkeypatch.setattr(catalog, "nodal_sextic_NS", lambda: direct_sum(
+        catalog.standard("U"), catalog.standard("E8", -2)))
+
+
+def _no_representation_of_18(monkeypatch):
+    real = hassett.ramanujan_rep
+
+    def missing_18(n):
+        if n == 18:
+            raise NoRepresentation("18")
+        return real(n)
+    monkeypatch.setattr(hassett, "ramanujan_rep", missing_18)
+
+
+def _last_double_six_dropped(monkeypatch):
+    real = delpezzo.double_sixes
+    monkeypatch.setattr(delpezzo, "double_sixes", lambda: real()[:-1])
+
+
+# one mutated catalog builder, witness or helper per certificate, under which
+# it must fail
 CONTROLS = {
     "N.disc": _n_disc_with_eta_first,
     "T.invariants": _t_with_u2,
@@ -240,6 +277,23 @@ CONTROLS = {
     "scroll.screen": _scroll_tau_1_as_2,
     "N.planes": _first_plane_dropped,
     "N.gram": _eta_f1_pairing_3,
+    "M.gram": _m_negated,
+    "oadp": _f1_as_eta,
+    "phi3.k3-exists": _ns_as_u_e8_minus_2,
+    "ramanujan.range": _no_representation_of_18,
+    "delpezzo.lemma": _last_double_six_dropped,
+}
+# certificates whose failing control is a test of its own
+ELSEWHERE = {
+    "sat.511": "test_geomchecks.py::"
+               "test_saturation_certificate_fails_without_coset_vectors",
+    "M.glue": "test_glue.py::test_m_glue_fails_on_a_lookalike_glue_class",
+    "phi2.no-associated-k3": "test_classify.py::"
+                             "test_phi2_negative_control_flips_verdict",
+    "hassett.sweep": "test_hassett.py::"
+                     "test_sweep_fails_on_wrong_saturation_under_optimize",
+    "N.admissible": "test_checks_cli.py::"
+                    "test_failing_admissibility_keeps_its_structured_witness",
 }
 CACHED_BUILDERS = (catalog.plane_lattice_N, catalog.kappa_tilde,
                    catalog.prim_lattice_M, catalog.transcendental_T,
@@ -258,6 +312,16 @@ def test_certificate_fails_under_its_control(monkeypatch, check_id):
         for builder in CACHED_BUILDERS:
             builder.cache_clear()
     assert run_checks([check_id])[0].status == "pass"
+
+
+def test_every_certificate_has_a_failing_control():
+    # a certificate that has never been seen to fail has not been tested
+    assert not CONTROLS.keys() & ELSEWHERE.keys()
+    assert CONTROLS.keys() | ELSEWHERE.keys() == set(checks.REGISTRY)
+    for test in ELSEWHERE.values():
+        path, name = test.split("::")
+        assert f"\ndef {name}(" in (REPO / "tests" / path).read_text(
+            encoding="utf-8"), test
 
 
 def test_cli_lat_show_catalog_entry():
@@ -425,6 +489,76 @@ def test_cli_lat_show_planes_rejects_eta_of_wrong_norm(tmp_path):
     path.write_text(json.dumps({"gram": [[2]], "labels": ["eta"]}))
     result = CliRunner().invoke(main, ["lat", "show", str(path), "--planes"])
     _assert_usage_error(result, "eta must have norm 3, got 2")
+
+
+_JUNK = st.one_of(st.integers(), st.booleans(), st.none(),
+                 st.floats(allow_nan=False), st.text(max_size=2),
+                 st.lists(st.integers(-2, 2), max_size=2))
+_LABEL = st.one_of(st.sampled_from(["eta", "x", "y", "e1"]),
+                   st.text(alphabet="aety01_ ()", max_size=3))
+
+
+@st.composite
+def _lattice_payloads(draw):
+    """Lattice-file JSON of rank 1 to 4: a symmetric Gram with entries in
+    -3..3 (often degenerate or indefinite) and distinct labels, with at most
+    one defect drawn in: a non-integer entry, a short or long row, an
+    asymmetric pair, a junk (or empty) Gram, junk labels or name, a missing
+    key or a junk document."""
+    n = draw(st.integers(1, 4))
+    upper = draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n))
+    gram = [[upper[min(i, j) * n + max(i, j)] for j in range(n)]
+            for i in range(n)]
+    payload = {"gram": gram,
+               "labels": draw(st.lists(_LABEL, min_size=n, max_size=n,
+                                       unique=True))}
+    if draw(st.booleans()):
+        payload["name"] = draw(st.text(alphabet="abN ", max_size=3))
+    defect = draw(st.sampled_from([None, None, None, "entry", "row", "pair",
+                                   "gram", "labels", "name", "key", "doc"]))
+    if defect in ("entry", "row", "pair"):
+        i = draw(st.integers(0, n - 1))
+        if defect == "entry":
+            gram[i][draw(st.integers(0, n - 1))] = draw(_JUNK)
+        elif defect == "row":
+            gram[i] = gram[i][:-1] if draw(st.booleans()) else gram[i] + [0]
+        else:
+            gram[i][n - 1 - i] += 1
+    elif defect in ("gram", "labels", "name"):
+        payload[defect] = draw(st.one_of(_JUNK, st.lists(_LABEL, max_size=5)))
+    elif defect == "key":
+        del payload[draw(st.sampled_from(["gram", "labels"]))]
+    elif defect == "doc":
+        return draw(_JUNK)
+    return payload
+
+
+_NAMES = st.one_of(
+    st.sampled_from(["E8(2)", "E8(0)", "<0>", "A99999", "E8(1/2)", "A0",
+                     "D3", "E9", "U(0)", "<>", "()", "A2((2))", ""]),
+    st.integers(-30, 30).map("<{}>".format),
+    st.builds("{}{}{}".format, st.sampled_from(["A", "D", "E", "U", "N", "M"]),
+              st.sampled_from(["2", "4", "6", "8", "1", "0", "-1", ""]),
+              st.sampled_from(["", "(2)", "(-1)", "", "(0)", "(1/2)", "(x)"])))
+_SHOW_OPTIONS = st.lists(st.sampled_from([
+    ["--invariants"], ["--disc"], ["--roots", "2"], ["--vectors", "2"],
+    ["--planes"]]), max_size=3).map(lambda opts: sum(opts, []))
+
+
+@settings(deadline=None, max_examples=100)
+@given(payload=_lattice_payloads(), name=_NAMES, options=_SHOW_OPTIONS)
+def test_cli_lat_show_exits_0_or_2_on_any_file_or_name(
+        tmp_path_factory, payload, name, options):
+    # a malformed lattice file or catalog name is a usage error with one
+    # message; an uncaught exception would exit 1
+    path = tmp_path_factory.getbasetemp() / "lattice.json"
+    path.write_text(json.dumps(payload))
+    for target in (str(path), name):
+        result = CliRunner().invoke(main, ["lat", "show", target, *options])
+        assert result.exit_code in (0, 2), (target, result.exception)
+        if result.exit_code == 2:
+            assert sum(line.startswith("Error:")
+                       for line in result.output.splitlines()) == 1, result.output
 
 
 def test_cli_lat_show_unknown_target():

@@ -2,7 +2,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -29,7 +29,7 @@ from cubiclat.core import (
     saturation,
 )
 from cubiclat.glue import glue_group
-from oracles import lattice_json, lift, milgram_holds, pair_rational
+from oracles import _closure, lattice_json, lift, milgram_holds, pair_rational
 
 A2 = IntegralLattice([[2, -1], [-1, 2]], name="A2")
 U = IntegralLattice([[0, 1], [1, 0]], name="U")
@@ -266,6 +266,33 @@ def test_value_multiset_guard_comes_before_any_value(monkeypatch):
         with pytest.raises(TooLarge, match="36 elements"):
             form.value_multiset()
     assert form.value_multiset() == expected
+
+
+def test_subgroup_order_matches_the_closure_oracle():
+    # the Hermite index of the classes and the relations d_i e_i counts the
+    # subgroup they generate, as the breadth-first closure lists it
+    pieces = [catalog.standard(name) for name in (
+        "D4", "D8", "A2", "A3", "A7", "U(2)", "E6(2)", "<4>", "<8>", "<-12>",
+        "E8(2)", "A1", "<24>", "D9(2)", "<6>")]
+    rng = random.Random(1)
+    drawn = 0
+    for _ in range(400):
+        parts = rng.choices(pieces, k=rng.randint(1, 3))
+        if abs(prod(L.det for L in parts)) > 2 ** 14:
+            continue
+        form = direct_sum(*parts).disc_form
+        classes = [tuple(rng.randrange(d) for d in form.factors)
+                   for _ in range(rng.randint(0, 3))]
+        assert form.subgroup_order(classes) == len(_closure(classes, form.factors))
+        drawn += 1
+    assert drawn > 300
+    # (Z/2)^20, where the closure lists 2^20 elements
+    e8_2, u_2 = catalog.standard("E8(2)"), catalog.standard("U(2)")
+    form = direct_sum(e8_2, e8_2, u_2, u_2).disc_form
+    units = [tuple(int(i == j) for i in range(20)) for j in range(20)]
+    assert form.subgroup_order(units) == 2 ** 20
+    with pytest.raises(ValueError, match="3 coordinates, not 2"):
+        discriminant_form(catalog.standard("D4")).subgroup_order([(1, 0, 1)])
 
 
 def test_discriminant_bilinear_form():

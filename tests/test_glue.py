@@ -7,10 +7,11 @@ from cubiclat.checks import run_checks
 from cubiclat.core import (BadSplitting, IntegralLattice, NotIsotropic,
                            basic_invariants, discriminant_form,
                            discriminant_bilinear_form)
-from cubiclat.glue import (GlueSubgroup, _closure, glue_group, glue_subgroup,
+from cubiclat.glue import (GlueSubgroup, glue_group, glue_subgroup,
                            isotropic_elements, overlattice_from_glue)
 from cubiclat.shortvec import identify_root_lattice, root_count
-from oracles import enumerate_even_overlattices, lift, to_ambient, trivial_glue
+from oracles import (_closure, enumerate_even_overlattices, lift, to_ambient,
+                     trivial_glue)
 
 D8 = catalog.standard("D8")
 
