@@ -475,13 +475,16 @@ def orthogonal_complement(L: IntegralLattice, vectors) -> Sublattice:
 
 
 def saturation(L: IntegralLattice, vectors) -> Sublattice:
-    vs = [list(_coords(v, L.rank)) for v in vectors]
+    """span_Q(vectors) ∩ L: with u A v = D the left Smith form of the k x n
+    span A, row i of u A is d_i times row i of the unimodular v^-1 (Cohen,
+    GTM 138, §2.4); dependent exactly when k > n or one of d_0..d_{k-1} is 0."""
+    vs = [_coords(v, L.rank) for v in vectors]
     if not vs:
         raise DependentSpan("saturation of the empty span is undefined")
-    # functionals vanishing on the span (L.rank minus its rank of them), then
-    # their joint kernel: the intersection of the rational span with the lattice
-    funcs = exact.integer_kernel(vs)
-    if L.rank - len(funcs) < len(vs):
+    d, u, _ = exact.smith_normal_form(vs)
+    if len(vs) > L.rank or not all(d[i][i] for i in range(len(vs))):
         raise DependentSpan("spanning vectors are linearly dependent")
-    basis = exact.integer_kernel(funcs) if funcs else exact.identity(L.rank)
-    return _sublattice(L, basis)
+    qr = [[divmod(x, d[i][i]) for x in combine(r, vs)] for i, r in enumerate(u)]
+    if any(r for row in qr for _, r in row):
+        raise LatticeError("a Smith row is not divisible by its invariant factor")
+    return _sublattice(L, [[q for q, _ in row] for row in qr])

@@ -22,17 +22,24 @@ from .report import certificate
 
 def _square_reps(n: int, a: int = 1, b: int = 1):
     """Every n = a(x^2+y^2+z^2) + b u^2 with x >= y >= z >= 0 and u >= 0, in
-    descending lexicographic order of (x, y, z).
+    descending lexicographic order of (x, y, z), for (a, b) = (1, 1) or (2, 3).
 
-    For a = b = 1 the first representation, and the first one with an even
-    coordinate, already have u <= z: when u > z, the sorted permutation of
-    (x, y, z, u) has the same coordinates and a larger leading triple, so it
-    comes earlier in the order."""
+    For (1, 1) the first representation, and the first one with an even
+    coordinate, already have u <= z: a u > z sorts into a larger leading
+    triple of the same coordinates, which comes earlier.  Skipped branches
+    cannot yield: for (1, 1) an x with n - x^2 = 4^k(8m+7) (Legendre) and a y
+    with r2 = 3 mod 4; for (2, 3), where r2 = 2z^2 mod 3, a y with
+    r2 = 1 mod 3 and, when 3 | r2, each z prime to 3."""
     for x in range(isqrt(n // a), -1, -1):
         r1 = n - a * x * x
+        if b == 1 and r1 and (r1 >> ((r1 & -r1).bit_length() - 1 & ~1)) % 8 == 7:
+            continue
         for y in range(min(x, isqrt(r1 // a)), -1, -1):
             r2 = r1 - a * y * y
-            for z in range(min(y, isqrt(r2 // a)), -1, -1):
+            if r2 % 4 == 3 if b == 1 else r2 % 3 == 1:
+                continue
+            top, step = min(y, isqrt(r2 // a)), 3 if b == 3 and r2 % 3 == 0 else 1
+            for z in range(top - top % step, -1, -step):
                 r3 = r2 - a * z * z
                 if r3 % b:
                     continue

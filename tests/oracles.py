@@ -8,9 +8,11 @@ reference Smith form of the Gram), the pairing of two rational vectors (the
 package pairs order-2 classes as doubled integer lifts), the ambient
 coordinates of an overlattice vector, the JSON text of a lattice file (the
 package only reads them), N's Gram and inverse by hand, a reference Smith
-normal form, the separate four-square and 2x^2+2y^2+2z^2+3u^2 search loops
-that ``hassett._square_reps`` replaces, the one-extension-per-class form of
-``sat.511``, which the certificate replaces by one extension per S_9 orbit,
+normal form, the two-kernel saturation that ``core.saturation`` replaces by
+one left Smith form, the separate four-square and 2x^2+2y^2+2z^2+3u^2
+search loops that ``hassett._square_reps`` replaces, the one-extension-
+per-class form of ``sat.511``, which the certificate replaces by one
+extension per S_9 orbit,
 Milgram's formula as a check across the discriminant form, group and
 signature, and the p-elementary hyperbolic existence table, which tests hold
 against direct sums of standard pieces, and the plain matrix product and
@@ -22,11 +24,12 @@ from itertools import combinations
 from math import isqrt, lcm
 
 from cubiclat import catalog
-from cubiclat.core import (FiniteQuadraticForm,
+from cubiclat.core import (DependentSpan, FiniteQuadraticForm,
                            IntegralLattice, NoRepresentation, ParityError,
-                           _coords, _gram_product, discriminant_form,
-                           discriminant_group, signature_of_gram)
-from cubiclat.exact import _xgcd, bareiss, identity, numerators
+                           Sublattice, _coords, _gram_product, _sublattice,
+                           discriminant_form, discriminant_group,
+                           signature_of_gram)
+from cubiclat.exact import _xgcd, bareiss, identity, integer_kernel, numerators
 from cubiclat.geomchecks import admissibility_scan
 from cubiclat.glue import (GlueSubgroup, Overlattice, glue_subgroup,
                            isotropic_elements, overlattice_from_glue)
@@ -330,6 +333,19 @@ def smith_normal_form_reference(a):
             d[i][i] = -d[i][i]
             u[i] = [-x for x in u[i]]
     return d, u, v
+
+
+def saturation_reference(L: IntegralLattice, vectors) -> Sublattice:
+    """span_Q(vectors) ∩ L as two integer kernels: the functionals vanishing
+    on the span (L.rank minus its rank of them), then their joint kernel."""
+    vs = [list(_coords(v, L.rank)) for v in vectors]
+    if not vs:
+        raise DependentSpan("saturation of the empty span is undefined")
+    funcs = integer_kernel(vs)
+    if L.rank - len(funcs) < len(vs):
+        raise DependentSpan("spanning vectors are linearly dependent")
+    basis = integer_kernel(funcs) if funcs else identity(L.rank)
+    return _sublattice(L, basis)
 
 
 def _four_square_reps(n: int):

@@ -29,7 +29,9 @@ from cubiclat.core import (
     saturation,
 )
 from cubiclat.glue import glue_group
-from oracles import _closure, lattice_json, lift, milgram_holds, pair_rational
+from oracles import (_closure, lattice_json, lift, milgram_holds, pair_rational,
+                     saturation_reference)
+from property_battery import random_positive_definite
 
 A2 = IntegralLattice([[2, -1], [-1, 2]], name="A2")
 U = IntegralLattice([[0, 1], [1, 0]], name="U")
@@ -402,6 +404,56 @@ def test_saturation_rejects_a_dependent_span():
     with pytest.raises(DependentSpan):
         saturation(z2, [(1, 0), (0, 1), (1, 1)])
     assert saturation(z2, [(1, 0), (1, 2)]).lattice.det == 1
+
+
+def test_saturation_matches_the_two_kernel_reference():
+    # spans of k <= n + 1 vectors: random ones, integer combinations of them
+    # (a saturation index above 1) and ones whose last vector depends on the rest
+    rng = random.Random(31)
+    outcomes = Counter()
+    for _ in range(400):
+        L = random_positive_definite(rng, max_rank=8)
+        n = L.rank
+        k = rng.randint(1, n + 1)
+        vs = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        shape = rng.randrange(3)
+        if shape == 1:
+            vs = [core.combine([rng.randint(-3, 3) for _ in vs], vs) for _ in vs]
+        elif shape == 2 and k > 1:
+            vs[-1] = core.combine([rng.randint(-2, 2) for _ in vs[1:]], vs[:-1])
+        try:
+            want = saturation_reference(L, vs)
+        except DependentSpan:
+            with pytest.raises(DependentSpan):
+                saturation(L, vs)
+            outcomes["dependent"] += 1
+            continue
+        got = saturation(L, vs)
+        assert got.lattice.rank == want.lattice.rank == k
+        assert got.lattice.det == want.lattice.det
+        # the union spans a rank-k lattice with the same Hermite pivot
+        # product as either basis alone, so the two bases span one lattice
+        hermites = [exact.hermite_column_basis(bs) for bs in
+                    (got.basis, want.basis, got.basis + want.basis)]
+        assert len(hermites[2]) == k
+        assert len({prod(next(filter(None, b)) for b in h)
+                    for h in hermites}) == 1
+        raw_det = exact.bareiss_det(core.gram_of(L.gram, vs))
+        outcomes["index 1" if raw_det == got.lattice.det else "index > 1"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_saturation_rejects_a_smith_row_its_factor_does_not_divide(monkeypatch):
+    # a diagonal that is not u A v: the division check is not an assert
+    snf = exact.smith_normal_form
+
+    def doubled(a, **kw):
+        d, u, v = snf(a, **kw)
+        return [[2 * x for x in row] for row in d], u, v
+
+    monkeypatch.setattr(exact, "smith_normal_form", doubled)
+    with pytest.raises(core.LatticeError, match="not divisible"):
+        saturation(IntegralLattice([[1, 0], [0, 1]]), [(1, 2)])
 
 
 def test_json_round_trip():

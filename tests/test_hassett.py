@@ -125,21 +125,30 @@ def test_labelings_span_primitively():
 
 
 def test_labeling_smith_forms_match_the_reference(monkeypatch):
-    # the saturation's two kernels take a 2 x 11 matrix and a sparse 9 x 11
-    # one with a zero first column, shapes the hypothesis strategy never draws
+    # the saturation's one left Smith form takes the 2 x 11 span of (eta, v),
+    # a shape the hypothesis strategy never draws
     seen = []
     snf = exact.smith_normal_form
     monkeypatch.setattr(exact, "smith_normal_form", lambda a, **kw:
-                        seen.append([list(r) for r in a]) or snf(a, **kw))
+                        seen.append(([list(r) for r in a], kw)) or snf(a, **kw))
     ds = [38, 9998, 999998] + [d for d in range(60) if is_admissible(d)]
     for d in ds:
         labeling_for_d(d)
-    assert [(len(a), len(a[0])) for a in seen] == [(2, 11), (9, 11)] * len(ds)
-    assert all(row[0] == 0 for a in seen[1::2] for row in a)
-    for a in seen:
+    assert [(len(a), len(a[0]), kw) for a, kw in seen] == [(2, 11, {})] * len(ds)
+    for a, _ in seen:
         d, u, v = oracles.smith_normal_form_reference(a)
         assert snf(a) == (d, u, v)
         assert snf(a, left=False) == (d, None, v)
+
+
+def test_labeling_makes_one_smith_form_and_no_kernel(monkeypatch):
+    calls = []
+    for name in ("smith_normal_form", "integer_kernel"):
+        f = getattr(exact, name)
+        monkeypatch.setattr(exact, name, lambda *a, _f=f, _n=name, **kw:
+                            calls.append(_n) or _f(*a, **kw))
+    labeling_for_d(38)
+    assert calls == ["smith_normal_form"]
 
 
 def test_labeling_rejects_inadmissible():
