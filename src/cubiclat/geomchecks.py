@@ -19,11 +19,11 @@ from operator import mul
 from typing import NamedTuple
 
 from . import catalog
-from .core import (IntegralLattice, LatticeError, _coords, _gram_product,
-                   combine, discriminant_group, divisibility, gram_of,
+from .core import (IntegralLattice, _coords, _gram_product, combine,
+                   discriminant_group, divisibility, gram_of,
                    orthogonal_complement)
 from .glue import glue_subgroup, overlattice_from_glue
-from .hassett import is_admissible
+from .hassett import _labeling_det, is_admissible
 from .report import certificate
 from .shortvec import enumerate_by_norm, vectors_of_norm
 
@@ -49,24 +49,6 @@ def enumerate_planes(L: IntegralLattice, eta) -> list[tuple[int, ...]]:
     enumeration of the norm-3 shell."""
     ec = _check_eta(L, eta)
     return sorted(tuple(v) for v in vectors_of_norm(L, 3) if L.pair(v, ec) == 1)
-
-
-def _labeling_det(span: int, eta, u) -> int:
-    """Determinant of the saturation of <eta, u>, from span = 3 u.u -
-    (eta.u)^2 = det <eta, u> and the gcd of the 2x2 minors of the
-    coordinate matrix; a gcd of 1 ends the scan early."""
-    if span == 0:
-        return 0
-    g = 0
-    for i in range(len(eta)):
-        for j in range(i + 1, len(eta)):
-            g = gcd(g, eta[i] * u[j] - eta[j] * u[i])
-            if g == 1:
-                return span
-    if span % (g * g):
-        raise LatticeError(f"span determinant {span} is not divisible by the "
-                           f"squared saturation index {g * g}")
-    return span // (g * g)
 
 
 def admissibility_scan(L: IntegralLattice, eta,

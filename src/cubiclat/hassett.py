@@ -10,13 +10,13 @@ v = sum x_i alpha_i + s beta + t gamma the span <eta, v> has discriminant
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from operator import mul
 from typing import NamedTuple
 
 from . import catalog
-from .core import (NoRepresentation, NotAHassettDiscriminant, combine,
-                   saturation)
+from .core import (LatticeError, NoRepresentation, NotAHassettDiscriminant,
+                   combine)
 from .report import certificate
 
 
@@ -70,6 +70,24 @@ def is_admissible(d: int) -> bool:
     return d > 6 and d % 6 in (0, 2)
 
 
+def _labeling_det(span: int, eta, u) -> int:
+    """Determinant of the saturation of <eta, u>, from span = 3 u.u -
+    (eta.u)^2 = det <eta, u> and the gcd of the 2x2 minors of the
+    coordinate matrix; a gcd of 1 ends the scan early."""
+    if span == 0:
+        return 0
+    g = 0
+    for i in range(len(eta)):
+        for j in range(i + 1, len(eta)):
+            g = gcd(g, eta[i] * u[j] - eta[j] * u[i])
+            if g == 1:
+                return span
+    if span % (g * g):
+        raise LatticeError(f"span determinant {span} is not divisible by the "
+                           f"squared saturation index {g * g}")
+    return span // (g * g)
+
+
 class Labeling(NamedTuple):
     """A verified discriminant-d labeling: v spans with eta a primitive rank-2
     sublattice of N of determinant d."""
@@ -120,8 +138,9 @@ def _witness(n: int, s: int) -> tuple[int, int, int, int, int]:
 
 
 def labeling_for_d(d: int) -> Labeling:
-    """The verified labeling of discriminant d; raises NotAHassettDiscriminant
-    for d <= 6 or d = 1, 3, 4, 5 mod 6."""
+    """The labeling of discriminant d, verified by 3 v.v - (eta.v)^2 = d and
+    coprime 2x2 minors of (eta, v) (else NoRepresentation); raises
+    NotAHassettDiscriminant for d <= 6 or d = 1, 3, 4, 5 mod 6."""
     if not is_admissible(d):
         raise NotAHassettDiscriminant(
             f"d = {d} is not admissible (need d > 6 and d = 0 or 2 mod 6)")
@@ -146,11 +165,10 @@ def labeling_for_d(d: int) -> Labeling:
     if disc != d:
         raise NoRepresentation(f"witness {witness} gives discriminant {disc}, "
                                f"not {d}")
-    sat = saturation(n, [eta, v])
-    if sat.lattice.rank != 2 or sat.lattice.det != d:
-        raise NoRepresentation(
-            f"witness {witness} saturates to rank {sat.lattice.rank} and det "
-            f"{sat.lattice.det}, not a primitive labeling of {d}")
+    sat = _labeling_det(disc, eta, v)
+    if sat != d:
+        raise NoRepresentation(f"witness {witness} saturates to det {sat}, "
+                               f"not a primitive labeling of {d}")
     return Labeling(d=d, v=v, witness=witness)
 
 

@@ -11,7 +11,6 @@ from cubiclat.core import IntegralLattice, LatticeError
 from cubiclat.geomchecks import (
     RULES,
     Violation,
-    _labeling_det,
     admissibility_scan,
     enumerate_planes,
     no_plane_order3_certificate,
@@ -21,6 +20,7 @@ from cubiclat.geomchecks import (
     scroll_screen,
     trivial_rationality_certificate,
 )
+from cubiclat.hassett import _labeling_det
 from cubiclat.shortvec import enumerate_by_norm
 from oracles import coset_rules_by_class
 

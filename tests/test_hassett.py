@@ -1,12 +1,15 @@
 """Tests for the discriminant-labeling machinery: quadratic-form
 representations and the rank-2 sublattice sweep."""
 
+import random
+
 import pytest
 
-from cubiclat import catalog, exact
+from cubiclat import catalog, core, exact, hassett
 from cubiclat.core import NoRepresentation, NotAHassettDiscriminant, saturation
 from cubiclat.hassett import (
     _four_squares_even,
+    _labeling_det,
     four_squares,
     hassett_sweep,
     is_admissible,
@@ -127,13 +130,15 @@ def test_labelings_span_primitively():
 def test_labeling_smith_forms_match_the_reference(monkeypatch):
     # the saturation's one left Smith form takes the 2 x 11 span of (eta, v),
     # a shape the hypothesis strategy never draws
+    n = catalog.plane_lattice_N()
+    eta = catalog.n_class("eta")
     seen = []
     snf = exact.smith_normal_form
     monkeypatch.setattr(exact, "smith_normal_form", lambda a, **kw:
                         seen.append(([list(r) for r in a], kw)) or snf(a, **kw))
     ds = [38, 9998, 999998] + [d for d in range(60) if is_admissible(d)]
     for d in ds:
-        labeling_for_d(d)
+        assert saturation(n, [eta, labeling_for_d(d).v]).lattice.det == d
     assert [(len(a), len(a[0]), kw) for a, kw in seen] == [(2, 11, {})] * len(ds)
     for a, _ in seen:
         d, u, v = oracles.smith_normal_form_reference(a)
@@ -141,14 +146,46 @@ def test_labeling_smith_forms_match_the_reference(monkeypatch):
         assert snf(a, left=False) == (d, None, v)
 
 
-def test_labeling_makes_one_smith_form_and_no_kernel(monkeypatch):
+def test_labeling_makes_no_smith_form_kernel_or_lattice(monkeypatch):
+    # primitivity comes from the 2 x 2 minors of (eta, v), not a saturation
+    hassett._frame_vectors()
     calls = []
-    for name in ("smith_normal_form", "integer_kernel"):
-        f = getattr(exact, name)
-        monkeypatch.setattr(exact, name, lambda *a, _f=f, _n=name, **kw:
+    for owner, name in ((exact, "smith_normal_form"), (exact, "integer_kernel"),
+                        (core.IntegralLattice, "__init__")):
+        f = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _f=f, _n=name, **kw:
                             calls.append(_n) or _f(*a, **kw))
-    labeling_for_d(38)
-    assert calls == ["smith_normal_form"]
+    assert labeling_for_d(38).d == 38
+    assert calls == []
+
+
+def test_labeling_det_matches_the_saturation():
+    n = catalog.plane_lattice_N()
+    eta = catalog.n_class("eta")
+    rng = random.Random(32)
+    sample = set()
+    while len(sample) < 300:
+        d = rng.randrange(7, 10 ** 6 + 1)
+        if is_admissible(d):
+            sample.add(d)
+    for d in [d for d in range(7, 3001) if is_admissible(d)] + sorted(sample):
+        v = labeling_for_d(d).v
+        span = 3 * n.norm(v) - n.pair(eta, v) ** 2
+        sat = saturation(n, [eta, v]).lattice
+        assert _labeling_det(span, eta, v) == sat.det == d
+        # <eta, 2v> has span determinant 4d and index 2 in its saturation
+        v2 = tuple(2 * x for x in v)
+        assert _labeling_det(4 * span, eta, v2) == d
+        assert saturation(n, [eta, v2]).lattice.det == d
+
+
+def test_labeling_rejects_a_witness_that_is_not_primitive(monkeypatch):
+    # v = 2 alpha_1 has discriminant 12 * 2^2 = 48, but <eta, v> has index 2
+    # in <eta, alpha_1>, of determinant 12
+    monkeypatch.setattr(hassett, "_witness", lambda n, s: (2, 0, 0, 0, 0))
+    with pytest.raises(NoRepresentation, match="saturates to det 12, not a "
+                       "primitive labeling of 48"):
+        labeling_for_d(48)
 
 
 def test_labeling_rejects_inadmissible():
@@ -175,10 +212,7 @@ def test_hassett_sweep_report():
 def test_sweep_fails_on_wrong_saturation_under_optimize(run_optimized):
     # the labeling checks must not be asserts, which python -O strips
     script = (
-        "from cubiclat import catalog, hassett\n"
-        "from cubiclat.core import saturation\n"
-        "n = catalog.plane_lattice_N()\n"
-        "wrong = saturation(n, [(1,) + (0,) * 10, catalog.p_in_N()])\n"
-        "hassett.saturation = lambda L, vectors: wrong\n"
+        "from cubiclat import hassett\n"
+        "hassett._labeling_det = lambda span, eta, u: span // 4\n"
         "print(hassett.hassett_sweep(50).status)\n")
     assert run_optimized(script).split() == ["fail"]
