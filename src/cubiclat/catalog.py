@@ -23,7 +23,6 @@ from .core import (
     basic_invariants,
     combine,
     direct_sum,
-    discriminant_group,
     gram_of,
     orthogonal_complement,
     rescale,
@@ -50,13 +49,13 @@ def _tree_gram(arms: tuple[int, ...]) -> list[list[int]]:
     return g
 
 
-def standard(name: str, scale: int = 1) -> IntegralLattice:
+def standard(name: str) -> IntegralLattice:
     """A standard lattice by name: An, Dn, E6/E7/E8, U, or <k> for rank one.
 
-    A trailing ``(s)`` in the name multiplies the form, as does ``scale``;
-    ``standard("E8(2)")`` and ``standard("E8", 2)`` agree.  A family rank
-    above MAX_RANK raises TooLarge.
+    A trailing ``(s)`` in the name multiplies the form, as in ``"E8(2)"`` or
+    ``"A1(-1)"``.  A family rank above MAX_RANK raises TooLarge.
     """
+    scale = 1
     while (m := _SCALED.match(name)):
         name, scale = m.group("base"), scale * int(m.group("s"))
     if name == "U":
@@ -126,12 +125,12 @@ def n_class(label: str) -> tuple[int, ...]:
 
 
 def n_dual_classes():
-    """A_N, the dual classes eta*, F_1*..F_9* doubled (twice columns 0 and
+    """The dual classes eta*, F_1*..F_9* of N doubled (twice columns 0 and
     2..10 of N's inverse Gram, as integer lists), and whether they generate
     A_N = (Z/2)^10 independently: ten classes that generate a group of order
     2^10 are a basis, so distinct supports give distinct classes."""
     n = plane_lattice_N()
-    dg = discriminant_group(n)
+    dg = n.disc_form
     labels = ("eta", *_N_LABELS[2:])
     dual2 = [[2 * row[_N_LABELS.index(a)] for row in n.inverse_gram]
              for a in labels]
@@ -141,7 +140,7 @@ def n_dual_classes():
     classes = [dg.class_of_dual_coords(n_class(a)) for a in labels]
     independent = (dg.factors == (2,) * 10
                    and dg.subgroup_order(classes) == dg.order)
-    return dg, [[int(c) for c in d] for d in dual2], independent
+    return [[int(c) for c in d] for d in dual2], independent
 
 
 def p_in_N() -> tuple[int, ...]:
@@ -258,13 +257,13 @@ def scroll_lattice_K(tau: int) -> IntegralLattice:
 
 def eckardt_E6_2() -> IntegralLattice:
     """E6(2): the primitive algebraic lattice of the Eckardt involution."""
-    return standard("E6", 2)
+    return standard("E6(2)")
 
 
 @lru_cache(maxsize=None)
 def transcendental_T() -> IntegralLattice:
     """E8(2) + A1 + A1(-1) + U, the transcendental lattice model."""
-    return direct_sum(standard("E8", 2), standard("A1"), standard("A1", -1),
+    return direct_sum(standard("E8(2)"), standard("A1"), standard("A1(-1)"),
                       standard("U"))
 
 
@@ -272,7 +271,7 @@ def transcendental_T() -> IntegralLattice:
 def k3_lattice() -> IntegralLattice:
     """The even unimodular lattice of signature (3,19): U^3 + E8(-1)^2."""
     return direct_sum(standard("U"), standard("U"), standard("U"),
-                      standard("E8", -1), standard("E8", -1))
+                      standard("E8(-1)"), standard("E8(-1)"))
 
 
 def nodal_sextic_NS() -> IntegralLattice:

@@ -25,7 +25,7 @@ from .classify import (_torsion_q_multiset, phi2_no_associated_k3,
                        two_elementary_invariants, unimodular_complement_profile)
 from .core import (NoRepresentation, basic_invariants, combine, direct_sum,
                    discriminant_form, discriminant_group, gram_of, rescale)
-from .glue import glue_group, glue_subgroup, overlattice_from_glue
+from .glue import glue_group, overlattice_from_glue
 from .report import CheckReport, certificate
 from .shortvec import ade_root_number, identify_root_lattice, root_count
 
@@ -53,16 +53,16 @@ def n_gram_certificate():
              "and 0 off it")
 def n_disc_certificate():
     n = catalog.plane_lattice_N()
-    dg, dual2, independent = catalog.n_dual_classes()
+    dual2, independent = catalog.n_dual_classes()
     matrix = [[Fraction(n.pair(u2, v2), 4) % 1 for v2 in dual2] for u2 in dual2]
     half = Fraction(1, 2)
     diagonal_half = all(matrix[i][i] == half for i in range(10))
     off_zero = all(matrix[i][j] == 0
                    for i in range(10) for j in range(10) if i != j)
-    details = {"factors": dg.factors, "matrix": matrix,
+    details = {"factors": n.disc_form.factors, "matrix": matrix,
                "diagonal_half": diagonal_half, "off_diagonal_zero": off_zero,
                "generators_independent": independent}
-    ok = (dg.factors == (2,) * 10 and diagonal_half and off_zero
+    ok = (details["factors"] == (2,) * 10 and diagonal_half and off_zero
           and independent)
     return ok, details
 
@@ -121,8 +121,7 @@ def m_glue_certificate():
     Gram: an isometry onto M, which implies both "match" keys they report."""
     m = catalog.prim_lattice_M()
     kt = catalog.kappa_tilde()
-    sub = glue_subgroup(discriminant_form(kt), [catalog.kappa_glue_lift()])
-    ext = overlattice_from_glue(kt, sub)
+    ext = overlattice_from_glue(kt, [catalog.kappa_glue_lift()])
     delta, alphas = catalog.delta_in_M(), exact.identity(10)[1:]
     rows = [combine(b, [delta, *alphas]) for b in ext.basis]
     integral = all(c.denominator == 1 for row in rows for c in row)
@@ -130,14 +129,13 @@ def m_glue_certificate():
     isometry = (integral and abs(exact.bareiss_det(rows)) == 1
                 and gram_of(m.gram, rows) == [list(r) for r in ext.lattice.gram])
     glue_factors = glue_group(m, [delta], alphas)
-    details = {"glue_order": sub.order,
+    details = {"glue_order": ext.index,
                "overlattice_index": ext.index,
                "commonly_quoted_index": 2,
                "invariants_match": isometry,
                "q_value_multiset_match": isometry,
                "glue_factors": glue_factors}
-    ok = (sub.order == 4 and ext.index == 4 and isometry
-          and glue_factors == (4,))
+    ok = ext.index == 4 and isometry and glue_factors == (4,)
     return ok, details
 
 

@@ -123,7 +123,7 @@ def phi2_no_associated_k3():
     ok = k_sig == (1, 7)
 
     target = discriminant_form(
-        direct_sum(catalog.standard("E8", -2), catalog.standard("A2")))
+        direct_sum(catalog.standard("E8(-2)"), catalog.standard("A2")))
     factors = target.factors
     details["target_group_factors"] = factors
     ok = ok and sorted(factors) == [2] * 7 + [6]
@@ -141,7 +141,7 @@ def phi2_no_associated_k3():
 
     # Nikulin 1979, Cor. 1.13.3: an even indefinite lattice of rank at least
     # 2 + l(A) is the only one in its genus, so a halved K is U + E6(-1)
-    half = direct_sum(catalog.standard("U"), catalog.standard("E6", -1))
+    half = direct_sum(catalog.standard("U"), catalog.standard("E6(-1)"))
     half_factors = discriminant_group(half).factors
     unique = (half.is_even and min(half.signature) > 0
               and half.rank >= 2 + len(half_factors))
@@ -181,8 +181,8 @@ def phi3_k3_exists():
     ok = inv == (Signature(1, 9), 10, 1)
     ok = ok and two_elementary_exists(inv.signature, inv.a, inv.delta)
 
-    model = direct_sum(catalog.standard("E8", -2), catalog.standard("A1"),
-                       catalog.standard("A1", -1))
+    model = direct_sum(catalog.standard("E8(-2)"), catalog.standard("A1"),
+                       catalog.standard("A1(-1)"))
     minv = two_elementary_invariants(model)
     details["model_invariants"] = (tuple(minv.signature), minv.a, minv.delta)
     ok = ok and minv == inv
@@ -196,8 +196,8 @@ def phi3_k3_exists():
     ok = ok and prof.signature == (2, 10)
     ok = ok and prof.form.factors == (2,) * 10
 
-    ts_model = direct_sum(catalog.standard("E8", -2), catalog.standard("U"),
-                          catalog.standard("A1"), catalog.standard("A1", -1))
+    ts_model = direct_sum(catalog.standard("E8(-2)"), catalog.standard("U"),
+                          catalog.standard("A1"), catalog.standard("A1(-1)"))
     tinv = two_elementary_invariants(ts_model)
     details["transcendental_invariants"] = (tuple(tinv.signature), tinv.a,
                                            tinv.delta)

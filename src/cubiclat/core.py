@@ -212,7 +212,7 @@ class IntegralLattice:
 
     @cached_property
     def signature(self) -> Signature:
-        return signature_of_gram(self.gram, self.elimination)
+        return signature_of_gram(self.elimination)
 
     @cached_property
     def inverse_gram(self) -> list[list[Fraction]]:
@@ -239,15 +239,15 @@ class Sublattice(NamedTuple):
         return combine(_coords(v, len(self.basis)), self.basis)
 
 
-def signature_of_gram(gram, elimination) -> Signature:
+def signature_of_gram(elimination) -> Signature:
     """Exact signature by fraction-free congruence elimination: the k-th
     pivot of the diagonalization is D_k / D_{k-1} for the Bareiss pivots D.
-    ``elimination`` is ``exact.bareiss(g, symmetric=True)`` for gram or for
-    any Gram g congruent to it, such as the reversed Gram behind
+    ``elimination`` is ``exact.bareiss(g, symmetric=True)`` for a Gram g of
+    the lattice in any basis, such as the reversed Gram behind
     ``IntegralLattice.elimination``; by Sylvester's law of inertia the
     signature does not depend on the basis."""
-    n = len(gram)
     m, pivots, _ = elimination
+    n = len(m)
     if len(pivots) < n:
         raise DegenerateLattice("degenerate block in signature computation")
     minors = [1] + [m[k][k] for k in range(n)]

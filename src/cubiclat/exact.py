@@ -174,22 +174,20 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def smith_normal_form(a, left: bool = True
-                      ) -> tuple[IntMatrix, IntMatrix | None, IntMatrix]:
+def smith_normal_form(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form of an integer m x n matrix.
 
     Returns (d, u, v) with u @ a @ v = d, u and v unimodular, d diagonal with
-    nonnegative entries d[0][0] | d[1][1] | ...; with ``left`` false u is
-    not built and is None.  u rides as m trailing columns of d (the identity
-    appended to a), so a row operation is one pass over one list; column
-    operations read only the first n columns.  An elimination changes only
-    the entries of its target row or column whose source entry is nonzero,
-    an xgcd combination skips pairs of zero entries, and a swap does no
-    arithmetic.
+    nonnegative entries d[0][0] | d[1][1] | ....  u rides as m trailing
+    columns of d (the identity appended to a), so a row operation is one
+    pass over one list; column operations read only the first n columns.
+    An elimination changes only the entries of its target row or column
+    whose source entry is nonzero, an xgcd combination skips pairs of zero
+    entries, and a swap does no arithmetic.
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    d = [list(r) + e for r, e in zip(a, identity(m) if left else [[]] * m)]
+    d = [list(r) + e for r, e in zip(a, identity(m))]
     v = identity(n)
 
     t = 0
@@ -266,7 +264,7 @@ def smith_normal_form(a, left: bool = True
     for i in range(min(m, n)):
         if d[i][i] < 0:
             d[i] = [-x for x in d[i]]
-    return ([r[:n] for r in d], [r[n:] for r in d], v) if left else (d, None, v)
+    return [r[:n] for r in d], [r[n:] for r in d], v
 
 
 def integer_kernel(a) -> IntMatrix:
@@ -276,7 +274,7 @@ def integer_kernel(a) -> IntMatrix:
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    d, _, v = smith_normal_form(a, left=False)
+    d, _, v = smith_normal_form(a)
     rank = sum(1 for i in range(min(m, n)) if d[i][i] != 0)
     return [[row[j] for row in v] for j in range(rank, n)]
 

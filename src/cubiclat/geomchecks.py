@@ -22,7 +22,7 @@ from . import catalog
 from .core import (IntegralLattice, _coords, _gram_product, combine,
                    discriminant_group, divisibility, gram_of,
                    orthogonal_complement)
-from .glue import glue_subgroup, overlattice_from_glue
+from .glue import overlattice_from_glue
 from .hassett import _labeling_det, is_admissible
 from .report import certificate
 from .shortvec import enumerate_by_norm, vectors_of_norm
@@ -191,7 +191,7 @@ def saturation_certificate():
     """
     n, eta, p, fs = _plane_family()
     # dual2[0] = 2 eta*, dual2[i] = 2 F_i*: columns of 2 G^-1
-    form, dual2, independent = catalog.n_dual_classes()
+    dual2, independent = catalog.n_dual_classes()
     family_scan = {}
     family_rule = {}
     supports: Counter = Counter()
@@ -215,8 +215,8 @@ def saturation_certificate():
             # of norm at most 3 (the witnesses below); the family's first
             # class stands for its orbit
             if key not in family_scan:
-                ext = overlattice_from_glue(n, glue_subgroup(
-                    form, [[Fraction(c, 2) for c in lift2]]))
+                ext = overlattice_from_glue(
+                    n, [[Fraction(c, 2) for c in lift2]])
                 hit = admissibility_scan(ext.lattice, ext.from_ambient(eta),
                                          norm_bound=3)
                 family_scan[key] = hit and hit.rule
@@ -377,7 +377,7 @@ def trivial_rationality_certificate():
 def no_plane_order3_certificate():
     """Absence of 3-torsion in the discriminant group of E8(2), against two
     controls that do carry an order-3 class."""
-    e82 = catalog.standard("E8", 2)
+    e82 = catalog.standard("E8(2)")
     dg = discriminant_group(e82)
     m = catalog.prim_lattice_M()
     e62 = catalog.eckardt_E6_2()

@@ -2,9 +2,11 @@
 finite-index extensions they generate.
 
 An even overlattice of L corresponds to an isotropic subgroup H of (A_L, q_L)
-(Nikulin 1979).  The glued Gram decides isotropy: L + sum Z lift is integral
-exactly when b vanishes on H x H, and for even L it is even exactly when q
-also vanishes on H; only ``isotropic_elements`` reads L's parity.
+(Nikulin 1979); callers give H by dual-vector lifts of its generators, and
+its order is read off L's own form.  The glued Gram decides isotropy:
+L + sum Z lift is integral exactly when b vanishes on H x H, and for even L
+it is even exactly when q also vanishes on H; only ``isotropic_elements``
+reads L's parity.
 det(overlattice) * |H|^2 = det(L) holds for every construction and is checked
 here: |H| is a Hermite index over classes, det that of the glued Gram.
 """
@@ -25,22 +27,10 @@ from .core import (
 )
 
 
-class GlueSubgroup(NamedTuple):
-    """A subgroup of a discriminant form, of the order that
-    ``FiniteQuadraticForm.subgroup_order`` gives, generated by the classes of
-    ``lifts``: dual vectors in rational lattice-basis coordinates.
-    ``overlattice_from_glue`` decides whether it is isotropic.
-    """
-    order: int
-    lifts: tuple[tuple[Fraction, ...], ...]
-
-
-def glue_subgroup(ambient: FiniteQuadraticForm, lifts) -> GlueSubgroup:
-    """The subgroup of ambient generated by the classes of dual-vector lifts."""
-    lifts = tuple(tuple(Fraction(x) for x in lift) for lift in lifts)
-    return GlueSubgroup(
-        order=ambient.subgroup_order([ambient.class_of_rational(y) for y in lifts]),
-        lifts=lifts)
+def glue_subgroup(ambient: FiniteQuadraticForm, lifts) -> int:
+    """Order of the subgroup of ambient generated by the classes of
+    dual-vector lifts."""
+    return ambient.subgroup_order([ambient.class_of_rational(y) for y in lifts])
 
 
 def isotropic_elements(form: FiniteQuadraticForm) -> list[tuple[int, ...]]:
@@ -70,13 +60,17 @@ class Overlattice(NamedTuple):
         return tuple(int(x) for x in c)
 
 
-def overlattice_from_glue(L: IntegralLattice, H: GlueSubgroup) -> Overlattice:
-    """The extension of L generated by the lifts of H, re-based integrally.
-    NotIsotropic when the lifts pair non-integrally or even L comes out odd."""
+def overlattice_from_glue(L: IntegralLattice, lifts) -> Overlattice:
+    """The extension of L generated by dual-vector lifts, in rational
+    L-basis coordinates, re-based integrally.  ValueError when a lift has
+    the wrong length or is not a dual vector; NotIsotropic when the lifts
+    pair non-integrally or even L comes out odd."""
     n = L.rank
-    den = lcm(*(f.denominator for lift in H.lifts for f in lift))
+    lifts = [[Fraction(x) for x in lift] for lift in lifts]
+    order = glue_subgroup(L.disc_form, lifts)
+    den = lcm(*(f.denominator for lift in lifts for f in lift))
     vectors = [[den * int(i == j) for i in range(n)] for j in range(n)]
-    vectors += [[int(den * f) for f in lift] for lift in H.lifts]
+    vectors += [[int(den * f) for f in lift] for lift in lifts]
     # den e_1 .. den e_n are among the vectors, so the rank is always n
     hbasis = exact.hermite_column_basis(vectors)
     basis = tuple(tuple(Fraction(x, den) for x in v) for v in hbasis)
@@ -97,10 +91,10 @@ def overlattice_from_glue(L: IntegralLattice, H: GlueSubgroup) -> Overlattice:
     out = IntegralLattice(gram)
     if L.is_even and not out.is_even:
         raise NotIsotropic("even ambient glued by a non-isotropic class came out odd")
-    if L.det != out.det * H.order ** 2:
-        raise BadSplitting(f"det {L.det} != {out.det} * {H.order}^2 for the "
+    if L.det != out.det * order ** 2:
+        raise BadSplitting(f"det {L.det} != {out.det} * {order}^2 for the "
                            "overlattice of the glue subgroup")
-    return Overlattice(lattice=out, basis=basis, index=H.order)
+    return Overlattice(lattice=out, basis=basis, index=order)
 
 
 def glue_group(L: IntegralLattice, s1, s2) -> tuple[int, ...]:
@@ -115,7 +109,7 @@ def glue_group(L: IntegralLattice, s1, s2) -> tuple[int, ...]:
     combined = [*s1, *s2]
     # the spans as rows (A and A^T share their invariant factors); their
     # rank is the number of nonzero diagonal entries of the Smith form
-    d, _, _ = exact.smith_normal_form(combined, left=False)
+    d, _, _ = exact.smith_normal_form(combined)
     rank = sum(1 for i in range(min(len(d), L.rank)) if d[i][i])
     if len(combined) != L.rank or rank != L.rank:
         raise BadSplitting(f"spans have combined rank {rank}, need {L.rank}")

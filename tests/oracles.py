@@ -31,8 +31,7 @@ from cubiclat.core import (DependentSpan, FiniteQuadraticForm,
                            signature_of_gram)
 from cubiclat.exact import _xgcd, bareiss, identity, integer_kernel, numerators
 from cubiclat.geomchecks import admissibility_scan
-from cubiclat.glue import (GlueSubgroup, Overlattice, glue_subgroup,
-                           isotropic_elements, overlattice_from_glue)
+from cubiclat.glue import Overlattice, isotropic_elements, overlattice_from_glue
 
 
 def transpose(a):
@@ -117,10 +116,6 @@ def plane_gram_N(s) -> list[list[Fraction]]:
              for b in range(11)] for a in range(11)]
 
 
-def trivial_glue() -> GlueSubgroup:
-    return GlueSubgroup(order=1, lifts=())
-
-
 def _closure(generators, factors) -> frozenset:
     """All elements of the subgroup generated by the given coefficient tuples,
     by breadth-first search: the reference for ``subgroup_order``."""
@@ -140,7 +135,8 @@ def _closure(generators, factors) -> frozenset:
 
 
 def enumerate_even_overlattices(L: IntegralLattice, max_index: int):
-    """All isotropic subgroups of order <= max_index with their overlattices.
+    """(order, overlattice) for each isotropic subgroup of order <= max_index,
+    the order counted by ``_closure``.
 
     Subgroups are listed up to equality (no automorphism quotient), smallest
     first, the trivial subgroup included.
@@ -170,10 +166,8 @@ def enumerate_even_overlattices(L: IntegralLattice, max_index: int):
         frontier = nxt
     out = []
     for elems in sorted(found, key=lambda s: (len(s), sorted(s))):
-        gens = found[elems]
-        lifts = tuple(lift(form, g) for g in gens)
-        sub = GlueSubgroup(order=len(elems), lifts=lifts)
-        out.append((sub, overlattice_from_glue(L, sub)))
+        lifts = [lift(form, g) for g in found[elems]]
+        out.append((len(elems), overlattice_from_glue(L, lifts)))
     return out
 
 
@@ -220,7 +214,7 @@ def milgram_holds(L: IntegralLattice) -> bool:
         if a:
             for j, b in enumerate(gauss):
                 square[(i + j) % m] += a * b
-    pos, neg = signature_of_gram(L.gram, bareiss(L.gram, symmetric=True))
+    pos, neg = signature_of_gram(bareiss(L.gram, symmetric=True))
     square[(pos - neg) * m // 4 % m] -= group.order
     return not any(_divmod_monic(square, list(_cyclotomic(m)))[1])
 
@@ -386,7 +380,7 @@ def coset_rules_by_class() -> dict[tuple[int, ...], tuple[str, str | None]]:
     meets them."""
     n = catalog.plane_lattice_N()
     eta = catalog.n_class("eta")
-    form, dual2, _ = catalog.n_dual_classes()
+    dual2, _ = catalog.n_dual_classes()
     out = {}
     for size in range(1, 11):
         for symbols in combinations(range(10), size):
@@ -395,8 +389,7 @@ def coset_rules_by_class() -> dict[tuple[int, ...], tuple[str, str | None]]:
                 continue
             fibres = len(symbols) - (0 in symbols)
             key = f"eta+{fibres}F" if 0 in symbols else f"{fibres}F"
-            ext = overlattice_from_glue(
-                n, glue_subgroup(form, [[Fraction(c, 2) for c in lift2]]))
+            ext = overlattice_from_glue(n, [[Fraction(c, 2) for c in lift2]])
             hit = admissibility_scan(ext.lattice, ext.from_ambient(eta),
                                      norm_bound=3)
             out[symbols] = key, hit and hit.rule

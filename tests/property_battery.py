@@ -35,15 +35,14 @@ def random_positive_definite(rng: random.Random, max_rank: int = 4,
     return IntegralLattice(gram)
 
 
-_EVEN_BLOCKS = [("A1", 1), ("A1", -1), ("A1", 2), ("A2", 1), ("A2", -1),
-                ("A3", 1), ("D4", 1), ("<4>", 1), ("<6>", 1), ("<-4>", 1)]
+_EVEN_BLOCKS = ["A1", "A1(-1)", "A1(2)", "A2", "A2(-1)", "A3", "D4", "<4>",
+                "<6>", "<-4>"]
 
 
 def random_even_lattice(rng: random.Random, max_blocks: int = 3) -> IntegralLattice:
     """A direct sum of small even blocks on a randomly twisted basis."""
-    blocks = [catalog.standard(name, scale)
-              for name, scale in rng.sample(_EVEN_BLOCKS,
-                                            rng.randint(1, max_blocks))]
+    blocks = [catalog.standard(name)
+              for name in rng.sample(_EVEN_BLOCKS, rng.randint(1, max_blocks))]
     lat = blocks[0] if len(blocks) == 1 else direct_sum(*blocks)
     gram = [list(row) for row in lat.gram]
     rank = lat.rank
@@ -141,9 +140,9 @@ def glue_identity_trials(rng: random.Random, min_trials: int,
     done = 0
     while done < min_trials:
         L = random_even_lattice(rng)
-        for sub, ov in enumerate_even_overlattices(L, max_index):
-            assert ov.lattice.det * sub.order ** 2 == L.det
-            assert ov.index == sub.order
+        for order, ov in enumerate_even_overlattices(L, max_index):
+            assert ov.lattice.det * order ** 2 == L.det
+            assert ov.index == order
             assert ov.lattice.is_even
             done += 1
     return done

@@ -39,7 +39,7 @@ from cubiclat.geomchecks import (
     scroll_screen,
     trivial_rationality_certificate,
 )
-from cubiclat.glue import glue_group, glue_subgroup, overlattice_from_glue
+from cubiclat.glue import glue_group, overlattice_from_glue
 from cubiclat.hassett import hassett_sweep, labeling_for_d
 from cubiclat.shortvec import identify_root_lattice, root_count
 from oracles import ETA_F, pair_rational, plane_inverse_times_two
@@ -128,8 +128,7 @@ def test_c02_m_determinant_and_disc_group():
 
 def test_c03_glue_reconstruction_and_glue_group():
     kt = catalog.kappa_tilde()
-    sub = glue_subgroup(discriminant_form(kt), [catalog.kappa_glue_lift()])
-    glued = overlattice_from_glue(kt, sub)
+    glued = overlattice_from_glue(kt, [catalog.kappa_glue_lift()])
     m = catalog.prim_lattice_M()
     match = (basic_invariants(glued.lattice) == basic_invariants(m)
              and discriminant_form(glued.lattice).value_multiset()

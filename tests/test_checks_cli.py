@@ -162,26 +162,26 @@ def _n_disc_with_eta_first(monkeypatch):
     real = catalog.n_dual_classes
 
     def swapped():
-        dg, dual2, independent = real()
-        return dg, [list(catalog.n_class("eta")), *dual2[1:]], independent
+        dual2, independent = real()
+        return [list(catalog.n_class("eta")), *dual2[1:]], independent
     monkeypatch.setattr(catalog, "n_dual_classes", swapped)
 
 
 def _t_with_u2(monkeypatch):
     monkeypatch.setattr(catalog, "transcendental_T", lambda: direct_sum(
-        catalog.standard("E8", 2), catalog.standard("A1"),
-        catalog.standard("A1", -1), catalog.standard("U", 2)))
+        catalog.standard("E8(2)"), catalog.standard("A1"),
+        catalog.standard("A1(-1)"), catalog.standard("U(2)")))
 
 
 def _e8_2_as_e6_2(monkeypatch):
     real = catalog.standard
-    monkeypatch.setattr(catalog, "standard", lambda name, scale=1: real(
-        "E6" if (name, scale) == ("E8", 2) else name, scale))
+    monkeypatch.setattr(catalog, "standard", lambda name: real(
+        "E6(2)" if name == "E8(2)" else name))
 
 
 def _d9_2_as_a9_2(monkeypatch):
     monkeypatch.setattr(catalog, "alpha_d9_2",
-                        lambda: catalog.standard("A9", 2))
+                        lambda: catalog.standard("A9(2)"))
 
 
 def _delta_plus_alpha_1(monkeypatch):
@@ -246,7 +246,7 @@ def _f1_as_eta(monkeypatch):
 
 def _ns_as_u_e8_minus_2(monkeypatch):
     monkeypatch.setattr(catalog, "nodal_sextic_NS", lambda: direct_sum(
-        catalog.standard("U"), catalog.standard("E8", -2)))
+        catalog.standard("U"), catalog.standard("E8(-2)")))
 
 
 def _no_representation_of_18(monkeypatch):

@@ -29,10 +29,10 @@ from oracles import p_elementary_hyperbolic_exists
 def test_two_elementary_invariants_known_lattices():
     cases = [
         (catalog.standard("A1"), (1, 0), 1, 1),
-        (catalog.standard("A1", -1), (0, 1), 1, 1),
+        (catalog.standard("A1(-1)"), (0, 1), 1, 1),
         (catalog.standard("U"), (1, 1), 0, 0),
         (catalog.standard("D4"), (4, 0), 2, 0),
-        (catalog.standard("E8", 2), (8, 0), 8, 0),
+        (catalog.standard("E8(2)"), (8, 0), 8, 0),
     ]
     for lat, sig, a, delta in cases:
         inv = two_elementary_invariants(lat)
@@ -135,7 +135,8 @@ def test_two_elementary_table_matches_direct_sums():
     entry; a False entry is only shown consistent with these pieces, not
     proved."""
     names = ["U", "U(2)", "A1", "E7", "E8", "E8(2)"] + [f"D{n}" for n in range(4, 21, 2)]
-    lattices = [catalog.standard(name, sign) for name in names for sign in (1, -1)]
+    lattices = [catalog.standard(f"{name}({sign})") for name in names
+                for sign in (1, -1)]
     lattices += [_dual_scaled(L, 2) for L in lattices
                  if two_elementary_invariants(L).delta == 0]
     pieces = {(*inv.signature, inv.a, inv.delta)
@@ -156,7 +157,8 @@ def test_p_elementary_oracle_matches_direct_sums():
     accepts exactly the (rank, a) of the hyperbolic sums.  As above, a False
     entry is only shown consistent, not proved."""
     names = ["U", "U(3)", "A2", "E6", "E8", "E8(3)"]
-    lattices = [catalog.standard(name, sign) for name in names for sign in (1, -1)]
+    lattices = [catalog.standard(f"{name}({sign})") for name in names
+                for sign in (1, -1)]
     lattices += [_dual_scaled(L, 3) for L in lattices]
     pieces = set()
     for L in lattices:
@@ -203,8 +205,8 @@ def test_two_torsion_counts_are_the_whole_form_exactly_when_2_elementary():
     # it is not
     t = catalog.transcendental_T()
     same = [t, rescale(t, -1),
-            direct_sum(catalog.standard("E8", -2), catalog.standard("U"),
-                       catalog.standard("A1"), catalog.standard("A1", -1))]
+            direct_sum(catalog.standard("E8(-2)"), catalog.standard("U"),
+                       catalog.standard("A1"), catalog.standard("A1(-1)"))]
     forms = [discriminant_form(L) for L in same]
     forms.append(unimodular_complement_profile(
         catalog.nodal_sextic_NS(), (3, 19)).form)
@@ -233,7 +235,7 @@ def test_phi2_negative_control_flips_verdict(monkeypatch):
     # obstruction, otherwise the final comparison is vacuous: the candidate
     # U + E6(-1), doubled, is given A2's form
     candidate = rescale(direct_sum(catalog.standard("U"),
-                                   catalog.standard("E6", -1)), 2)
+                                   catalog.standard("E6(-1)")), 2)
     real = classify.discriminant_form
     monkeypatch.setattr(
         classify, "discriminant_form",
@@ -255,7 +257,7 @@ def test_phi3_certificate_passes():
 
 
 def test_rescaled_model_matches_transcendental_invariants():
-    model = direct_sum(catalog.standard("E8", -2), catalog.standard("U"),
-                       catalog.standard("A1"), catalog.standard("A1", -1))
+    model = direct_sum(catalog.standard("E8(-2)"), catalog.standard("U"),
+                       catalog.standard("A1"), catalog.standard("A1(-1)"))
     tx = rescale(catalog.transcendental_T(), -1)
     assert two_elementary_invariants(model) == two_elementary_invariants(tx)

@@ -165,7 +165,7 @@ def test_unimodular_lattices_get_the_trivial_group_without_a_smith_form(
     lattices = [IntegralLattice(catalog.resolve(name).gram)
                 for name in ("K3", "E8", "U")]
     lattices.append(direct_sum(IntegralLattice(U.gram),
-                               catalog.standard("E8", -1)))
+                               catalog.standard("E8(-1)")))
     odd = IntegralLattice([[1, 0], [0, -1]])
 
     def smith_normal_form(*args, **kwargs):

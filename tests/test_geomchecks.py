@@ -188,8 +188,8 @@ def test_saturation_certificate_scans_one_extension_per_family(monkeypatch):
     scan = geomchecks.admissibility_scan
     glued, scanned = [], []
 
-    def counting_glue(L, H):
-        ext = glue(L, H)
+    def counting_glue(L, lifts):
+        ext = glue(L, lifts)
         glued.append(ext.lattice)
         return ext
 

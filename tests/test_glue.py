@@ -7,11 +7,10 @@ from cubiclat.checks import run_checks
 from cubiclat.core import (BadSplitting, IntegralLattice, NotIsotropic,
                            basic_invariants, discriminant_form,
                            discriminant_bilinear_form)
-from cubiclat.glue import (GlueSubgroup, glue_group, glue_subgroup,
-                           isotropic_elements, overlattice_from_glue)
+from cubiclat.glue import (glue_group, glue_subgroup, isotropic_elements,
+                           overlattice_from_glue)
 from cubiclat.shortvec import identify_root_lattice, root_count
-from oracles import (_closure, enumerate_even_overlattices, lift, to_ambient,
-                     trivial_glue)
+from oracles import enumerate_even_overlattices, lift, to_ambient
 
 D8 = catalog.standard("D8")
 
@@ -24,12 +23,13 @@ def _spinor_lift():
 
 
 def test_glue_subgroup_validates_isotropy():
-    # glue_subgroup builds the subgroup of A2's order-3 class untested; the
+    # glue_subgroup counts the subgroup of A2's order-3 class untested; the
     # glued Gram rejects it
     a2 = IntegralLattice([[2, -1], [-1, 2]])
-    sub = glue_subgroup(discriminant_form(a2), [(Fraction(2, 3), Fraction(1, 3))])
+    lifts = [(Fraction(2, 3), Fraction(1, 3))]
+    assert glue_subgroup(discriminant_form(a2), lifts) == 3
     with pytest.raises(NotIsotropic):
-        overlattice_from_glue(a2, sub)
+        overlattice_from_glue(a2, lifts)
 
 
 @pytest.mark.parametrize("name, q, message", [
@@ -42,10 +42,8 @@ def test_overlattice_from_glue_rejects_a_non_isotropic_class(name, q, message):
     L = catalog.standard(name)
     form = discriminant_form(L)
     e = next(e for e in form.elements() if form.q(e) == q)
-    sub = GlueSubgroup(order=len(_closure([e], form.factors)),
-                       lifts=(lift(form, e),))
     with pytest.raises(NotIsotropic, match=message):
-        overlattice_from_glue(L, sub)
+        overlattice_from_glue(L, [lift(form, e)])
 
 
 def test_glued_gram_decides_isotropy_exactly():
@@ -65,7 +63,7 @@ def test_glued_gram_decides_isotropy_exactly():
                 continue
             classes += 1
             try:
-                overlattice_from_glue(L, glue_subgroup(form, [lift(form, e)]))
+                overlattice_from_glue(L, [lift(form, e)])
             except NotIsotropic:
                 assert e not in iso, (L.gram, e)
             else:
@@ -79,19 +77,21 @@ def test_glue_subgroup_requires_dual_vector():
         glue_subgroup(discriminant_form(D8), [(Fraction(1, 3),) * 8])
 
 
+@pytest.mark.parametrize("length", [7, 9])
+def test_overlattice_from_glue_rejects_a_lift_of_the_wrong_length(length):
+    with pytest.raises(ValueError, match=f"vector has {length} coordinates, not 8"):
+        overlattice_from_glue(D8, [(Fraction(1, 2),) * length])
+
+
 def test_trivial_glue():
-    sub = trivial_glue()
-    assert sub.order == 1
-    ext = overlattice_from_glue(D8, sub)
+    ext = overlattice_from_glue(D8, [])
     assert ext.index == 1
     assert ext.lattice.gram == D8.gram
 
 
 def test_d8_glues_to_e8():
     """A spinor glue class extends D8 to the unimodular E8."""
-    sub = glue_subgroup(discriminant_form(D8), [_spinor_lift()])
-    assert sub.order == 2
-    ext = overlattice_from_glue(D8, sub)
+    ext = overlattice_from_glue(D8, [_spinor_lift()])
     assert ext.index == 2
     assert ext.lattice.det == 1
     assert ext.lattice.is_even
@@ -100,15 +100,13 @@ def test_d8_glues_to_e8():
 
 
 def test_overlattice_det_index_identity():
-    sub = glue_subgroup(discriminant_form(D8), [_spinor_lift()])
-    ext = overlattice_from_glue(D8, sub)
-    assert ext.lattice.det * sub.order ** 2 == D8.det
+    ext = overlattice_from_glue(D8, [_spinor_lift()])
+    assert ext.lattice.det * ext.index ** 2 == D8.det
 
 
 def test_overlattice_coordinate_round_trip():
     lift = _spinor_lift()
-    sub = glue_subgroup(discriminant_form(D8), [lift])
-    ext = overlattice_from_glue(D8, sub)
+    ext = overlattice_from_glue(D8, [lift])
     for v in [(1, 0, 0, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0, 2, 0)]:
         amb = to_ambient(ext, v)
         assert ext.from_ambient(amb) == v
@@ -156,7 +154,7 @@ def test_glue_group_reads_the_rank_off_its_smith_form(monkeypatch):
 def test_enumerate_even_overlattices_d8():
     found = enumerate_even_overlattices(D8, 2)
     assert len(found) == 3  # trivial and the two spinor glues
-    orders = sorted(sub.order for sub, _ in found)
+    orders = sorted(order for order, _ in found)
     assert orders == [1, 2, 2]
     dets = sorted(ext.lattice.det for _, ext in found)
     assert dets == [1, 1, 4]
@@ -164,9 +162,7 @@ def test_enumerate_even_overlattices_d8():
 
 def test_kappa_tilde_glue_reaches_m():
     kt = catalog.kappa_tilde()
-    sub = glue_subgroup(discriminant_form(kt), [catalog.kappa_glue_lift()])
-    ext = overlattice_from_glue(kt, sub)
-    assert sub.order == 4
+    ext = overlattice_from_glue(kt, [catalog.kappa_glue_lift()])
     assert ext.index == 4
     assert ext.lattice.det == catalog.prim_lattice_M().det == 3072
 
@@ -180,8 +176,7 @@ LOOKALIKE_LIFT = ("1/4", "1/2", "0", "1/2", "0", "1/2", "0", "1/2", "1/4",
 def test_m_glue_fails_on_a_lookalike_glue_class(monkeypatch):
     lookalike = tuple(map(Fraction, LOOKALIKE_LIFT))
     kt, m = catalog.kappa_tilde(), catalog.prim_lattice_M()
-    ext = overlattice_from_glue(
-        kt, glue_subgroup(discriminant_form(kt), [lookalike]))
+    ext = overlattice_from_glue(kt, [lookalike])
     assert ext.index == 4
     assert basic_invariants(ext.lattice) == basic_invariants(m)
     assert (discriminant_form(ext.lattice).value_multiset()

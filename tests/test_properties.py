@@ -99,7 +99,6 @@ def snf_inputs(draw):
 def test_smith_normal_form_matches_the_reference(a):
     d, u, v = smith_normal_form(a)
     assert (d, u, v) == smith_normal_form_reference(a)
-    assert smith_normal_form(a, left=False) == (d, None, v)
     assert mat_mul(mat_mul(u, a), v) == d
     assert abs(bareiss_det(u)) == abs(bareiss_det(v)) == 1
 
@@ -163,8 +162,8 @@ def congruent_grams(draw):
 def test_elimination_kernel_on_congruent_grams(case, data):
     gram, g, signature = case
     n = len(g)
-    assert tuple(signature_of_gram(g, bareiss(g, symmetric=True))) \
-        == tuple(signature_of_gram(gram, bareiss(gram, symmetric=True))) \
+    assert tuple(signature_of_gram(bareiss(g, symmetric=True))) \
+        == tuple(signature_of_gram(bareiss(gram, symmetric=True))) \
         == signature
     assert bareiss_det(g) == bareiss_det(gram)
     assert mat_mul(frac_inverse(g), g) == identity(n)
@@ -213,7 +212,8 @@ def even_lattices(draw):
                       st.builds("<{}>".format, st.integers(1, 6).map(lambda k: 2 * k)))
     blocks, order = [], 1
     for name in draw(st.lists(names, min_size=1, max_size=4)):
-        lat = catalog.standard(name, draw(st.sampled_from([1, -1])))
+        sign = draw(st.sampled_from([1, -1]))
+        lat = catalog.standard(f"{name}({sign})")
         if order * abs(lat.det) <= 2 ** 12:
             blocks.append(lat.gram)
             order *= abs(lat.det)

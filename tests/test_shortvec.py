@@ -270,11 +270,11 @@ def test_identify_handles_changed_basis():
 
 def test_root_count_of_a_negative_definite_lattice_reads_signed_norms():
     # A2(-1) has its six roots at norm -2, none at +2
-    assert root_count(catalog.standard("A2", -1), -2) == 6
+    assert root_count(catalog.standard("A2(-1)"), -2) == 6
 
 
 def test_root_count_of_a_negative_definite_lattice_has_no_positive_norms():
-    assert root_count(catalog.standard("A2", -1), 2) == 0
+    assert root_count(catalog.standard("A2(-1)"), 2) == 0
 
 
 def test_vectors_of_norm_missing_value():
