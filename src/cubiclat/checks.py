@@ -23,8 +23,8 @@ from . import catalog, delpezzo, exact, geomchecks, hassett
 from .classify import (_torsion_q_multiset, phi2_no_associated_k3,
                        phi3_k3_exists, two_elementary_exists,
                        two_elementary_invariants, unimodular_complement_profile)
-from .core import (NoRepresentation, basic_invariants, combine, direct_sum,
-                   discriminant_form, discriminant_group, gram_of, rescale)
+from .core import (NoRepresentation, combine, direct_sum, discriminant_form,
+                   gram_of, rescale)
 from .glue import glue_group, overlattice_from_glue
 from .report import CheckReport, certificate
 from .shortvec import ade_root_number, identify_root_lattice, root_count
@@ -39,11 +39,10 @@ class UnknownCheck(ValueError):
              "determinant 1024")
 def n_gram_certificate():
     n = catalog.plane_lattice_N()
-    inv = basic_invariants(n)
-    details = {"rank": n.rank, "det": exact.bareiss_det(n.gram),
+    details = {"rank": n.rank, "det": n.det,
                "signature": tuple(n.signature), "parity": n.parity}
     ok = (details["det"] == 1024 and details["signature"] == (11, 0)
-          and details["parity"] == "odd" and inv.determinant == 1024)
+          and details["parity"] == "odd")
     return ok, details
 
 
@@ -97,10 +96,10 @@ def n_admissible_certificate():
              "discriminant group Z/3 x (Z/2)^10")
 def m_gram_certificate():
     m = catalog.prim_lattice_M()
-    dg = discriminant_group(m)
+    dg = m.disc_form
     primary = {p: sum(1 for f in dg.factors if f % p == 0)
                for p in (2, 3)}
-    details = {"det": exact.bareiss_det(m.gram),
+    details = {"det": m.det,
                "signature": tuple(m.signature), "parity": m.parity,
                "invariant_factors": dg.factors,
                "primary_decomposition": primary}
@@ -221,7 +220,7 @@ def t_invariants_certificate():
     t_multiset = _torsion_q_multiset(discriminant_form(t), 2)
     two_part = _torsion_q_multiset(profile.form, 2)
     details = {"invariants": flat, "exists": exists,
-               "det": exact.bareiss_det(t.gram),
+               "det": t.det,
                "profile_signature": tuple(profile.signature),
                "profile_factors": profile.form.factors,
                "two_part_matches_T": two_part == t_multiset}

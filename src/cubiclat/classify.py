@@ -19,7 +19,6 @@ from .core import (
     Signature,
     direct_sum,
     discriminant_form,
-    discriminant_group,
     rescale,
 )
 from .report import certificate
@@ -33,7 +32,7 @@ class TwoElemInvariants(NamedTuple):
 
 def two_elementary_invariants(L: IntegralLattice) -> TwoElemInvariants:
     """(signature, length, delta) of an even lattice with (Z/2)^a discriminant."""
-    factors = discriminant_group(L).factors
+    factors = L.disc_form.factors
     bad = [f for f in factors if f != 2]
     if bad:
         raise Not2Elementary(
@@ -41,12 +40,8 @@ def two_elementary_invariants(L: IntegralLattice) -> TwoElemInvariants:
             f"offending entries {bad}")
     form = discriminant_form(L)
     a = len(factors)
-    delta = 0
-    for i in range(a):
-        gen = tuple(int(i == j) for j in range(a))
-        if form.q(gen).denominator != 1:
-            delta = 1
-            break
+    delta = int(any(form.q([int(i == j) for j in range(a)]).denominator != 1
+                    for i in range(a)))
     return TwoElemInvariants(L.signature, a, delta)
 
 
@@ -142,13 +137,13 @@ def phi2_no_associated_k3():
     # Nikulin 1979, Cor. 1.13.3: an even indefinite lattice of rank at least
     # 2 + l(A) is the only one in its genus, so a halved K is U + E6(-1)
     half = direct_sum(catalog.standard("U"), catalog.standard("E6(-1)"))
-    half_factors = discriminant_group(half).factors
+    half_factors = half.disc_form.factors
     unique = (half.is_even and min(half.signature) > 0
               and half.rank >= 2 + len(half_factors))
     details["unique_3elementary_rank8"] = unique
     ok = ok and unique and half.signature == (1, 7) and half_factors == (3,)
     candidate = rescale(half, 2)
-    details["candidate_factors"] = discriminant_group(candidate).factors
+    details["candidate_factors"] = candidate.disc_form.factors
     ok = ok and sorted(details["candidate_factors"]) == sorted(factors)
 
     cand3 = _torsion_q_multiset(discriminant_form(candidate), 3)

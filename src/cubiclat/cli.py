@@ -16,8 +16,7 @@ import click
 
 from . import catalog, checks, delpezzo, geomchecks, hassett
 from .core import (MAX_RANK, IntegralLattice, LatticeError, TooLarge,
-                   UnknownLattice, basic_invariants,
-                   discriminant_bilinear_form, discriminant_group)
+                   UnknownLattice, basic_invariants)
 from .report import CheckReport, jsonable
 from .shortvec import enumerate_by_norm, root_count
 
@@ -159,11 +158,10 @@ def lat_show(target: str, invariants: bool, disc: bool, roots: int | None,
             click.echo(f"det {inv.determinant}  signature "
                        f"{tuple(inv.signature)}  {inv.parity}")
         if disc:
-            group = discriminant_group(L)
+            form = L.disc_form
             click.echo(f"discriminant group invariant factors: "
-                       f"{list(group.factors) or 'trivial'}")
-            if group.factors:
-                form = discriminant_bilinear_form(L)
+                       f"{list(form.factors) or 'trivial'}")
+            if form.factors:
                 for grow in form.bilinear_matrix():
                     click.echo("  " + "  ".join(str(x) for x in grow))
         if roots is not None:

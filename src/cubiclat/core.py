@@ -140,7 +140,9 @@ def combine(coeffs, vectors) -> tuple:
 
 
 class IntegralLattice:
-    """A finite-rank lattice given by a symmetric nondegenerate integer Gram.
+    """A finite-rank lattice given by a symmetric nondegenerate integer Gram;
+    an entry that is not an integer (an integral Fraction or float is one)
+    raises ValueError.
 
     ``elimination`` is ``exact.bareiss`` of the reversed Gram with
     ``symmetric=True``, made once at construction.  ``det`` is its last
@@ -149,18 +151,21 @@ class IntegralLattice:
     makes the first coordinate the outermost level of the Fincke-Pohst walk,
     which then meets vectors in lexicographic order.  ``disc_form`` is the
     lattice's one discriminant form, which is also its group A_L, made on
-    first use and returned by ``discriminant_group``, ``discriminant_form``
-    and ``discriminant_bilinear_form``.
+    first use.  The package reads these cached facts directly;
+    ``discriminant_form`` returns the form after checking that L is even.
     """
 
     def __init__(self, gram: Sequence[Sequence[int]],
                  labels: Sequence[str] | None = None,
                  name: str | None = None):
-        rows = [tuple(int(x) for x in row) for row in gram]
+        rows = [tuple(row) for row in gram]
         n = len(rows)
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError(f"gram row {i} has length {len(row)}, expected {n}")
+            rows[i] = tuple(map(int, row))
+            if rows[i] != row:
+                raise ValueError(f"gram row {i} has non-integral entries")
         for i in range(n):
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
@@ -313,9 +318,7 @@ class FiniteQuadraticForm:
 
     def class_of_dual_coords(self, z: Sequence[int]) -> tuple[int, ...]:
         """Class of a dual vector given by its integer dual-basis coordinates."""
-        if len(z) != self.lattice.rank:
-            raise ValueError(f"vector has {len(z)} coordinates, "
-                             f"not {self.lattice.rank}")
+        z = _coords(z, self.lattice.rank)
         return tuple(sum(map(mul, row, z)) % d
                      for row, d in zip(self._u, self.factors))
 

@@ -20,8 +20,7 @@ from typing import NamedTuple
 
 from . import catalog
 from .core import (IntegralLattice, _coords, _gram_product, combine,
-                   discriminant_group, divisibility, gram_of,
-                   orthogonal_complement)
+                   divisibility, gram_of, orthogonal_complement)
 from .glue import overlattice_from_glue
 from .hassett import _labeling_det, is_admissible
 from .report import certificate
@@ -378,7 +377,7 @@ def no_plane_order3_certificate():
     """Absence of 3-torsion in the discriminant group of E8(2), against two
     controls that do carry an order-3 class."""
     e82 = catalog.standard("E8(2)")
-    dg = discriminant_group(e82)
+    dg = e82.disc_form
     m = catalog.prim_lattice_M()
     e62 = catalog.eckardt_E6_2()
     three = [f for f in dg.factors if f % 3 == 0]
@@ -387,9 +386,9 @@ def no_plane_order3_certificate():
         "factors": dg.factors,
         "three_torsion": bool(three),
         "control_M_three_torsion": any(
-            f % 3 == 0 for f in discriminant_group(m).factors),
+            f % 3 == 0 for f in m.disc_form.factors),
         "control_E62_three_torsion": any(
-            f % 3 == 0 for f in discriminant_group(e62).factors),
+            f % 3 == 0 for f in e62.disc_form.factors),
     }
     ok = (details["order"] == 256 and not details["three_torsion"]
           and details["control_M_three_torsion"]

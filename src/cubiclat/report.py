@@ -11,17 +11,12 @@ def jsonable(value):
     """Recursively convert report payloads to JSON-serializable data."""
     if isinstance(value, Fraction):
         return str(value) if value.denominator != 1 else int(value)
-    if isinstance(value, bool) or isinstance(value, int) or value is None:
-        return value
-    if isinstance(value, str):
+    if isinstance(value, (int, str)) or value is None:
         return value
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, frozenset, set)):
-        items = list(value)
-        if isinstance(value, (set, frozenset)):
-            items = sorted(items, key=repr)
-        return [jsonable(v) for v in items]
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
     return str(value)
 
 

@@ -18,9 +18,10 @@ centre whose first nonzero coordinate is positive, and each slice is
 completed by the partners -y, which reversed come first in the same order
 (Cohen, GTM 138, Algorithm 2.7.7, lists vectors up to sign).
 
-Negative definite inputs are auto-negated; indefinite inputs are rejected,
-and a walk that would visit more than ``ENUMERATION_GUARD`` leaves, both
-signs counted, raises TooManyVectors.
+Definiteness is read off ``L.signature``, which comes from the same
+elimination: negative definite inputs are auto-negated, indefinite inputs
+are rejected, and a walk that would visit more than ``ENUMERATION_GUARD``
+leaves, both signs counted, raises TooManyVectors.
 """
 from __future__ import annotations
 
@@ -50,25 +51,22 @@ def _levels(L: IntegralLattice):
     pivots (D_0 = 1, D_i the leading i x i minor), norm(x) = sum_i p_i (x_i
     + sum_{j>i} U[i][j] x_j / U[i][i])^2 with p_i = D_{i+1} / D_i in
     reversed coordinates (x_i is coordinate n-1-i), for the Gram itself or
-    for its negation when that is the definite one.  The Gram is positive
-    definite when every D_i is positive and negative definite when D_i has
-    sign (-1)^i (Sylvester); negating it flips the sign of every p_i and
-    leaves the coefficients.  Any other pattern raises IndefiniteLattice.
+    for its negation when that is the definite one.  ``L.signature``, read
+    off the same pivots, tells which: a signature with both parts nonzero
+    raises IndefiniteLattice, and negating the Gram flips the sign of every
+    p_i and leaves the coefficients.
 
     Level i is returned as (p_num, p_den, r, a): p_i = p_num / p_den in
     lowest terms with both positive, and the coefficients U[i][j] / U[i][i]
     over the least common denominator r > 0 as the integers a (j > i).
     """
+    sig = L.signature
+    if sig.positive and sig.negative:
+        raise IndefiniteLattice(
+            "Gram matrix is neither positive definite nor negative definite")
     n = L.rank
     u = L.elimination[0]
     minors = [1] + [u[i][i] for i in range(n)]  # a lattice has n pivots
-    if all(d > 0 for d in minors):
-        negated = False
-    elif all((d > 0) == (i % 2 == 0) for i, d in enumerate(minors)):
-        negated = True
-    else:
-        raise IndefiniteLattice(
-            "Gram matrix is neither positive definite nor negative definite")
     levels = []
     for i in range(n):
         pivot, row = minors[i + 1], u[i][i + 1:]
@@ -76,7 +74,7 @@ def _levels(L: IntegralLattice):
         h = gcd(pivot, *row) if pivot > 0 else -gcd(pivot, *row)
         levels.append((abs(pivot) // g, abs(minors[i]) // g, pivot // h,
                        [x // h for x in row]))
-    return levels, negated
+    return levels, sig.negative > 0
 
 
 def _walk(k, dens, bases, rows, c, w_den, total):

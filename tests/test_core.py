@@ -93,6 +93,13 @@ def test_non_integral_coordinates_are_rejected():
     assert A2.norm((1.0, 1)) == 2
     assert A2.dual_pairings((Fraction(3), 0)) == (6, -3)
     assert glue_group(U, [(Fraction(1), 1)], [(1, -1)]) == (2,)
+    # a Gram entry or a dual-basis coordinate is not truncated either
+    for gram in ([[Fraction(5, 2), 1], [1, 2]], [[2.7]]):
+        with pytest.raises(ValueError, match="gram row 0 has non-integral"):
+            IntegralLattice(gram)
+    assert IntegralLattice([[Fraction(4, 2), 1.0], [1, 2]]).gram == ((2, 1), (1, 2))
+    with pytest.raises(ValueError, match="non-integral"):
+        A2.disc_form.class_of_dual_coords((Fraction(1, 2), 0))
 
 
 def test_pair_rational_matches_fraction_sum():

@@ -63,15 +63,14 @@ def test_negative_definite_enumeration():
 
 
 def test_enumeration_eliminates_once(monkeypatch):
-    # definiteness is read off the LDL pivots: no separate signature probe,
-    # and construction's determinant comes from the same elimination
+    # definiteness is read off the signature, and the signature and
+    # construction's determinant come from the one elimination the walk uses
     grams = [rescale(A2, -1).gram, catalog.standard("E8").gram,
              rescale(catalog.standard("D4"), -1).gram]
     calls = []
     bareiss = exact.bareiss
     monkeypatch.setattr(exact, "bareiss",
                         lambda *a, **k: calls.append(1) or bareiss(*a, **k))
-    monkeypatch.setattr(core, "signature_of_gram", None)
     lattices = [IntegralLattice(g) for g in grams]
     results = [enumerate_by_norm(L, 2)[0] for L in lattices]
     assert len(calls) == len(lattices)
@@ -187,7 +186,7 @@ def test_enumeration_matches_box_search(query):
 
 
 def test_enumeration_rejects_indefinite_pivot_signs():
-    # leading minors 1, -1 and -2, 3, 3 fit neither definite sign pattern
+    # signatures (1, 1) and (1, 2) have both parts nonzero
     with pytest.raises(IndefiniteLattice, match="positive definite"):
         enumerate_by_norm(IntegralLattice([[1, 0], [0, -1]]), 2)
     with pytest.raises(IndefiniteLattice):

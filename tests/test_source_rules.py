@@ -120,3 +120,16 @@ def test_library_imports_no_dataclasses_inspect_or_json(run_optimized):
     added = set(run_optimized(script).split())
     assert "cubiclat.checks" in added
     assert not added & {"dataclasses", "inspect", "json"}, added
+
+
+def test_only_core_calls_the_discriminant_aliases():
+    # the package reads L.disc_form; discriminant_group and
+    # discriminant_bilinear_form stay only as the benchmark's entry points
+    aliases = {"discriminant_group", "discriminant_bilinear_form"}
+    calls = [f"{path.name}:{node.lineno}" for path in MODULES
+             if path.name != "core.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and (
+                 getattr(node.func, "id", None) in aliases
+                 or getattr(node.func, "attr", None) in aliases)]
+    assert MODULES and not calls, calls
