@@ -98,9 +98,18 @@ def numerators(v) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in v], den
 
 
+def _square(a) -> int:
+    """The size n of a square matrix; ValueError on a row not of n entries."""
+    n = len(a)
+    for row in a:
+        if len(row) != n:
+            raise ValueError(f"matrix has {n} rows but a row of {len(row)} entries")
+    return n
+
+
 def bareiss_det(a: IntMatrix) -> int:
     """Integer determinant by fraction-free (Bareiss) elimination."""
-    n = len(a)
+    n = _square(a)
     m, pivots, sign = bareiss(a)
     if len(pivots) < n:
         return 0
@@ -114,10 +123,11 @@ def _inverse(a) -> tuple[IntMatrix, int]:
     column, -f * c off the pivot and prev * c on it, over column k of a, now
     zero off the pivot; a row with f = 0 is only rescaled by pv / prev.  The
     swaps are undone on the columns at the end."""
+    n = _square(a)
     m = [numerators(row) for row in a]
     swaps, prev = [], 1
-    for k in range(len(m)):
-        p = next((i for i in range(k, len(m)) if m[i][0][k]), None)
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][0][k]), None)
         if p is None:
             raise ZeroDivisionError("matrix is singular")
         if p != k:
@@ -154,6 +164,8 @@ def rational_rank(a) -> int:
 def solve_exact(a, b):
     """Solve a x = b over Q for square nonsingular a (ints or Fractions);
     returns a list of Fractions, m b / p from ``_inverse``."""
+    if len(b) != len(a):
+        raise ValueError(f"right-hand side has {len(b)} entries, not {len(a)}")
     m, p = _inverse(a)
     num, den = numerators(b)
     return [Fraction(sum(x * y for x, y in zip(r, num)), p * den) for r in m]

@@ -5,9 +5,9 @@ and the parity arguments.
 
 A lattice bundled with a distinguished norm-3 class eta is "admissible" when
 it could be the algebraic lattice of a smooth cubic: no odd-norm class
-orthogonal to eta, no norm-2 class at all, no norm-6 class of divisibility 3
-in the eta-complement, and no saturated rank-2 labeling through eta with a
-forbidden determinant.
+orthogonal to eta, no norm-2 class, no norm-6 class of divisibility 3 in the
+eta-complement, and no labeling (saturated <eta, u>) of forbidden
+determinant, which u's own span decides (``_class_rule``).
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from . import catalog
 from .core import (IntegralLattice, _coords, _gram_product, combine,
                    divisibility, gram_of, orthogonal_complement)
 from .glue import overlattice_from_glue
-from .hassett import _labeling_det, is_admissible
+from .hassett import is_admissible
 from .report import certificate
 from .shortvec import enumerate_by_norm, vectors_of_norm
 
@@ -55,13 +55,15 @@ def admissibility_scan(L: IntegralLattice, eta,
     """First violation of rules R1-R4 (in that order), or None.
 
     The eta-complement is scanned up to norm_bound (R1, and R3 whenever the
-    bound reaches 6); an even complement has no vector of odd norm for R1, so
-    its scan stops at min(norm_bound, 6), all R3 reads.  Rule R4 scans
-    labelings of determinant at most 18 through vectors of norm at most
-    min(norm_bound, 8); when the minimal norm of L is 3 that cap is complete
-    (a reduced basis of such a labeling has both norms at most 8), and
-    lattices with smaller minima are flagged by R1, R2, or a norm-1 labeling
-    anyway.
+    bound reaches 6); an even complement has no odd norm for R1, so its scan
+    stops at min(norm_bound, 6), all R3 reads.  R2 and R4 walk L to
+    max(2, min(norm_bound, 6)), R4 on each vector's own span.  That finds
+    the first saturated labeling of inadmissible det D <= 18: (1) eta has
+    norm 3, so it is primitive; (2) such a labeling has a basis (eta, u)
+    with |eta.u| <= 1, so u.u = (D + (eta.u)^2)/3 <= 6; (3) an inadmissible
+    span s <= 18 saturates to s or to at most s/4 <= 4, inadmissible either
+    way; (4) the first u whose span breaks R4 is primitive, else its
+    saturation has a basis vector of norm 1 (2 is R2) met first.
     """
     ec = _check_eta(L, eta)
     comp = orthogonal_complement(L, [ec])
@@ -73,8 +75,7 @@ def admissibility_scan(L: IntegralLattice, eta,
             w = comp.to_ambient(sl.vectors[0])
             return Violation("R1", w, {"norm": sl.norm})
 
-    r4cap = min(norm_bound, 8)
-    slices = enumerate_by_norm(L, max(2, r4cap))
+    slices = enumerate_by_norm(L, max(2, min(norm_bound, 6)))
     for sl in slices:
         if sl.norm == 2:
             return Violation("R2", tuple(sl.vectors[0]), {"norm": 2})
@@ -87,15 +88,14 @@ def admissibility_scan(L: IntegralLattice, eta,
                 return Violation("R3", comp.to_ambient(w),
                                  {"norm": 6, "divisibility": 3})
 
+    # no u here is R1 or R2: the R1 loop covers the complement at least up
+    # to this walk's bound, and the R2 loop covers L
     eta_dual = L.dual_pairings(ec)
     for sl in slices:
-        if sl.norm > r4cap:
-            break
         for u in sl.vectors:
             e = sum(map(mul, eta_dual, u))
-            d = _labeling_det(3 * sl.norm - e * e, ec, u)
-            if 0 < d <= 18 and not is_admissible(d):
-                return Violation("R4", tuple(u), {"det": d})
+            if _class_rule(sl.norm, e) == "R4":
+                return Violation("R4", tuple(u), {"det": 3 * sl.norm - e * e})
     return None
 
 
@@ -137,11 +137,11 @@ def _family_witness(has_eta: bool, supp: tuple[int, ...], eta, p, fs):
     return combine((1, -1), (eta, p))
 
 
-def _witness_rule(norm: Fraction, degree: Fraction) -> str | None:
+def _class_rule(norm, degree) -> str | None:
     """The rule broken by a class of this norm and eta-degree: R2, then R1
-    (the two never both hold), then R4 on the span determinant; None if it
-    breaks none; no witness needs R3.  A span at most 18 over g^2 > 1 is at
-    most 4, so the saturation of an inadmissible span is inadmissible."""
+    (the two never both hold), then R4 on its span 3 norm - degree^2; None
+    if it breaks none (no sat.511 witness needs R3).  The one R4 predicate,
+    read by the scan and by sat.511."""
     if norm == 2:
         return "R2"
     if norm % 2 == 1 and degree == 0:
@@ -233,7 +233,7 @@ def saturation_certificate():
                 continue
             wn = Fraction(_gram_product(n.gram, w2, w2), 4)
             we = Fraction(n.pair(w2, eta), 2)
-            rule = _witness_rule(wn, we)
+            rule = _class_rule(wn, we)
             if rule is None or rule != family_rule.setdefault(key, rule):
                 problems.append({"class": symbols, "error": "witness data",
                                  "norm": wn, "eta": we})

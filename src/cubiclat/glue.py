@@ -54,6 +54,9 @@ class Overlattice(NamedTuple):
 
     def from_ambient(self, w) -> tuple[int, ...]:
         """Coordinates in the extension basis of a rational ambient vector."""
+        if len(w) != len(self.basis):
+            raise ValueError(f"vector has {len(w)} coordinates, not "
+                             f"{len(self.basis)}")
         c = exact.solve_exact(list(zip(*self.basis)), [Fraction(x) for x in w])
         if any(x.denominator != 1 for x in c):
             raise ValueError("vector does not lie in the overlattice")

@@ -5,7 +5,7 @@ Witness vectors live in the frame alpha_1, alpha_3, alpha_5, alpha_7 (norm 4,
 orthogonal to eta), beta = eta - P - F_9 (norm 3, eta-degree 1) and
 gamma = y - F_5 - ... - F_9 (norm 6, orthogonal to eta); for
 v = sum x_i alpha_i + s beta + t gamma the span <eta, v> has discriminant
-12(x_1^2+x_3^2+x_5^2+x_7^2) + 8 s^2 + 18 t^2.
+12(x_1^2+x_3^2+x_5^2+x_7^2) + 8 s^2 + 18 t^2, primitive for coprime minors.
 """
 from __future__ import annotations
 
@@ -15,8 +15,7 @@ from operator import mul
 from typing import NamedTuple
 
 from . import catalog
-from .core import (LatticeError, NoRepresentation, NotAHassettDiscriminant,
-                   combine)
+from .core import NoRepresentation, NotAHassettDiscriminant, combine
 from .report import certificate
 
 
@@ -70,22 +69,16 @@ def is_admissible(d: int) -> bool:
     return d > 6 and d % 6 in (0, 2)
 
 
-def _labeling_det(span: int, eta, u) -> int:
-    """Determinant of the saturation of <eta, u>, from span = 3 u.u -
-    (eta.u)^2 = det <eta, u> and the gcd of the 2x2 minors of the
-    coordinate matrix; a gcd of 1 ends the scan early."""
-    if span == 0:
-        return 0
+def _minor_gcd(x, y) -> int:
+    """gcd of the 2x2 minors of the coordinate rows x and y, the index of
+    <x, y> in its saturation for independent x, y; a gcd of 1 ends early."""
     g = 0
-    for i in range(len(eta)):
-        for j in range(i + 1, len(eta)):
-            g = gcd(g, eta[i] * u[j] - eta[j] * u[i])
+    for i in range(len(x)):
+        for j in range(i + 1, len(x)):
+            g = gcd(g, x[i] * y[j] - x[j] * y[i])
             if g == 1:
-                return span
-    if span % (g * g):
-        raise LatticeError(f"span determinant {span} is not divisible by the "
-                           f"squared saturation index {g * g}")
-    return span // (g * g)
+                return 1
+    return g
 
 
 class Labeling(NamedTuple):
@@ -165,10 +158,10 @@ def labeling_for_d(d: int) -> Labeling:
     if disc != d:
         raise NoRepresentation(f"witness {witness} gives discriminant {disc}, "
                                f"not {d}")
-    sat = _labeling_det(disc, eta, v)
-    if sat != d:
-        raise NoRepresentation(f"witness {witness} saturates to det {sat}, "
-                               f"not a primitive labeling of {d}")
+    index = _minor_gcd(eta, v)
+    if index != 1:
+        raise NoRepresentation(f"witness {witness} has index {index} in its "
+                               f"saturation, not a primitive labeling of {d}")
     return Labeling(d=d, v=v, witness=witness)
 
 

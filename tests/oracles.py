@@ -12,7 +12,8 @@ normal form, the two-kernel saturation that ``core.saturation`` replaces by
 one left Smith form, the separate four-square and 2x^2+2y^2+2z^2+3u^2
 search loops that ``hassett._square_reps`` replaces, the one-extension-
 per-class form of ``sat.511``, which the certificate replaces by one
-extension per S_9 orbit,
+extension per S_9 orbit, the admissibility scan as it stood before R4 read
+each vector's own span (it saturated every span and walked L to norm 8),
 Milgram's formula as a check across the discriminant form, group and
 signature, and the p-elementary hyperbolic existence table, which tests hold
 against direct sums of standard pieces, and the plain matrix product and
@@ -21,17 +22,21 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+from operator import mul
 
 from cubiclat import catalog
 from cubiclat.core import (DependentSpan, FiniteQuadraticForm,
                            IntegralLattice, NoRepresentation, ParityError,
-                           Sublattice, _coords, _gram_product, _sublattice,
-                           discriminant_form, discriminant_group,
+                           LatticeError, Sublattice, _coords, _gram_product,
+                           _sublattice, discriminant_form, discriminant_group,
+                           divisibility, orthogonal_complement,
                            signature_of_gram)
 from cubiclat.exact import _xgcd, bareiss, identity, integer_kernel, numerators
-from cubiclat.geomchecks import admissibility_scan
+from cubiclat.geomchecks import Violation, _check_eta, admissibility_scan
 from cubiclat.glue import Overlattice, isotropic_elements, overlattice_from_glue
+from cubiclat.hassett import is_admissible
+from cubiclat.shortvec import enumerate_by_norm
 
 
 def transpose(a):
@@ -394,3 +399,62 @@ def coset_rules_by_class() -> dict[tuple[int, ...], tuple[str, str | None]]:
                                      norm_bound=3)
             out[symbols] = key, hit and hit.rule
     return out
+
+
+def _labeling_det(span: int, eta, u) -> int:
+    """Determinant of the saturation of <eta, u>, from span = 3 u.u -
+    (eta.u)^2 = det <eta, u> and the gcd of the 2x2 minors of the
+    coordinate matrix; a gcd of 1 ends the scan early."""
+    if span == 0:
+        return 0
+    g = 0
+    for i in range(len(eta)):
+        for j in range(i + 1, len(eta)):
+            g = gcd(g, eta[i] * u[j] - eta[j] * u[i])
+            if g == 1:
+                return span
+    if span % (g * g):
+        raise LatticeError(f"span determinant {span} is not divisible by the "
+                           f"squared saturation index {g * g}")
+    return span // (g * g)
+
+
+def admissibility_scan_reference(L: IntegralLattice, eta,
+                                 norm_bound: int = 12) -> Violation | None:
+    """The scan with R4 on saturated determinants: every vector of L up to
+    norm min(norm_bound, 8) is saturated with eta before its determinant is
+    read."""
+    ec = _check_eta(L, eta)
+    comp = orthogonal_complement(L, [ec])
+    comp_bound = min(norm_bound, 6) if comp.lattice.is_even else norm_bound
+    comp_slices = enumerate_by_norm(comp.lattice, comp_bound)
+
+    for sl in comp_slices:
+        if sl.norm % 2 == 1:
+            w = comp.to_ambient(sl.vectors[0])
+            return Violation("R1", w, {"norm": sl.norm})
+
+    r4cap = min(norm_bound, 8)
+    slices = enumerate_by_norm(L, max(2, r4cap))
+    for sl in slices:
+        if sl.norm == 2:
+            return Violation("R2", tuple(sl.vectors[0]), {"norm": 2})
+
+    for sl in comp_slices:
+        if sl.norm != 6:
+            continue
+        for w in sl.vectors:
+            if divisibility(comp.lattice, w) == 3:
+                return Violation("R3", comp.to_ambient(w),
+                                 {"norm": 6, "divisibility": 3})
+
+    eta_dual = L.dual_pairings(ec)
+    for sl in slices:
+        if sl.norm > r4cap:
+            break
+        for u in sl.vectors:
+            e = sum(map(mul, eta_dual, u))
+            d = _labeling_det(3 * sl.norm - e * e, ec, u)
+            if 0 < d <= 18 and not is_admissible(d):
+                return Violation("R4", tuple(u), {"det": d})
+    return None

@@ -60,6 +60,24 @@ def test_solve_exact_rejects_a_singular_matrix():
         exact.solve_exact([[1, 1], [1, 1]], [1, 1])
 
 
+def test_square_entry_points_reject_a_mis_shaped_matrix():
+    for a, message in (([[1, 2, 3], [4, 5, 6]], "2 rows but a row of 3"),
+                       ([[1, 0], [0, 1], [1, 1]], "3 rows but a row of 2"),
+                       ([[1, 0, 0], [0, 1]], "2 rows but a row of 3")):
+        for f in (exact.bareiss_det, exact.frac_inverse):
+            with pytest.raises(ValueError, match=message):
+                f(a)
+        with pytest.raises(ValueError, match=message):
+            exact.solve_exact(a, [1] * len(a))
+
+
+def test_solve_exact_rejects_a_right_hand_side_of_the_wrong_length():
+    for b in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError,
+                           match=f"right-hand side has {len(b)} entries, not 2"):
+            exact.solve_exact([[1, 0], [0, 1]], b)
+
+
 def test_rational_rank():
     assert exact.rational_rank([[1, 2], [2, 4]]) == 1
     assert exact.rational_rank([[1, 0], [0, 1]]) == 2

@@ -1,13 +1,16 @@
 """Tests for plane enumeration, the admissibility rules, and the geometric
 parity certificates."""
 
+import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from cubiclat import catalog, geomchecks
-from cubiclat.core import IntegralLattice, LatticeError
+from cubiclat.core import IntegralLattice, _gram_product
+from cubiclat.exact import bareiss_det
 from cubiclat.geomchecks import (
     RULES,
     Violation,
@@ -20,9 +23,8 @@ from cubiclat.geomchecks import (
     scroll_screen,
     trivial_rationality_certificate,
 )
-from cubiclat.hassett import _labeling_det
 from cubiclat.shortvec import enumerate_by_norm
-from oracles import coset_rules_by_class
+from oracles import admissibility_scan_reference, coset_rules_by_class
 
 ETA = (1,) + (0,) * 10
 
@@ -73,7 +75,7 @@ def test_scan_walks_an_even_complement_only_to_norm_6(monkeypatch):
     monkeypatch.setattr(geomchecks, "enumerate_by_norm", lambda L, bound, **kw:
                         bounds.append((L.rank, bound)) or walk(L, bound, **kw))
     assert admissibility_scan(catalog.plane_lattice_N(), ETA) is None
-    assert bounds == [(10, 6), (11, 8)]
+    assert bounds == [(10, 6), (11, 6)]
 
 
 def test_scan_flags_odd_complement_norm():
@@ -150,11 +152,54 @@ def test_coset_rule_is_constant_on_each_support_family():
     assert Counter(rule for _, rule in rules.values()) == {"R1": 240, "R2": 271}
 
 
-def test_labeling_det_raises_on_inconsistent_span():
-    # in Z^2, eta = (1, 1) has norm 2, so 3 u.u - (eta.u)^2 = 6 for
-    # u = (1, -1) is no span determinant: <eta, u> has index 2
-    with pytest.raises(LatticeError, match="not divisible"):
-        _labeling_det(6, (1, 1), (1, -1))
+def _random_scan_cases(rng, count):
+    """count positive definite Grams [[3, a^T], [a, 2 B^T B]] with eta = e_0,
+    a in [-3, 3]^r and B in [-2, 2]^(r x r), r <= 5, each with a bound."""
+    cases = []
+    while len(cases) < count:
+        r = rng.randint(1, 5)
+        a = [rng.randint(-3, 3) for _ in range(r)]
+        b = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)]
+        gram = [[3, *a]] + [[a[i]] + [2 * sum(row[i] * row[j] for row in b)
+                                      for j in range(r)] for i in range(r)]
+        if bareiss_det(gram) <= 0:
+            continue
+        L = IntegralLattice(gram)
+        if L.is_positive_definite():
+            cases.append((L, (1,) + (0,) * r, rng.randint(1, 12)))
+    return cases
+
+
+def test_scan_matches_the_saturating_reference():
+    # R4 on each vector's own span, walking L to norm 6, finds the violation
+    # the saturated-determinant scan to norm 8 finds
+    n = catalog.plane_lattice_N()
+    cases = [(n, ETA, bound) for bound in range(1, 13)]
+    dual2, _ = catalog.n_dual_classes()
+    families = {}
+    for size in range(1, 11):
+        for symbols in combinations(range(10), size):
+            lift2 = [sum(c) for c in zip(*(dual2[s] for s in symbols))]
+            if _gram_product(n.gram, lift2, lift2) % 4 == 0:
+                families.setdefault((0 in symbols, len(symbols)), lift2)
+    assert len(families) == 9
+    for lift2 in families.values():
+        ext = geomchecks.overlattice_from_glue(
+            n, [[Fraction(c, 2) for c in lift2]])
+        cases += [(ext.lattice, ext.from_ambient(ETA), bound)
+                  for bound in (3, 6, 8, 12)]
+    cases += [(catalog.scroll_lattice_K(tau), (1, 0, 0), bound)
+              for tau in range(7) for bound in (2, 6, 8, 12)]
+    cases += _random_scan_cases(random.Random(35), 2000)
+    rules = Counter()
+    for L, eta, bound in cases:
+        hit = admissibility_scan(L, eta, bound)
+        reference = admissibility_scan_reference(L, eta, bound)
+        assert hit == reference, (L.gram, bound)
+        rules[hit and hit.rule] += 1
+    assert len(cases) == 12 + 36 + 28 + 2000
+    assert set(rules) == {None, "R1", "R2", "R3", "R4"}
+    assert rules["R4"] >= 50, rules
 
 
 def test_slice_span_matches_the_pairing_formula():

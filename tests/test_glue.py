@@ -115,6 +115,17 @@ def test_overlattice_coordinate_round_trip():
     assert to_ambient(ext, coords) == lift
 
 
+def test_from_ambient_rejects_a_vector_of_the_wrong_length():
+    ext = overlattice_from_glue(catalog.kappa_tilde(),
+                                [catalog.kappa_glue_lift()])
+    assert ext.from_ambient((1,) + (0,) * 9) == (4, -2, 0, -2, 0, -2, 0, -2,
+                                                 -3, -1)
+    for length in (6, 13):
+        with pytest.raises(ValueError,
+                           match=f"vector has {length} coordinates, not 10"):
+            ext.from_ambient((1,) + (0,) * (length - 1))
+
+
 def test_isotropic_elements_d8():
     iso = isotropic_elements(discriminant_form(D8))
     assert len(iso) == 2  # the two spinor classes; the vector class has q = 1

@@ -9,7 +9,7 @@ from cubiclat import catalog, core, exact, hassett
 from cubiclat.core import NoRepresentation, NotAHassettDiscriminant, saturation
 from cubiclat.hassett import (
     _four_squares_even,
-    _labeling_det,
+    _minor_gcd,
     four_squares,
     hassett_sweep,
     is_admissible,
@@ -169,11 +169,11 @@ def test_labeling_det_matches_the_saturation():
     for d in [d for d in range(7, 3001) if is_admissible(d)] + sorted(sample):
         v = labeling_for_d(d).v
         span = 3 * n.norm(v) - n.pair(eta, v) ** 2
-        sat = saturation(n, [eta, v]).lattice
-        assert _labeling_det(span, eta, v) == sat.det == d
-        # <eta, 2v> has span determinant 4d and index 2 in its saturation
+        assert span == saturation(n, [eta, v]).lattice.det == d
+        assert _minor_gcd(eta, v) == 1
+        # <eta, 2v> has index 2 in its saturation, of determinant d
         v2 = tuple(2 * x for x in v)
-        assert _labeling_det(4 * span, eta, v2) == d
+        assert _minor_gcd(eta, v2) == 2
         assert saturation(n, [eta, v2]).lattice.det == d
 
 
@@ -181,8 +181,8 @@ def test_labeling_rejects_a_witness_that_is_not_primitive(monkeypatch):
     # v = 2 alpha_1 has discriminant 12 * 2^2 = 48, but <eta, v> has index 2
     # in <eta, alpha_1>, of determinant 12
     monkeypatch.setattr(hassett, "_witness", lambda n, s: (2, 0, 0, 0, 0))
-    with pytest.raises(NoRepresentation, match="saturates to det 12, not a "
-                       "primitive labeling of 48"):
+    with pytest.raises(NoRepresentation, match="has index 2 in its "
+                       "saturation, not a primitive labeling of 48"):
         labeling_for_d(48)
 
 
@@ -211,6 +211,6 @@ def test_sweep_fails_on_wrong_saturation_under_optimize(run_optimized):
     # the labeling checks must not be asserts, which python -O strips
     script = (
         "from cubiclat import hassett\n"
-        "hassett._labeling_det = lambda span, eta, u: span // 4\n"
+        "hassett._minor_gcd = lambda x, y: 2\n"
         "print(hassett.hassett_sweep(50).status)\n")
     assert run_optimized(script).split() == ["fail"]

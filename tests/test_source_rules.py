@@ -133,3 +133,23 @@ def test_only_core_calls_the_discriminant_aliases():
                  getattr(node.func, "id", None) in aliases
                  or getattr(node.func, "attr", None) in aliases)]
     assert MODULES and not calls, calls
+
+
+def test_only_hassett_and_the_class_rule_call_is_admissible():
+    # geomchecks._class_rule is the one R4 predicate: the scan and the
+    # sat.511 witnesses both read it, so no second span test grows back
+    calls = []
+    for path in MODULES:
+        if path.name == "hassett.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "geomchecks.py":
+            rule = next(node for node in tree.body
+                        if getattr(node, "name", None) == "_class_rule")
+            allowed = set(ast.walk(rule))
+        calls += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and node not in allowed
+                  and "is_admissible" in (getattr(node.func, "id", None),
+                                          getattr(node.func, "attr", None))]
+    assert MODULES and not calls, calls
